@@ -1,6 +1,6 @@
-//! Dispatch hot-path microbenchmark: indexed candidate lookup versus the
-//! per-arrival candidate rebuild it replaced, measured through the full
-//! serving loop on a replica-dense fleet (the regime where the rebuild's
+//! Dispatch hot-path microbenchmark: indexed dispatch (per-model load trees)
+//! versus the per-arrival candidate rebuild it replaced, measured through the
+//! full serving loop on a replica-dense fleet (the regime where the rebuild's
 //! O(replicas²)-per-arrival cost dominates).
 //!
 //! The bench also runs under a counting allocator and verifies two

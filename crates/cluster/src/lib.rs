@@ -103,7 +103,9 @@ pub use obs::{
     TimeSeriesStats, TraceConfig, TraceRecorder, TraceStats, TraceValidation,
 };
 pub use placement::{rank_nodes, select_node, PlacementCandidate, PlacementPolicy};
-pub use router::{AdmissionControl, DispatchPolicy, ReplicaIndex, ReplicaView, RouterStats};
+pub use router::{
+    AdmissionControl, DispatchPolicy, ReplicaIndex, ReplicaView, RouterStats, SlotLoad,
+};
 pub use serving::{
     estimated_batch_service_cycles, estimated_service_cycles, ClusterServingSim, PerfStats,
     ScheduledMigration, ServingOptions, ServingReport, StochasticService,

@@ -1,96 +1,298 @@
 //! The cluster request router: per-model replica selection, admission
 //! control and the pluggable dispatch policies.
 //!
-//! The router is deliberately state-light — it sees a snapshot of every
-//! candidate replica ([`ReplicaView`]) at each arrival and picks one (or
-//! rejects the request). The serving simulator ([`crate::serving`]) owns the
-//! queues and clocks; production code would back the same interface with live
-//! load reports.
+//! The router sees the candidate replicas of a model at each arrival and
+//! picks one (or rejects the request). The serving simulator
+//! ([`crate::serving`]) owns the queues and clocks; production code would
+//! back the same interface with live load reports.
+//!
+//! # Candidates and load trees
 //!
 //! At fleet scale the expensive part of routing is not the policy but
-//! *finding the candidates*: rebuilding the per-model replica set (and the
-//! per-node locality counts behind [`ReplicaView::node_replicas`]) from the
-//! full replica table on every arrival is O(replicas²) per request. The
-//! [`ReplicaIndex`] keeps those sets incrementally — the serving event loop
-//! updates it on deploy / drain / retire / migrate transitions, and each
-//! arrival reads exactly the candidate slots of its model.
+//! *finding the candidate*. The [`ReplicaIndex`] keeps, per model, the
+//! routable slots, the per-node replica counts behind the locality signal,
+//! and a **load tree**: a tournament (min-segment) tree over the candidates,
+//! keyed by the exact total order the policy minimizes — `(outstanding,
+//! slot)` for least-loaded and earliest-deadline dispatch,
+//! `(Reverse(node_replicas), outstanding, slot)` for locality-affine
+//! dispatch. Every tree node holds two minima: one over the candidates that
+//! are available and below the admission limit, one over all candidates
+//! below the limit. The model also counts its available candidates, full
+//! ones included. A pick reads the root: the first minimum while that count
+//! is non-zero, the second otherwise, and an overload rejection when the
+//! chosen minimum is empty. That is decision-for-decision what
+//! [`Router::dispatch`] computes by scanning [`ReplicaView`]s. Round-robin
+//! keeps its cursor scan, over the same indexed per-slot loads.
+//!
+//! The trees are exactly as fresh as the loads reported to them. The owner
+//! keeps this contract:
+//!
+//! * [`touch`](ReplicaIndex::touch) a slot after every edge that may change
+//!   its outstanding work, queue fullness or availability: a dispatch, a
+//!   completion, a resume, a batch timeout, a copy round, a fault, a
+//!   failover re-dispatch, a control action, a migration;
+//! * [`refresh`](ReplicaIndex::refresh) the index with the current load of
+//!   the touched slots before every pick, which re-keys each touched leaf in
+//!   O(log n);
+//! * membership edges ([`insert`](ReplicaIndex::insert),
+//!   [`begin_drain`](ReplicaIndex::begin_drain),
+//!   [`relocate`](ReplicaIndex::relocate), [`evict`](ReplicaIndex::evict))
+//!   need no touch: they rebuild the model's tree at the next refresh, which
+//!   also moves the locality key of every candidate on the affected nodes.
+//!
+//! Availability depends on time only through a replica's dark window, and
+//! the serving loop schedules a resume event at the instant each dark window
+//! ends, so touching at events keeps every leaf exact.
 
+use std::cmp::Reverse;
 use std::collections::BTreeMap;
-// simlint::allow(D1, reason = "imported for the two point-lookup-only index maps audited below")
-use std::collections::HashMap;
 
 use workloads::ModelId;
 
 use crate::cluster::VnpuHandle;
 use crate::NodeId;
 
+/// The dispatch-relevant load of one replica, as its owner last reported it
+/// to the [`ReplicaIndex`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SlotLoad {
+    /// Requests queued plus the requests of the batch in service.
+    pub outstanding: usize,
+    /// Whether the queue is at the admission limit.
+    pub full: bool,
+    /// Whether the replica may take new work now: not dark, not
+    /// mid-migration.
+    pub available: bool,
+}
+
+impl SlotLoad {
+    /// A freshly deployed replica, until its owner reports otherwise.
+    const IDLE: SlotLoad = SlotLoad {
+        outstanding: 0,
+        full: false,
+        available: true,
+    };
+}
+
+/// The total order a least-key pick minimizes: the locality signal first
+/// (more replicas of the model on the node wins; constant unless the index
+/// serves [`DispatchPolicy::LocalityAffine`]), then outstanding work, then
+/// the slot, which is unique, so no two keys tie.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct LoadKey {
+    locality: Reverse<usize>,
+    outstanding: usize,
+    slot: usize,
+}
+
+impl LoadKey {
+    /// Greater than every real key (no real slot is `usize::MAX`): the
+    /// minimum of an empty set.
+    const NONE: LoadKey = LoadKey {
+        locality: Reverse(0),
+        outstanding: usize::MAX,
+        slot: usize::MAX,
+    };
+}
+
+/// The two minima every load-tree node holds over its leaves.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Minima {
+    /// Least key among available candidates with queue room.
+    clean: LoadKey,
+    /// Least key among candidates with queue room, available or not.
+    open: LoadKey,
+}
+
+impl Minima {
+    const NONE: Minima = Minima {
+        clean: LoadKey::NONE,
+        open: LoadKey::NONE,
+    };
+
+    fn leaf(key: LoadKey, load: SlotLoad) -> Minima {
+        if load.full {
+            return Minima::NONE;
+        }
+        Minima {
+            clean: if load.available { key } else { LoadKey::NONE },
+            open: key,
+        }
+    }
+
+    fn merge(self, other: Minima) -> Minima {
+        Minima {
+            clean: self.clean.min(other.clean),
+            open: self.open.min(other.open),
+        }
+    }
+}
+
+/// A tournament tree over one model's candidates: `nodes[1]` is the root
+/// and leaf `i` sits at `nodes[width + i]`, where `width` is the candidate
+/// count rounded up to a power of two. Vacant leaves hold [`Minima::NONE`].
+#[derive(Debug, Default)]
+struct LoadTree {
+    nodes: Vec<Minima>,
+}
+
+impl LoadTree {
+    /// Rebuilds the tree over `leaves` in O(width).
+    fn rebuild(&mut self, leaves: impl ExactSizeIterator<Item = Minima>) {
+        let width = leaves.len().next_power_of_two();
+        self.nodes.clear();
+        self.nodes.resize(2 * width, Minima::NONE);
+        for (position, leaf) in leaves.enumerate() {
+            self.nodes[width + position] = leaf;
+        }
+        for node in (1..width).rev() {
+            self.nodes[node] = self.nodes[2 * node].merge(self.nodes[2 * node + 1]);
+        }
+    }
+
+    /// Re-keys one leaf in O(log width), stopping at the first ancestor
+    /// whose minima do not change.
+    fn set(&mut self, position: usize, leaf: Minima) {
+        let mut node = self.nodes.len() / 2 + position;
+        self.nodes[node] = leaf;
+        while node > 1 {
+            node /= 2;
+            let merged = self.nodes[2 * node].merge(self.nodes[2 * node + 1]);
+            if self.nodes[node] == merged {
+                break;
+            }
+            self.nodes[node] = merged;
+        }
+    }
+
+    fn root(&self) -> Minima {
+        self.nodes.get(1).copied().unwrap_or(Minima::NONE)
+    }
+}
+
+/// The routing state of one model.
+#[derive(Debug, Default)]
+struct ModelIndex {
+    /// Routable slots, ascending; leaf `i` of the tree is `candidates[i]`.
+    candidates: Vec<usize>,
+    /// Routable replicas per node, indexed by `NodeId` (the locality
+    /// signal).
+    node_counts: Vec<usize>,
+    tree: LoadTree,
+    /// Candidates that are available, full ones included.
+    available: usize,
+    /// Membership changed since the tree was last built.
+    stale: bool,
+}
+
+/// The index's record of one slot.
+#[derive(Debug, Clone, Copy)]
+struct SlotEntry {
+    model: ModelId,
+    node: NodeId,
+    load: SlotLoad,
+    /// The slot's leaf in its model's tree; `None` once it stops being
+    /// routable (it never becomes routable again).
+    leaf: Option<usize>,
+}
+
 /// An incrementally-maintained routing index over the serving simulator's
 /// replica table.
 ///
-/// Tracks three things the dispatch hot path needs in O(1)/O(candidates):
+/// Tracks what the dispatch hot path needs without scanning the table:
 ///
 /// * the **routable** slots of every model — live, non-draining replicas, in
-///   ascending slot order (the same order a full-table scan would visit, so
-///   indexed dispatch reproduces scan-based dispatch decision-for-decision);
+///   ascending slot order (the order a full-table scan visits them);
 /// * the **per-(model, node) replica counts** behind the locality signal
-///   ([`ReplicaView::node_replicas`]), which a naive build recounts by a
-///   nested scan per candidate;
-/// * the **handle → slot map** over every live replica (draining included),
-///   replacing the linear `position()` scans that resolved migration and
-///   control-plane handles.
+///   ([`ReplicaView::node_replicas`]);
+/// * the **per-model load trees** the non-round-robin policies pick from
+///   (see the [module docs](self) for their invalidation contract);
+/// * the **handle → slot map** over every live replica (draining included)
+///   that resolves migration and control-plane handles.
+///
+/// Every map is a dense `Vec`: models by discriminant, nodes by id, slots by
+/// table row, and vNPUs by their node-local id, which each board's manager
+/// allocates densely.
 ///
 /// The owner calls the transition methods exactly once per lifecycle edge:
 /// [`insert`](ReplicaIndex::insert) on deploy, [`begin_drain`](ReplicaIndex::begin_drain)
 /// when a replica stops being routable, [`relocate`](ReplicaIndex::relocate)
 /// when a migration re-keys its handle, and [`retire`](ReplicaIndex::retire)
 /// when the slot dies.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct ReplicaIndex {
-    /// Routable (live, non-draining) slots per model, ascending.
-    by_model: BTreeMap<ModelId, Vec<usize>>,
-    /// Routable replicas of (model, node) — the locality signal. Hashed on
-    /// purpose: read per candidate per arrival on the dispatch hot path,
-    /// and only ever by exact key — no code path iterates it, so its order
-    /// cannot reach a report or digest.
-    // simlint::allow(D1, reason = "hot-path point lookups only; never iterated")
-    node_counts: HashMap<(ModelId, NodeId), usize>,
-    /// Slot of every live replica (routable or draining). Same audit as
-    /// `node_counts`: exact-key lookups from migration/control resolution,
-    /// never iterated.
-    // simlint::allow(D1, reason = "hot-path point lookups only; never iterated")
-    by_handle: HashMap<VnpuHandle, usize>,
+    /// Whether keys lead with the locality signal.
+    locality: bool,
+    /// Per-model state, indexed by `ModelId as usize`.
+    models: Vec<ModelIndex>,
+    /// Per-slot state, indexed by slot.
+    slots: Vec<SlotEntry>,
+    /// Slots touched since the last refresh.
+    touched: Vec<usize>,
+    /// Models whose trees the next refresh rebuilds.
+    stale: Vec<usize>,
+    /// Slot of every live replica, by node id then node-local vNPU id.
+    by_handle: Vec<Vec<Option<usize>>>,
 }
 
 impl ReplicaIndex {
-    /// An empty index.
-    pub fn new() -> Self {
-        ReplicaIndex::default()
+    /// An empty index whose load trees are keyed for `policy`.
+    pub fn new(policy: DispatchPolicy) -> Self {
+        ReplicaIndex {
+            locality: policy == DispatchPolicy::LocalityAffine,
+            models: Vec::new(),
+            slots: Vec::new(),
+            touched: Vec::new(),
+            stale: Vec::new(),
+            by_handle: Vec::new(),
+        }
     }
 
     /// Registers a newly deployed, routable replica. Slots must be inserted
     /// in increasing order (the serving simulator's replica table only ever
     /// grows), which keeps every candidate list sorted without searching.
+    /// The new slot starts touched: the next refresh reads its real load.
     pub fn insert(&mut self, slot: usize, model: ModelId, node: NodeId, handle: VnpuHandle) {
-        let candidates = self.by_model.entry(model).or_default();
+        let entry = SlotEntry {
+            model,
+            node,
+            load: SlotLoad::IDLE,
+            leaf: None,
+        };
+        if self.slots.len() <= slot {
+            self.slots.resize(slot + 1, entry);
+        }
+        let index = self.model_mut(model);
         debug_assert!(
-            candidates.last().is_none_or(|last| *last < slot),
+            index.candidates.last().is_none_or(|last| *last < slot),
             "slots are inserted in increasing order"
         );
-        candidates.push(slot);
-        *self.node_counts.entry((model, node)).or_insert(0) += 1;
-        let previous = self.by_handle.insert(handle, slot);
+        index.candidates.push(slot);
+        let leaf = index.candidates.len() - 1;
+        *count_mut(&mut index.node_counts, node) += 1;
+        self.mark_stale(model);
+        self.slots[slot] = SlotEntry {
+            leaf: Some(leaf),
+            ..entry
+        };
+        self.touch(slot);
+        let previous = handle_mut(&mut self.by_handle, handle).replace(slot);
         debug_assert!(previous.is_none(), "handles are unique among live replicas");
     }
 
     /// Removes a replica from the routable sets when it starts draining (it
     /// stays resolvable by handle until retired).
     pub fn begin_drain(&mut self, slot: usize, model: ModelId, node: NodeId) {
-        if let Some(candidates) = self.by_model.get_mut(&model) {
-            if let Some(position) = candidates.iter().position(|s| *s == slot) {
-                candidates.remove(position);
+        if let Some(index) = self.models.get_mut(model as usize) {
+            if let Ok(position) = index.candidates.binary_search(&slot) {
+                index.candidates.remove(position);
             }
         }
+        if let Some(entry) = self.slots.get_mut(slot) {
+            entry.leaf = None;
+        }
         self.release_node_count(model, node);
+        self.mark_stale(model);
     }
 
     /// Re-keys a replica whose migration moved it to a new node. Routable
@@ -104,22 +306,31 @@ impl ReplicaIndex {
         model: ModelId,
         routable: bool,
     ) {
-        let removed = self.by_handle.remove(&old_handle);
+        let removed = handle_mut(&mut self.by_handle, old_handle).take();
         debug_assert_eq!(removed, Some(slot), "relocate must name a live replica");
-        self.by_handle.insert(new_handle, slot);
+        *handle_mut(&mut self.by_handle, new_handle) = Some(slot);
+        if let Some(entry) = self.slots.get_mut(slot) {
+            entry.node = new_handle.node;
+        }
         if routable {
             self.release_node_count(model, old_handle.node);
-            *self
-                .node_counts
-                .entry((model, new_handle.node))
-                .or_insert(0) += 1;
+            *count_mut(&mut self.model_mut(model).node_counts, new_handle.node) += 1;
+            if self.locality {
+                self.mark_stale(model);
+            }
         }
     }
 
     /// Forgets a retired replica's handle. The slot itself stays dead in the
     /// owner's table; it was removed from the routable sets when it drained.
     pub fn retire(&mut self, handle: VnpuHandle) {
-        self.by_handle.remove(&handle);
+        if let Some(slot) = self
+            .by_handle
+            .get_mut(handle.node.0 as usize)
+            .and_then(|slots| slots.get_mut(handle.vnpu.0 as usize))
+        {
+            *slot = None;
+        }
     }
 
     /// Removes a replica that died mid-run (board crash / failover fencing)
@@ -145,30 +356,202 @@ impl ReplicaIndex {
     /// The slot of a live replica, draining included; `None` for stale
     /// handles (undeployed, or re-keyed by a migration).
     pub fn slot_of(&self, handle: VnpuHandle) -> Option<usize> {
-        self.by_handle.get(&handle).copied()
+        self.by_handle
+            .get(handle.node.0 as usize)?
+            .get(handle.vnpu.0 as usize)
+            .copied()
+            .flatten()
     }
 
     /// The routable slots of `model`, in ascending slot order.
     pub fn candidates(&self, model: ModelId) -> &[usize] {
-        self.by_model
-            .get(&model)
-            .map_or(&[], |slots| slots.as_slice())
+        self.models
+            .get(model as usize)
+            .map_or(&[], |index| index.candidates.as_slice())
     }
 
     /// Routable replicas of `model` on `node` (the locality signal).
     pub fn node_count(&self, model: ModelId, node: NodeId) -> usize {
-        self.node_counts.get(&(model, node)).copied().unwrap_or(0)
+        self.models
+            .get(model as usize)
+            .and_then(|index| index.node_counts.get(node.0 as usize))
+            .copied()
+            .unwrap_or(0)
+    }
+
+    /// Queues `slot` for the next [`refresh`](ReplicaIndex::refresh): call
+    /// after any edge that may change its load. Slots that are no longer
+    /// routable are ignored.
+    pub fn touch(&mut self, slot: usize) {
+        if self
+            .slots
+            .get(slot)
+            .is_some_and(|entry| entry.leaf.is_some())
+        {
+            self.touched.push(slot);
+        }
+    }
+
+    /// Brings the load trees up to date: reads the current load of every
+    /// touched slot from `load_of` and re-keys its leaf, then rebuilds the
+    /// trees whose membership changed. Call before every pick.
+    pub fn refresh(&mut self, mut load_of: impl FnMut(usize) -> SlotLoad) {
+        let ReplicaIndex {
+            locality,
+            models,
+            slots,
+            touched,
+            stale,
+            ..
+        } = self;
+        let locality = *locality;
+        for slot in touched.drain(..) {
+            let entry = &mut slots[slot];
+            let Some(position) = entry.leaf else {
+                continue;
+            };
+            let load = load_of(slot);
+            if load == entry.load {
+                continue;
+            }
+            let previous = std::mem::replace(&mut entry.load, load);
+            // A stale model recounts and rebuilds below.
+            let index = &mut models[entry.model as usize];
+            if index.stale {
+                continue;
+            }
+            index.available =
+                index.available + usize::from(load.available) - usize::from(previous.available);
+            let key = load_key(locality, &index.node_counts, slot, entry.node, load);
+            index.tree.set(position, Minima::leaf(key, load));
+        }
+        for model in stale.drain(..) {
+            let ModelIndex {
+                candidates,
+                node_counts,
+                tree,
+                available,
+                stale: is_stale,
+            } = &mut models[model];
+            *is_stale = false;
+            *available = 0;
+            for (position, &slot) in candidates.iter().enumerate() {
+                let entry = &mut slots[slot];
+                entry.leaf = Some(position);
+                *available += usize::from(entry.load.available);
+            }
+            tree.rebuild(candidates.iter().map(|&slot| {
+                let entry = &slots[slot];
+                let key = load_key(locality, node_counts, slot, entry.node, entry.load);
+                Minima::leaf(key, entry.load)
+            }));
+        }
+    }
+
+    /// The candidate of `model` with the least key among those eligible
+    /// under the dispatch contract (see the [module docs](self)). Read
+    /// after a [`refresh`](ReplicaIndex::refresh).
+    fn pick_least(&self, model: ModelId) -> DispatchDecision {
+        debug_assert!(
+            self.touched.is_empty() && self.stale.is_empty(),
+            "the index must be refreshed before a pick"
+        );
+        let Some(index) = self
+            .models
+            .get(model as usize)
+            .filter(|index| !index.candidates.is_empty())
+        else {
+            return DispatchDecision::RejectNoReplica;
+        };
+        let root = index.tree.root();
+        let best = if index.available > 0 {
+            root.clean
+        } else {
+            root.open
+        };
+        if best == LoadKey::NONE {
+            DispatchDecision::RejectOverload
+        } else {
+            DispatchDecision::Dispatch(best.slot)
+        }
+    }
+
+    /// Available candidates of `model`, full ones included.
+    fn available(&self, model: ModelId) -> usize {
+        self.models
+            .get(model as usize)
+            .map_or(0, |index| index.available)
+    }
+
+    fn model_mut(&mut self, model: ModelId) -> &mut ModelIndex {
+        let position = model as usize;
+        if self.models.len() <= position {
+            self.models.resize_with(position + 1, ModelIndex::default);
+        }
+        &mut self.models[position]
+    }
+
+    fn mark_stale(&mut self, model: ModelId) {
+        let index = self.model_mut(model);
+        if !index.stale {
+            index.stale = true;
+            self.stale.push(model as usize);
+        }
     }
 
     fn release_node_count(&mut self, model: ModelId, node: NodeId) {
-        match self.node_counts.get_mut(&(model, node)) {
-            Some(count) if *count > 1 => *count -= 1,
-            Some(_) => {
-                self.node_counts.remove(&(model, node));
-            }
-            None => debug_assert!(false, "released a node count that was never taken"),
+        match self
+            .models
+            .get_mut(model as usize)
+            .and_then(|index| index.node_counts.get_mut(node.0 as usize))
+        {
+            Some(count) if *count > 0 => *count -= 1,
+            _ => debug_assert!(false, "released a node count that was never taken"),
         }
     }
+}
+
+/// The load-tree key of `slot` on `node`.
+fn load_key(
+    locality: bool,
+    node_counts: &[usize],
+    slot: usize,
+    node: NodeId,
+    load: SlotLoad,
+) -> LoadKey {
+    let node_replicas = if locality {
+        node_counts.get(node.0 as usize).copied().unwrap_or(0)
+    } else {
+        0
+    };
+    LoadKey {
+        locality: Reverse(node_replicas),
+        outstanding: load.outstanding,
+        slot,
+    }
+}
+
+/// The count of `node` in a per-node vector, growing it on first use.
+fn count_mut(counts: &mut Vec<usize>, node: NodeId) -> &mut usize {
+    let position = node.0 as usize;
+    if counts.len() <= position {
+        counts.resize(position + 1, 0);
+    }
+    &mut counts[position]
+}
+
+/// The slot cell of `handle`, growing the per-node vectors on first use.
+fn handle_mut(by_handle: &mut Vec<Vec<Option<usize>>>, handle: VnpuHandle) -> &mut Option<usize> {
+    let node = handle.node.0 as usize;
+    if by_handle.len() <= node {
+        by_handle.resize_with(node + 1, Vec::new);
+    }
+    let slots = &mut by_handle[node];
+    let vnpu = handle.vnpu.0 as usize;
+    if slots.len() <= vnpu {
+        slots.resize(vnpu + 1, None);
+    }
+    &mut slots[vnpu]
 }
 
 /// How the router picks among the replicas of a model.
@@ -342,76 +725,142 @@ impl Router {
     /// being shed. Overload rejection only triggers when every eligible
     /// replica is at `max_queue_depth` — one full queue never sheds a request
     /// another replica has room for.
+    ///
+    /// This view scan is the reference the indexed path is checked against;
+    /// the serving loop routes through
+    /// [`dispatch_indexed`](Router::dispatch_indexed).
     pub fn dispatch(&mut self, model: ModelId, replicas: &[ReplicaView]) -> DispatchDecision {
-        self.stats.offered += 1;
-        match self.select(model, replicas) {
-            DispatchDecision::Dispatch(index) => {
-                self.stats.admitted += 1;
-                DispatchDecision::Dispatch(index)
-            }
-            DispatchDecision::RejectNoReplica => {
-                self.stats.rejected_no_replica += 1;
-                DispatchDecision::RejectNoReplica
-            }
-            DispatchDecision::RejectOverload => {
-                self.stats.rejected_overload += 1;
-                DispatchDecision::RejectOverload
-            }
+        let (decision, cursor) = self.choose(model, replicas);
+        if let Some(cursor) = cursor {
+            self.rr_cursor.insert(model, cursor);
         }
+        self.count(decision)
+    }
+
+    /// Routes one request for `model` over the candidates of `index`: the
+    /// decision [`dispatch`](Router::dispatch) makes over views of the same
+    /// candidates, read off the model's load tree in O(1) (round-robin: a
+    /// cursor scan over the indexed loads). The index must have been
+    /// [refreshed](ReplicaIndex::refresh) since its last change.
+    pub fn dispatch_indexed(&mut self, model: ModelId, index: &ReplicaIndex) -> DispatchDecision {
+        let decision = self.select(model, index);
+        self.count(decision)
     }
 
     /// Routes an *already admitted* request again — failover re-dispatching
     /// the orphans of a dead board. Selection is identical to
-    /// [`dispatch`](Router::dispatch) but no admission counters move: the
-    /// request was offered and admitted exactly once at arrival, and
-    /// re-dispatch must keep `offered = admitted + rejected` intact. A
-    /// rejection here means no surviving replica can take the orphan; the
-    /// caller records it as lost with a fault attribution.
-    pub fn redispatch(&mut self, model: ModelId, replicas: &[ReplicaView]) -> DispatchDecision {
-        self.select(model, replicas)
+    /// [`dispatch_indexed`](Router::dispatch_indexed) but no admission
+    /// counters move: the request was offered and admitted exactly once at
+    /// arrival, and re-dispatch must keep `offered = admitted + rejected`
+    /// intact. A rejection here means no surviving replica can take the
+    /// orphan; the caller records it as lost with a fault attribution.
+    pub fn redispatch(&mut self, model: ModelId, index: &ReplicaIndex) -> DispatchDecision {
+        self.select(model, index)
     }
 
-    fn select(&mut self, model: ModelId, replicas: &[ReplicaView]) -> DispatchDecision {
-        if replicas.is_empty() {
+    /// The decision [`dispatch`](Router::dispatch) would make over
+    /// `replicas`, moving neither the round-robin cursor nor a counter.
+    pub(crate) fn peek(&self, model: ModelId, replicas: &[ReplicaView]) -> DispatchDecision {
+        self.choose(model, replicas).0
+    }
+
+    fn count(&mut self, decision: DispatchDecision) -> DispatchDecision {
+        self.stats.offered += 1;
+        match decision {
+            DispatchDecision::Dispatch(_) => self.stats.admitted += 1,
+            DispatchDecision::RejectNoReplica => self.stats.rejected_no_replica += 1,
+            DispatchDecision::RejectOverload => self.stats.rejected_overload += 1,
+        }
+        decision
+    }
+
+    fn cursor(&self, model: ModelId) -> usize {
+        self.rr_cursor.get(&model).copied().unwrap_or(0)
+    }
+
+    /// The indexed pick, advancing the round-robin cursor.
+    fn select(&mut self, model: ModelId, index: &ReplicaIndex) -> DispatchDecision {
+        debug_assert_eq!(
+            index.locality,
+            self.policy == DispatchPolicy::LocalityAffine,
+            "the index must be keyed for the router's policy"
+        );
+        if self.policy != DispatchPolicy::RoundRobin {
+            return index.pick_least(model);
+        }
+        let candidates = index.candidates(model);
+        if candidates.is_empty() {
             return DispatchDecision::RejectNoReplica;
+        }
+        let any_available = index.available(model) > 0;
+        let pick = round_robin(self.cursor(model), candidates.len(), |position| {
+            let load = index.slots[candidates[position]].load;
+            !load.full && (!any_available || load.available)
+        });
+        match pick {
+            Some(position) => {
+                self.rr_cursor
+                    .insert(model, (position + 1) % candidates.len());
+                DispatchDecision::Dispatch(candidates[position])
+            }
+            None => DispatchDecision::RejectOverload,
+        }
+    }
+
+    /// The view-scan pick, with the round-robin cursor it leaves behind.
+    fn choose(
+        &self,
+        model: ModelId,
+        replicas: &[ReplicaView],
+    ) -> (DispatchDecision, Option<usize>) {
+        if replicas.is_empty() {
+            return (DispatchDecision::RejectNoReplica, None);
         }
 
         // Restrict to the available replicas while any exist; a fully dark
         // replica set queues rather than rejects.
         let any_available = replicas.iter().any(|r| !r.unavailable);
-        let eligible = |r: &&ReplicaView| {
+        let eligible = |r: &ReplicaView| {
             r.queue_len < self.admission.max_queue_depth && (!any_available || !r.unavailable)
         };
 
         let pick = match self.policy {
             DispatchPolicy::RoundRobin => {
-                let cursor = self.rr_cursor.entry(model).or_insert(0);
-                let start = *cursor % replicas.len();
-                let choice = (0..replicas.len())
-                    .map(|offset| (start + offset) % replicas.len())
-                    .find(|pos| eligible(&&replicas[*pos]));
-                choice.map(|pos| {
-                    *cursor = (pos + 1) % replicas.len();
-                    replicas[pos]
-                })
+                let pick = round_robin(self.cursor(model), replicas.len(), |position| {
+                    eligible(&replicas[position])
+                });
+                return match pick {
+                    Some(position) => (
+                        DispatchDecision::Dispatch(replicas[position].index),
+                        Some((position + 1) % replicas.len()),
+                    ),
+                    None => (DispatchDecision::RejectOverload, None),
+                };
             }
             DispatchPolicy::LeastLoaded | DispatchPolicy::EarliestDeadline => replicas
                 .iter()
-                .filter(eligible)
-                .min_by_key(|r| (r.outstanding(), r.index))
-                .copied(),
+                .filter(|r| eligible(r))
+                .min_by_key(|r| (r.outstanding(), r.index)),
             DispatchPolicy::LocalityAffine => replicas
                 .iter()
-                .filter(eligible)
-                .min_by_key(|r| (std::cmp::Reverse(r.node_replicas), r.outstanding(), r.index))
-                .copied(),
+                .filter(|r| eligible(r))
+                .min_by_key(|r| (Reverse(r.node_replicas), r.outstanding(), r.index)),
         };
-
-        match pick {
+        let decision = match pick {
             Some(replica) => DispatchDecision::Dispatch(replica.index),
             None => DispatchDecision::RejectOverload,
-        }
+        };
+        (decision, None)
     }
+}
+
+/// The first position at or after `cursor` (cyclically, over `len`
+/// positions) that is `eligible`.
+fn round_robin(cursor: usize, len: usize, eligible: impl Fn(usize) -> bool) -> Option<usize> {
+    let start = cursor % len;
+    (0..len)
+        .map(|offset| (start + offset) % len)
+        .find(|&position| eligible(position))
 }
 
 #[cfg(test)]
@@ -557,20 +1006,17 @@ mod tests {
     #[test]
     fn fully_dark_replica_sets_queue_instead_of_rejecting() {
         // When every replica is mid-migration the request waits behind the
-        // migration window rather than being shed.
-        for policy in DispatchPolicy::all() {
-            let mut router = Router::new(policy, AdmissionControl::default());
-            let mut a = view(0, 0, 0, 0);
-            a.unavailable = true;
-            let mut b = view(1, 1, 3, 1);
-            b.unavailable = true;
-            let decision = router.dispatch(ModelId::Mnist, &[a, b]);
-            assert!(
-                matches!(decision, DispatchDecision::Dispatch(_)),
-                "{}: all-dark window must queue, got {decision:?}",
-                policy.label()
-            );
-        }
+        // migration window rather than being shed — on both routing paths.
+        let mut a = view(0, 0, 0, 0);
+        a.unavailable = true;
+        let mut b = view(1, 1, 3, 1);
+        b.unavailable = true;
+        assert_both_paths(
+            AdmissionControl::default(),
+            &[a, b],
+            |decision| matches!(decision, DispatchDecision::Dispatch(_)),
+            "an all-dark window must queue",
+        );
     }
 
     #[test]
@@ -588,16 +1034,86 @@ mod tests {
         assert!(!DispatchPolicy::LeastLoaded.orders_queues_by_deadline());
     }
 
+    /// An index over `replicas` (all of model Mnist), refreshed with the
+    /// loads the views describe under `admission`.
+    fn indexed(
+        policy: DispatchPolicy,
+        admission: AdmissionControl,
+        replicas: &[ReplicaView],
+    ) -> ReplicaIndex {
+        let mut index = ReplicaIndex::new(policy);
+        for (vnpu, view) in replicas.iter().enumerate() {
+            let handle = VnpuHandle {
+                node: view.node,
+                vnpu: neu10::VnpuId(vnpu as u32),
+            };
+            index.insert(view.index, ModelId::Mnist, view.node, handle);
+        }
+        index.refresh(|slot| {
+            let view = replicas.iter().find(|view| view.index == slot).unwrap();
+            SlotLoad {
+                outstanding: view.outstanding(),
+                full: view.queue_len >= admission.max_queue_depth,
+                available: !view.unavailable,
+            }
+        });
+        index
+    }
+
+    /// Routes `replicas` through both paths under every policy and checks
+    /// each gives `expected`.
+    fn assert_both_paths(
+        admission: AdmissionControl,
+        replicas: &[ReplicaView],
+        expected: impl Fn(DispatchDecision) -> bool,
+        why: &str,
+    ) {
+        for policy in DispatchPolicy::all() {
+            let scanned = Router::new(policy, admission).dispatch(ModelId::Mnist, replicas);
+            let index = indexed(policy, admission, replicas);
+            let picked = Router::new(policy, admission).dispatch_indexed(ModelId::Mnist, &index);
+            assert_eq!(
+                scanned,
+                picked,
+                "{}: the two paths disagree",
+                policy.label()
+            );
+            assert!(
+                expected(picked),
+                "{}: {why}, got {picked:?}",
+                policy.label()
+            );
+        }
+    }
+
+    #[test]
+    fn full_available_replica_beside_a_dark_roomy_one_rejects() {
+        // The dark replica is not eligible while any replica is available —
+        // a full queue still counts as available — so nothing has room.
+        let admission = AdmissionControl { max_queue_depth: 2 };
+        let full = view(0, 0, 2, 1);
+        let mut dark = view(1, 1, 0, 0);
+        dark.unavailable = true;
+        assert_both_paths(
+            admission,
+            &[full, dark],
+            |decision| decision == DispatchDecision::RejectOverload,
+            "a full available replica next to a dark one with room must shed",
+        );
+    }
+
     #[test]
     fn redispatch_moves_no_admission_counters() {
-        let mut router = Router::new(DispatchPolicy::LeastLoaded, AdmissionControl::default());
+        let admission = AdmissionControl::default();
+        let mut router = Router::new(DispatchPolicy::LeastLoaded, admission);
         let replicas = [view(0, 0, 1, 0), view(1, 1, 0, 0)];
+        let index = indexed(DispatchPolicy::LeastLoaded, admission, &replicas);
         assert_eq!(
-            router.redispatch(ModelId::Mnist, &replicas),
+            router.redispatch(ModelId::Mnist, &index),
             DispatchDecision::Dispatch(1)
         );
         assert_eq!(
-            router.redispatch(ModelId::Mnist, &[]),
+            router.redispatch(ModelId::Bert, &index),
             DispatchDecision::RejectNoReplica
         );
         let stats = router.stats();
@@ -612,7 +1128,7 @@ mod tests {
     fn evict_removes_a_routable_slot_mid_run() {
         use neu10::VnpuId;
 
-        let mut index = ReplicaIndex::new();
+        let mut index = ReplicaIndex::new(DispatchPolicy::LeastLoaded);
         let handle = |n: u32| VnpuHandle {
             node: NodeId(n),
             vnpu: VnpuId(0),

@@ -72,7 +72,7 @@ use crate::obs::{
 };
 use crate::router::{
     AdmissionControl, DispatchDecision, DispatchPolicy, ReplicaIndex, ReplicaView, Router,
-    RouterStats,
+    RouterStats, SlotLoad,
 };
 use crate::sharded::ShardPlan;
 use crate::telemetry::{
@@ -608,8 +608,23 @@ struct ReplicaSim {
 }
 
 impl ReplicaSim {
-    fn unavailable(&self, now: u64) -> bool {
-        now < self.available_at || self.pending_migration.is_some()
+    /// Whether new work may land here now: the one availability predicate
+    /// of arrival dispatch and failover re-dispatch alike. A replica is out
+    /// while dark or draining toward a stop-and-copy and — under
+    /// migration-aware dispatch — while its pre-copy is in flight.
+    fn dispatchable(&self, now: u64, avoid_migrating: bool) -> bool {
+        now >= self.available_at
+            && self.pending_migration.is_none()
+            && !(avoid_migrating && self.precopy.is_some())
+    }
+
+    /// The replica's load as the dispatch index keys it.
+    fn load(&self, now: u64, state: &ServeState) -> SlotLoad {
+        SlotLoad {
+            outstanding: self.queue.len() + self.in_flight(),
+            full: self.queue.len() >= state.max_queue_depth,
+            available: self.dispatchable(now, state.avoid_migrating),
+        }
     }
 
     /// Requests in the batch currently being served.
@@ -672,6 +687,10 @@ struct ServeState {
     /// Chaos bookkeeping; `None` unless [`ServingOptions::with_faults`]
     /// scheduled faults. The fault-free hot path pays one discriminant check.
     chaos: Option<ChaosState>,
+    /// [`ServingOptions::migration_aware_dispatch`].
+    avoid_migrating: bool,
+    /// The admission limit: a replica with this many queued requests is full.
+    max_queue_depth: usize,
 }
 
 impl ServeState {
@@ -1283,7 +1302,6 @@ pub(crate) struct PartitionSim<'a> {
     events: EventQueue,
     links: LinkSchedule,
     recovery_armed: bool,
-    avoid_migrating: bool,
     sample_interval: Option<u64>,
     alert_interval: Option<u64>,
     alert_scratch: Vec<AlertTransition>,
@@ -1343,10 +1361,10 @@ impl<'a> PartitionSim<'a> {
 
         // The dispatch index mirrors the replica table incrementally: slots
         // enter on deploy, leave the routable sets on drain, re-key on
-        // migration and die on retire. Every arrival then reads exactly the
-        // candidates of its model instead of scanning (and re-counting) the
-        // whole table.
-        let mut dispatch_index = ReplicaIndex::new();
+        // migration and die on retire, and every load edge touches its slot.
+        // Every arrival then reads its model's load tree instead of scanning
+        // the candidates.
+        let mut dispatch_index = ReplicaIndex::new(options.dispatch);
         for (slot, replica) in replicas.iter().enumerate() {
             dispatch_index.insert(slot, replica.model, replica.handle.node, replica.handle);
         }
@@ -1374,6 +1392,8 @@ impl<'a> PartitionSim<'a> {
                 .faults
                 .as_ref()
                 .map(|schedule| ChaosState::new(schedule, options.recovery)),
+            avoid_migrating: options.migration_aware_dispatch,
+            max_queue_depth: options.admission.max_queue_depth,
         };
         let mut events = EventQueue::default();
         for (index, migration) in options.migrations.iter().enumerate() {
@@ -1388,7 +1408,6 @@ impl<'a> PartitionSim<'a> {
         // recovery will eventually drain them; without recovery they would
         // sustain the telemetry bus forever and the run could never end.
         let recovery_armed = options.faults.is_some() && options.recovery.is_some();
-        let avoid_migrating = options.migration_aware_dispatch;
         // Sharded partitions never self-sample: the coordinator ticks
         // telemetry at the barrier over the merged fleet instead.
         if shard.is_none() {
@@ -1419,7 +1438,6 @@ impl<'a> PartitionSim<'a> {
             events,
             links: LinkSchedule::default(),
             recovery_armed,
-            avoid_migrating,
             sample_interval,
             alert_interval,
             // Alert-edge scratch, reused across alert ticks.
@@ -1441,8 +1459,8 @@ impl<'a> PartitionSim<'a> {
             per_model: BTreeMap::new(),
             per_node_completed: BTreeMap::new(),
             migration_records: Vec::new(),
-            // Candidate-view scratch, refilled per arrival; after warm-up the
-            // dispatch path performs no allocation at all.
+            // Candidate-view scratch for the reference path and the debug
+            // oracle; after warm-up the dispatch path allocates nothing.
             views: Vec::new(),
             shard,
         }
@@ -1470,7 +1488,6 @@ impl<'a> PartitionSim<'a> {
             events,
             links,
             recovery_armed,
-            avoid_migrating,
             sample_interval,
             alert_interval,
             alert_scratch,
@@ -1489,7 +1506,6 @@ impl<'a> PartitionSim<'a> {
         } = self;
         let arrivals: &[RequestArrival] = arrivals;
         let recovery_armed = *recovery_armed;
-        let avoid_migrating = *avoid_migrating;
         let sample_interval = *sample_interval;
         let alert_interval = *alert_interval;
 
@@ -1511,6 +1527,15 @@ impl<'a> PartitionSim<'a> {
             if take_event {
                 let (now, kind, index) = events.pop().expect("peeked above"); // simlint::allow(P1, reason = "pop follows the peek that chose the event branch")
                 perf.events += 1;
+                // Slot-scoped events may change their slot's load. Their
+                // handlers never pick a replica, so touching up front is as
+                // good as touching after.
+                if matches!(
+                    kind,
+                    EV_COMPLETION | EV_RESUME | EV_BATCH_TIMEOUT | EV_COPY_ROUND
+                ) {
+                    dispatch_index.touch(index);
+                }
                 match kind {
                     EV_COMPLETION => {
                         // A fenced board never reports: the batch stays
@@ -1650,6 +1675,7 @@ impl<'a> PartitionSim<'a> {
                         let Some(target) = dispatch_index.slot_of(scheduled.handle) else {
                             continue; // stale handle (already moved or undeployed)
                         };
+                        dispatch_index.touch(target);
                         // Under the sharded runner a destination owned by
                         // another partition demotes a pre-copy to a cold
                         // drain-and-move: the copy loop needs destination
@@ -1719,14 +1745,14 @@ impl<'a> PartitionSim<'a> {
                                 // cost of detection latency.
                                 cluster.set_offline(node, true);
                                 chaos.cordoned.insert(node);
-                                for replica in replicas
-                                    .iter_mut()
-                                    .filter(|r| r.live() && r.handle.node == node)
-                                {
-                                    replica.fenced = true;
-                                    replica.pending_migration = None;
-                                    replica.precopy = None;
-                                    replica.batch_timeout_at = None;
+                                for (slot, replica) in replicas.iter_mut().enumerate() {
+                                    if replica.live() && replica.handle.node == node {
+                                        replica.fenced = true;
+                                        replica.pending_migration = None;
+                                        replica.precopy = None;
+                                        replica.batch_timeout_at = None;
+                                        dispatch_index.touch(slot);
+                                    }
                                 }
                             }
                             FaultKind::BoardHang { node, for_cycles } => {
@@ -1746,6 +1772,7 @@ impl<'a> PartitionSim<'a> {
                                     {
                                         replica.available_at = replica.available_at.max(resume_at);
                                         events.push(resume_at, EV_RESUME, slot);
+                                        dispatch_index.touch(slot);
                                     }
                                 }
                             }
@@ -1851,6 +1878,9 @@ impl<'a> PartitionSim<'a> {
                     }
                     _ => unreachable!("unknown event kind"),
                 }
+                // Re-key the touched leaves at the edge itself, so the next
+                // pick finds its trees current.
+                dispatch_index.refresh(|slot| replicas[slot].load(now, state));
             } else {
                 let arrival = arrivals[*next_arrival];
                 *next_arrival += 1;
@@ -1867,11 +1897,11 @@ impl<'a> PartitionSim<'a> {
                 let now = arrival.at.get();
                 sink.on_arrival(now, arrival.sequence, arrival.model);
 
-                views.clear();
-                if options.reference_dispatch {
+                let decision = if options.reference_dispatch {
                     // The pre-index reference path, kept verbatim: scan the
                     // whole table per arrival and recount the locality signal
                     // per candidate.
+                    views.clear();
                     views.extend(
                         replicas
                             .iter()
@@ -1882,8 +1912,7 @@ impl<'a> PartitionSim<'a> {
                                 node: r.handle.node,
                                 queue_len: r.queue.len(),
                                 in_flight: r.in_flight(),
-                                unavailable: r.unavailable(now)
-                                    || (avoid_migrating && r.precopy.is_some()),
+                                unavailable: !r.dispatchable(now, state.avoid_migrating),
                                 node_replicas: replicas
                                     .iter()
                                     .filter(|o| {
@@ -1895,23 +1924,20 @@ impl<'a> PartitionSim<'a> {
                                     .count(),
                             }),
                     );
+                    router.dispatch(arrival.model, views)
                 } else {
-                    // Indexed path: O(candidates of this model), no recount.
-                    for &slot in dispatch_index.candidates(arrival.model) {
-                        let replica = &replicas[slot];
-                        views.push(ReplicaView {
-                            index: slot,
-                            node: replica.handle.node,
-                            queue_len: replica.queue.len(),
-                            in_flight: replica.in_flight(),
-                            unavailable: replica.unavailable(now)
-                                || (avoid_migrating && replica.precopy.is_some()),
-                            node_replicas: dispatch_index
-                                .node_count(arrival.model, replica.handle.node),
-                        });
-                    }
-                }
-                match router.dispatch(arrival.model, views) {
+                    Self::route(
+                        router,
+                        dispatch_index,
+                        replicas,
+                        views,
+                        state,
+                        arrival.model,
+                        now,
+                        true,
+                    )
+                };
+                match decision {
                     DispatchDecision::Dispatch(index) => {
                         if let Some(window) = state.window_of(arrival.model) {
                             window.arrivals += 1;
@@ -1935,6 +1961,7 @@ impl<'a> PartitionSim<'a> {
                         };
                         replicas[index].enqueue(request);
                         Self::start_next(&mut replicas[index], now, events, index, state, sink);
+                        dispatch_index.touch(index);
                     }
                     decision @ (DispatchDecision::RejectNoReplica
                     | DispatchDecision::RejectOverload) => {
@@ -1949,8 +1976,57 @@ impl<'a> PartitionSim<'a> {
                         sink.on_reject(now, arrival.sequence, arrival.model, reason);
                     }
                 }
+                dispatch_index.refresh(|slot| replicas[slot].load(now, state));
             }
         }
+    }
+
+    /// Picks a replica for `model` off the dispatch index's load trees,
+    /// first refreshing any slot touched since the last edge (failover
+    /// re-dispatch touches between picks). An arrival (`admit`) moves the
+    /// router's admission counters; a failover re-dispatch does not. Debug
+    /// builds also route the request over views of the same candidates and
+    /// assert that both picks agree, so every tested arrival checks the trees.
+    #[allow(clippy::too_many_arguments)]
+    fn route(
+        router: &mut Router,
+        dispatch_index: &mut ReplicaIndex,
+        replicas: &[ReplicaSim],
+        views: &mut Vec<ReplicaView>,
+        state: &ServeState,
+        model: ModelId,
+        now: u64,
+        admit: bool,
+    ) -> DispatchDecision {
+        dispatch_index.refresh(|slot| replicas[slot].load(now, state));
+        let expected = if cfg!(debug_assertions) {
+            views.clear();
+            views.extend(dispatch_index.candidates(model).iter().map(|&slot| {
+                let replica = &replicas[slot];
+                ReplicaView {
+                    index: slot,
+                    node: replica.handle.node,
+                    queue_len: replica.queue.len(),
+                    in_flight: replica.in_flight(),
+                    unavailable: !replica.dispatchable(now, state.avoid_migrating),
+                    node_replicas: dispatch_index.node_count(model, replica.handle.node),
+                }
+            }));
+            Some(router.peek(model, views))
+        } else {
+            None
+        };
+        let decision = if admit {
+            router.dispatch_indexed(model, dispatch_index)
+        } else {
+            router.redispatch(model, dispatch_index)
+        };
+        debug_assert!(
+            expected.is_none_or(|expected| expected == decision),
+            "load-tree pick {decision:?} for {model:?} at cycle {now} diverged from the \
+             view scan's {expected:?}"
+        );
+        decision
     }
 
     /// Ends the run: sweeps requests still marooned on fenced boards, banks
@@ -2258,24 +2334,22 @@ impl<'a> PartitionSim<'a> {
                     );
                     continue;
                 }
-                views.clear();
-                for &slot in dispatch_index.candidates(request.model) {
-                    let replica = &replicas[slot];
-                    views.push(ReplicaView {
-                        index: slot,
-                        node: replica.handle.node,
-                        queue_len: replica.queue.len(),
-                        in_flight: replica.in_flight(),
-                        unavailable: replica.unavailable(now),
-                        node_replicas: dispatch_index
-                            .node_count(request.model, replica.handle.node),
-                    });
-                }
-                match router.redispatch(request.model, views) {
+                let decision = Self::route(
+                    router,
+                    dispatch_index,
+                    replicas,
+                    views,
+                    state,
+                    request.model,
+                    now,
+                    false,
+                );
+                match decision {
                     DispatchDecision::Dispatch(slot) => {
                         redispatched_here += 1;
                         chaos.stats.redispatched += 1;
                         replicas[slot].enqueue(request);
+                        dispatch_index.touch(slot);
                         touched.insert(slot);
                     }
                     DispatchDecision::RejectNoReplica | DispatchDecision::RejectOverload => {
@@ -2311,6 +2385,7 @@ impl<'a> PartitionSim<'a> {
         state.chaos = Some(chaos);
         for slot in touched {
             Self::start_next(&mut replicas[slot], now, events, slot, state, sink);
+            dispatch_index.touch(slot);
         }
     }
 
@@ -2492,6 +2567,7 @@ impl<'a> PartitionSim<'a> {
                         cluster, replicas, index, to, now, cost_model, events, links, state, sink,
                     ),
                 }
+                dispatch_index.touch(index);
             }
         }
     }
@@ -4237,6 +4313,82 @@ mod tests {
             "steering away from the migrating replica must cut deadline misses ({} vs {})",
             misses(&aware),
             misses(&plain)
+        );
+    }
+
+    #[test]
+    fn failover_redispatch_avoids_a_precopying_replica() {
+        // Regression: failover re-dispatched orphans by the bare dark-window
+        // test, ignoring migration-aware avoidance. Replica B (slot 0) is
+        // mid-pre-copy over a slow link, so aware arrivals skip it and it
+        // idles; board C crashes and its orphans must land on the clean
+        // replica A, not on B ahead of its imminent stop-and-copy.
+        use crate::fault::RecoveryPolicy;
+
+        /// Where each request was dispatched and where it completed.
+        #[derive(Default)]
+        struct Placements {
+            dispatched: BTreeMap<u64, usize>,
+            completed: BTreeMap<u64, usize>,
+        }
+
+        impl ObsSink for Placements {
+            fn on_dispatch(&mut self, _: u64, sequence: u64, _: ModelId, _: NodeId, slot: usize) {
+                self.dispatched.insert(sequence, slot);
+            }
+
+            fn on_complete(
+                &mut self,
+                _: u64,
+                sequence: u64,
+                _: ModelId,
+                _: PriorityClass,
+                _: u64,
+                _: NodeId,
+                slot: usize,
+                _: Option<bool>,
+            ) {
+                self.completed.insert(sequence, slot);
+            }
+        }
+
+        let service = estimated_service_cycles(ModelId::Mnist, 2, 2, &NpuConfig::single_core());
+        let (mut fleet, handles) = fleet_with_replicas(4, 3);
+        let (b, c) = (handles[0], handles[2]);
+        let spare = NodeId(
+            (0..4)
+                .find(|id| handles.iter().all(|h| h.node.0 != *id))
+                .unwrap(),
+        );
+        let cost = MigrationCostModel::default()
+            .with_interconnect(npu_sim::InterconnectConfig::tpu_v4_ici().with_bandwidth(1.0e9));
+        let faults =
+            FaultSchedule::new().with_fault(service * 20, FaultKind::BoardCrash { node: c.node });
+        let options = ServingOptions::new(DispatchPolicy::LeastLoaded)
+            .with_live_migration(Cycles(service), b, spare)
+            .with_cost_model(cost)
+            .with_migration_aware_dispatch()
+            .with_faults(faults)
+            .with_telemetry(service * 5)
+            .with_recovery(RecoveryPolicy::new(2));
+        let mut placements = Placements::default();
+        let report = ClusterServingSim::new(options).run_observed(
+            &mut fleet,
+            &burst_trace(120, service / 2),
+            &mut placements,
+        );
+        assert_eq!(report.availability.failovers, 1);
+        let orphans: Vec<usize> = placements
+            .dispatched
+            .iter()
+            .filter(|(_, slot)| **slot == 2)
+            .filter_map(|(sequence, _)| placements.completed.get(sequence).copied())
+            .filter(|slot| *slot != 2)
+            .collect();
+        assert!(!orphans.is_empty(), "the crash must strand orphans");
+        assert!(
+            orphans.iter().all(|slot| *slot == 1),
+            "orphans must land on the clean replica, not the pre-copying one: {orphans:?}"
         );
     }
 }

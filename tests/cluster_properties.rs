@@ -2,6 +2,7 @@
 //! over-commits a node, migration preserves the deployment count, and the
 //! router never drops an admitted request.
 
+use cluster::router::Router;
 use cluster::{
     AdmissionControl, ClusterServingSim, DeploySpec, DispatchPolicy, MigrationCostModel, NodeId,
     NpuCluster, PlacementPolicy, ServingOptions,
@@ -147,8 +148,8 @@ proptest! {
 }
 
 /// The shadow model of one replica slot for the dispatch-index property: the
-/// same lifecycle facts the serving simulator tracks, checked against a
-/// brute-force recount after every transition.
+/// same lifecycle and load facts the serving simulator tracks, checked
+/// against a brute-force recount after every transition.
 #[derive(Debug, Clone, Copy)]
 struct ShadowReplica {
     model: ModelId,
@@ -156,6 +157,44 @@ struct ShadowReplica {
     handle: cluster::VnpuHandle,
     draining: bool,
     retired: bool,
+    queue_len: usize,
+    in_flight: usize,
+    unavailable: bool,
+}
+
+/// The admission limit of the dispatch-index property.
+const SHADOW_QUEUE_DEPTH: usize = 4;
+
+impl ShadowReplica {
+    fn load(&self) -> cluster::SlotLoad {
+        cluster::SlotLoad {
+            outstanding: self.queue_len + self.in_flight,
+            full: self.queue_len >= SHADOW_QUEUE_DEPTH,
+            available: !self.unavailable,
+        }
+    }
+}
+
+/// Brute-force candidate views of `model`: every routable slot, its load and
+/// its recounted locality signal.
+fn brute_force_views(shadow: &[ShadowReplica], model: ModelId) -> Vec<cluster::ReplicaView> {
+    let routable = |s: &ShadowReplica| !s.retired && !s.draining && s.model == model;
+    shadow
+        .iter()
+        .enumerate()
+        .filter(|(_, s)| routable(s))
+        .map(|(slot, s)| cluster::ReplicaView {
+            index: slot,
+            node: s.node,
+            queue_len: s.queue_len,
+            in_flight: s.in_flight,
+            unavailable: s.unavailable,
+            node_replicas: shadow
+                .iter()
+                .filter(|o| routable(o) && o.node == s.node)
+                .count(),
+        })
+        .collect()
 }
 
 /// Rebuilds what the incremental index must contain from first principles.
@@ -215,16 +254,29 @@ proptest! {
     /// rebuild of the routable sets, the locality counts and the handle map
     /// after any random sequence of scale-up / drain / retire / migrate /
     /// crash-evict transitions — the exact lifecycle edges the serving event
-    /// loop and the failover path drive.
+    /// loop and the failover path drive — interleaved with random load,
+    /// queue-fullness and availability edges. After every step, each
+    /// policy's indexed pick (load tree or round-robin scan) equals the
+    /// view-scan pick over brute-force views, for every model.
     #[test]
     fn dispatch_index_matches_brute_force_rebuild(
         ops in proptest::collection::vec(
-            (0usize..=4, 0usize..=255, 0usize..=255),
+            (0usize..=6, 0usize..=255, 0usize..=255),
             1..120,
         ),
     ) {
         let models = [ModelId::Mnist, ModelId::Ncf, ModelId::Bert, ModelId::Dlrm];
-        let mut index = cluster::ReplicaIndex::new();
+        let admission = AdmissionControl { max_queue_depth: SHADOW_QUEUE_DEPTH };
+        let mut indexes: Vec<(cluster::ReplicaIndex, Router, Router)> = DispatchPolicy::all()
+            .into_iter()
+            .map(|policy| {
+                (
+                    cluster::ReplicaIndex::new(policy),
+                    Router::new(policy, admission),
+                    Router::new(policy, admission),
+                )
+            })
+            .collect();
         let mut shadow: Vec<ShadowReplica> = Vec::new();
         let mut next_vnpu = 0u32;
 
@@ -241,9 +293,14 @@ proptest! {
                         },
                         draining: false,
                         retired: false,
+                        queue_len: 0,
+                        in_flight: 0,
+                        unavailable: false,
                     };
                     next_vnpu += 1;
-                    index.insert(shadow.len(), replica.model, replica.node, replica.handle);
+                    for (index, _, _) in &mut indexes {
+                        index.insert(shadow.len(), replica.model, replica.node, replica.handle);
+                    }
                     shadow.push(replica);
                 }
                 // Scale-down: drain a routable replica.
@@ -257,7 +314,9 @@ proptest! {
                         continue;
                     }
                     shadow[slot].draining = true;
-                    index.begin_drain(slot, replica.model, replica.node);
+                    for (index, _, _) in &mut indexes {
+                        index.begin_drain(slot, replica.model, replica.node);
+                    }
                 }
                 // Release: retire a fully drained replica.
                 2 => {
@@ -270,7 +329,9 @@ proptest! {
                         continue;
                     }
                     shadow[slot].retired = true;
-                    index.retire(replica.handle);
+                    for (index, _, _) in &mut indexes {
+                        index.retire(replica.handle);
+                    }
                 }
                 // Crash-evict: a board died — the slot leaves the routable
                 // sets and the handle map in one step, mid-run, no rebuild.
@@ -283,18 +344,20 @@ proptest! {
                     if replica.retired {
                         continue;
                     }
-                    index.evict(
-                        slot,
-                        replica.model,
-                        replica.node,
-                        replica.handle,
-                        !replica.draining,
-                    );
+                    for (index, _, _) in &mut indexes {
+                        index.evict(
+                            slot,
+                            replica.model,
+                            replica.node,
+                            replica.handle,
+                            !replica.draining,
+                        );
+                    }
                     shadow[slot].draining = true;
                     shadow[slot].retired = true;
                 }
                 // Migration: re-key the handle, move the locality count.
-                _ => {
+                4 => {
                     if shadow.is_empty() {
                         continue;
                     }
@@ -309,18 +372,57 @@ proptest! {
                         vnpu: neu10::VnpuId(next_vnpu),
                     };
                     next_vnpu += 1;
-                    index.relocate(
-                        replica.handle,
-                        new_handle,
-                        slot,
-                        replica.model,
-                        !replica.draining,
-                    );
+                    for (index, _, _) in &mut indexes {
+                        index.relocate(
+                            replica.handle,
+                            new_handle,
+                            slot,
+                            replica.model,
+                            !replica.draining,
+                        );
+                    }
                     shadow[slot].node = to;
                     shadow[slot].handle = new_handle;
                 }
+                // Load edge: new queue, batch, fullness and availability.
+                5 => {
+                    if shadow.is_empty() {
+                        continue;
+                    }
+                    let slot = a % shadow.len();
+                    shadow[slot].queue_len = b % (SHADOW_QUEUE_DEPTH + 2);
+                    shadow[slot].in_flight = (b / 8) % 9;
+                    for (index, _, _) in &mut indexes {
+                        index.touch(slot);
+                    }
+                }
+                // Availability edge: a dark window opens or closes.
+                _ => {
+                    if shadow.is_empty() {
+                        continue;
+                    }
+                    let slot = a % shadow.len();
+                    shadow[slot].unavailable = b % 2 == 0;
+                    for (index, _, _) in &mut indexes {
+                        index.touch(slot);
+                    }
+                }
             }
-            assert_index_matches(&index, &shadow)?;
+            for (index, indexed, scanned) in &mut indexes {
+                index.refresh(|slot| shadow[slot].load());
+                assert_index_matches(index, &shadow)?;
+                for model in models {
+                    let views = brute_force_views(&shadow, model);
+                    let expected = scanned.dispatch(model, &views);
+                    prop_assert_eq!(
+                        indexed.dispatch_indexed(model, index),
+                        expected,
+                        "{} picked differently from the view scan over {:?}",
+                        indexed.policy().label(),
+                        views
+                    );
+                }
+            }
         }
     }
 
