@@ -1508,6 +1508,15 @@ impl<'a> PartitionSim<'a> {
         let recovery_armed = *recovery_armed;
         let sample_interval = *sample_interval;
         let alert_interval = *alert_interval;
+        // Sharded runs share the trace slice. Each partition's arrival
+        // cursor steps over the arrivals other partitions own — here under
+        // the plan rebuilt at the last barrier, and again after every owned
+        // arrival — so the loop below only ever sees its own.
+        if let Some(context) = shard.as_ref() {
+            context
+                .plan
+                .skip_unowned(context.index, arrivals, next_arrival, bound);
+        }
 
         loop {
             let event_time = events.next_time();
@@ -1884,14 +1893,17 @@ impl<'a> PartitionSim<'a> {
             } else {
                 let arrival = arrivals[*next_arrival];
                 *next_arrival += 1;
-                // Sharded runs share the trace slice: each partition walks
-                // every arrival but admits only those the deterministic plan
-                // assigns to it, so arrival counters sum to the trace length
+                // The cursor stopped here, below the bound, so this partition
+                // owns the arrival: arrival counters sum to the trace length
                 // across partitions.
                 if let Some(context) = shard.as_ref() {
-                    if context.plan.owner(arrival.model, arrival.sequence) != context.index {
-                        continue;
-                    }
+                    debug_assert_eq!(
+                        context.plan.owner(arrival.model, arrival.sequence),
+                        context.index
+                    );
+                    context
+                        .plan
+                        .skip_unowned(context.index, arrivals, next_arrival, bound);
                 }
                 perf.arrivals += 1;
                 let now = arrival.at.get();

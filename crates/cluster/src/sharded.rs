@@ -38,7 +38,7 @@
 
 use std::collections::BTreeMap;
 
-use workloads::{ClusterTrace, ModelId};
+use workloads::{ClusterTrace, ModelId, RequestArrival};
 
 use crate::cluster::{NpuCluster, VnpuHandle};
 use crate::fault::FaultSchedule;
@@ -94,48 +94,75 @@ impl ShardOptions {
 /// scale-ups and failovers with one barrier of lag — load balance drifts,
 /// correctness never does: ownership only decides *which* partition's router
 /// admits or rejects an arrival against its local candidates.
-#[derive(Debug, Clone, Default)]
+///
+/// The weights are compiled at the barrier into one residue table per model
+/// (indexed by `ModelId as usize`): entry `k` is the partition holding the
+/// `k`-th replica, so [`owner`](ShardPlan::owner) is one modulo and one
+/// load. Each partition steps its arrival cursor over the arrivals it does
+/// not own with [`skip_unowned`](ShardPlan::skip_unowned) instead of pulling
+/// them through the event loop.
+#[derive(Debug, Clone)]
 pub(crate) struct ShardPlan {
     partitions: usize,
-    weights: BTreeMap<ModelId, Vec<u64>>,
+    /// Per model, the owning partition of each residue `sequence % total`;
+    /// empty when the model has no dispatchable replica.
+    residues: Vec<Vec<u32>>,
 }
 
 impl ShardPlan {
     /// A plan with no replica weights (everything falls back to
     /// `sequence % partitions`).
     pub(crate) fn empty(partitions: usize) -> Self {
-        ShardPlan {
-            partitions: partitions.max(1),
-            weights: BTreeMap::new(),
-        }
+        Self::new(partitions, &BTreeMap::new())
     }
 
-    /// A plan over accumulated per-model, per-partition replica counts.
-    pub(crate) fn new(partitions: usize, weights: BTreeMap<ModelId, Vec<u64>>) -> Self {
+    /// Compiles accumulated per-model, per-partition replica counts into
+    /// residue tables.
+    pub(crate) fn new(partitions: usize, weights: &BTreeMap<ModelId, Vec<u64>>) -> Self {
+        let mut residues = vec![Vec::new(); ModelId::all().len()];
+        for (&model, counts) in weights {
+            residues[model as usize] = counts
+                .iter()
+                .enumerate()
+                .flat_map(|(partition, &count)| {
+                    std::iter::repeat_n(partition as u32, count as usize)
+                })
+                .collect();
+        }
         ShardPlan {
             partitions: partitions.max(1),
-            weights,
+            residues,
         }
     }
 
     /// The partition that admits arrival `sequence` of `model`.
     pub(crate) fn owner(&self, model: ModelId, sequence: u64) -> usize {
-        let fallback = (sequence % self.partitions as u64) as usize;
-        let Some(weights) = self.weights.get(&model) else {
-            return fallback;
-        };
-        let total: u64 = weights.iter().sum();
-        if total == 0 {
-            return fallback;
-        }
-        let mut k = sequence % total;
-        for (partition, &count) in weights.iter().enumerate() {
-            if k < count {
-                return partition;
+        match self.residues.get(model as usize) {
+            Some(table) if !table.is_empty() => {
+                table[(sequence % table.len() as u64) as usize] as usize
             }
-            k -= count;
+            _ => (sequence % self.partitions as u64) as usize,
         }
-        self.partitions - 1
+    }
+
+    /// Advances `partition`'s arrival cursor to the first arrival that
+    /// `partition` owns or that is at or past `bound`. Arrivals at or past
+    /// the round bound stay unclassified, because the barrier at the bound
+    /// may rebuild the plan that decides their owner.
+    pub(crate) fn skip_unowned(
+        &self,
+        partition: usize,
+        arrivals: &[RequestArrival],
+        cursor: &mut usize,
+        bound: u64,
+    ) {
+        while let Some(arrival) = arrivals.get(*cursor) {
+            if arrival.at.get() >= bound || self.owner(arrival.model, arrival.sequence) == partition
+            {
+                return;
+            }
+            *cursor += 1;
+        }
     }
 }
 
@@ -547,7 +574,7 @@ fn rebuild_plan(sims: &mut [PartitionSim], partitions: usize) {
     for partition in sims.iter() {
         partition.accumulate_weights(&mut weights, partitions);
     }
-    let plan = ShardPlan::new(partitions, weights);
+    let plan = ShardPlan::new(partitions, &weights);
     for partition in sims.iter_mut() {
         partition.set_plan(plan.clone());
     }
@@ -609,5 +636,127 @@ fn merge_latency(a: &LatencySummary, b: &LatencySummary) -> LatencySummary {
         p95: a.p95.max(b.p95),
         p99: a.p99.max(b.p99),
         max: a.max.max(b.max),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, RngCore, SeedableRng};
+
+    /// The weight walk the residue tables compile away, kept as their
+    /// reference: sum the model's weights, then walk them to the partition
+    /// holding the `sequence % total`-th replica.
+    fn walk_owner(
+        weights: &BTreeMap<ModelId, Vec<u64>>,
+        partitions: usize,
+        model: ModelId,
+        sequence: u64,
+    ) -> usize {
+        let fallback = (sequence % partitions as u64) as usize;
+        let Some(weights) = weights.get(&model) else {
+            return fallback;
+        };
+        let total: u64 = weights.iter().sum();
+        if total == 0 {
+            return fallback;
+        }
+        let mut k = sequence % total;
+        for (partition, &count) in weights.iter().enumerate() {
+            if k < count {
+                return partition;
+            }
+            k -= count;
+        }
+        partitions - 1
+    }
+
+    #[test]
+    fn compiled_plan_matches_the_weight_walk() {
+        let mut rng = StdRng::seed_from_u64(15);
+        let (mut missing, mut all_zero, mut zero_partitions) = (0, 0, 0);
+        for _ in 0..300 {
+            let partitions = rng.gen_range(1..=9usize);
+            let mut weights: BTreeMap<ModelId, Vec<u64>> = BTreeMap::new();
+            for model in ModelId::all() {
+                match rng.gen_range(0..4u32) {
+                    0 => missing += 1,
+                    1 => {
+                        all_zero += 1;
+                        weights.insert(model, vec![0; partitions]);
+                    }
+                    _ => {
+                        let counts: Vec<u64> = (0..partitions)
+                            .map(|_| {
+                                if rng.gen_bool(0.3) {
+                                    0
+                                } else {
+                                    rng.gen_range(1..=12u64)
+                                }
+                            })
+                            .collect();
+                        zero_partitions += counts.iter().filter(|&&count| count == 0).count();
+                        weights.insert(model, counts);
+                    }
+                }
+            }
+            let plan = ShardPlan::new(partitions, &weights);
+            let empty = ShardPlan::empty(partitions);
+            for model in ModelId::all() {
+                let sequences = (0..96).chain([u64::MAX - 1, u64::MAX, rng.next_u64()]);
+                for sequence in sequences {
+                    assert_eq!(
+                        plan.owner(model, sequence),
+                        walk_owner(&weights, partitions, model, sequence),
+                        "{model:?} sequence {sequence} over {:?}",
+                        weights.get(&model)
+                    );
+                    assert_eq!(
+                        empty.owner(model, sequence),
+                        walk_owner(&BTreeMap::new(), partitions, model, sequence)
+                    );
+                }
+            }
+        }
+        assert!(
+            missing > 0 && all_zero > 0 && zero_partitions > 0,
+            "every fallback and zero-weight shape is exercised"
+        );
+    }
+
+    #[test]
+    fn the_cursor_stops_at_owned_arrivals_and_at_the_bound() {
+        // Mnist alternates between partitions 0 and 1; Ncf lives on 1 only.
+        let weights = BTreeMap::from([(ModelId::Mnist, vec![1, 1]), (ModelId::Ncf, vec![0, 2])]);
+        let plan = ShardPlan::new(2, &weights);
+        let arrivals: Vec<RequestArrival> = [
+            (10, ModelId::Ncf),
+            (20, ModelId::Ncf),
+            (30, ModelId::Mnist),
+            (40, ModelId::Mnist),
+            (50, ModelId::Ncf),
+        ]
+        .iter()
+        .enumerate()
+        .map(|(sequence, &(at, model))| {
+            let mut arrival = RequestArrival::new(Cycles(at), model);
+            arrival.sequence = sequence as u64;
+            arrival
+        })
+        .collect();
+        let skip = |partition: usize, from: usize, bound: u64| {
+            let mut cursor = from;
+            plan.skip_unowned(partition, &arrivals, &mut cursor, bound);
+            cursor
+        };
+        // Partition 0 owns only Mnist sequence 2 (odd sequences go to 1).
+        assert_eq!(skip(0, 0, u64::MAX), 2);
+        assert_eq!(skip(0, 3, u64::MAX), 5);
+        // An unowned arrival at or past the bound stays for the next plan.
+        assert_eq!(skip(0, 3, 50), 4);
+        assert_eq!(skip(0, 3, 40), 3);
+        // Partition 1 owns its first arrival: the cursor does not move.
+        assert_eq!(skip(1, 0, u64::MAX), 0);
     }
 }

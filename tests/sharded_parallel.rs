@@ -13,12 +13,14 @@
 //!   exports at every thread count;
 //! * no admitted request vanishes across partition boundaries
 //!   (admitted = completed + dropped + lost), and every trace arrival is
-//!   walked exactly once fleet-wide.
+//!   offered exactly once fleet-wide, by the one partition that owns it —
+//!   also when control actions change the ownership plan at barriers.
 
 use cluster::{
-    AdmissionControl, ClusterServingSim, DeploySpec, DispatchPolicy, FaultKind, FaultSchedule,
-    MetricsRegistry, NodeId, NpuCluster, RecoveryPolicy, ServingOptions, ServingReport,
-    ShardOptions, StochasticService, TraceConfig, TraceRecorder,
+    AdmissionControl, ClusterServingSim, ControlAction, ControlPlane, DeploySpec, DispatchPolicy,
+    FaultKind, FaultSchedule, MetricsRegistry, NodeId, NpuCluster, PlacementPolicy, RecoveryPolicy,
+    ServingOptions, ServingReport, ShardOptions, StochasticService, TelemetryFrame, TraceConfig,
+    TraceRecorder,
 };
 use npu_sim::{Cycles, NpuConfig};
 use workloads::{ClusterTrace, ModelId, PriorityClass, QosSpec};
@@ -179,7 +181,7 @@ fn thread_count_never_changes_the_report() {
     }
 }
 
-/// Conservation across partition boundaries: every trace arrival is walked
+/// Conservation across partition boundaries: every trace arrival is offered
 /// exactly once fleet-wide, and no admitted request vanishes — even with
 /// crashes, failover and a cross-partition migration in flight.
 #[test]
@@ -189,7 +191,7 @@ fn partitioning_conserves_requests() {
         let report = run_sharded(4242, true, ShardOptions::new(partitions));
         assert_eq!(
             report.stats.offered, total_arrivals,
-            "partitions {partitions}: every arrival is walked exactly once"
+            "partitions {partitions}: every arrival is offered exactly once"
         );
         assert_eq!(
             report.stats.admitted,
@@ -268,4 +270,88 @@ fn partitioned_run_serves_comparable_load() {
         par >= seq * 0.85,
         "partitioned completions ({par}) must stay within 15% of sequential ({seq})"
     );
+}
+
+/// A controller that issues one `ScaleUp` at each of the given telemetry
+/// ticks, alternating between the two models.
+struct ScaleUpAtTicks {
+    ticks: Vec<usize>,
+    seen: usize,
+}
+
+impl ControlPlane for ScaleUpAtTicks {
+    fn control(&mut self, _frame: &TelemetryFrame, _cluster: &NpuCluster) -> Vec<ControlAction> {
+        self.seen += 1;
+        let Some(position) = self.ticks.iter().position(|&tick| tick == self.seen) else {
+            return Vec::new();
+        };
+        let model = if position % 2 == 0 {
+            ModelId::Ncf
+        } else {
+            ModelId::Mnist
+        };
+        vec![ControlAction::ScaleUp {
+            spec: DeploySpec::replica(model, 1, 1),
+            placement: PlacementPolicy::WorstFit,
+        }]
+    }
+}
+
+/// The sharded control path: scale-ups at barrier ticks change the
+/// ownership plan mid-run. A partition's arrival cursor must leave arrivals
+/// at or past the round's bound for the plan the barrier rebuilds; skipping
+/// them under the old plan loses every one the new plan hands to it. Thread
+/// 1 runs the plain entry point, thread 2 the observed one, so both
+/// controller entry points are held to the same report.
+#[test]
+fn scale_ups_at_barriers_keep_every_arrival_and_the_thread_contract() {
+    let seed = 1;
+    let service = cluster::estimated_service_cycles(ModelId::Mnist, 2, 2, &config());
+    let trace = wide_trace(seed, 600);
+    let options = ServingOptions::new(DispatchPolicy::LeastLoaded)
+        .with_batching(4)
+        .with_stochastic(StochasticService::seeded(seed).with_cv(0.2))
+        .with_telemetry(service / 3);
+    let controller = || ScaleUpAtTicks {
+        ticks: vec![2, 5, 9, 14],
+        seen: 0,
+    };
+    let shard = |threads: usize| ShardOptions::new(2).with_threads(threads);
+
+    let mut fleet = wide_fleet(8);
+    let single = ClusterServingSim::new(options.clone()).run_sharded_with_controller(
+        &mut fleet,
+        &trace,
+        shard(1),
+        &mut controller(),
+    );
+    let mut fleet = wide_fleet(8);
+    let mut recorders: Vec<TraceRecorder> = Vec::new();
+    let parallel = ClusterServingSim::new(options).run_sharded_observed_with_controller(
+        &mut fleet,
+        &trace,
+        shard(2),
+        &mut controller(),
+        &mut recorders,
+    );
+
+    assert_eq!(
+        single.control.scale_ups, 4,
+        "every scheduled scale-up lands, so the plan changes at four barriers"
+    );
+    assert_eq!(
+        single.stats.offered,
+        trace.arrivals().len(),
+        "every arrival is offered exactly once across plan changes"
+    );
+    assert_eq!(
+        single.stats.admitted,
+        single.stats.completed + single.deadline.dropped + single.availability.lost as usize,
+        "admitted = completed + dropped + lost"
+    );
+    assert_eq!(
+        single, parallel,
+        "thread count (and observation) must not change the controlled report"
+    );
+    assert_eq!(recorders.len(), 2, "one recorder per partition");
 }
