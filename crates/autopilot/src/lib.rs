@@ -284,7 +284,7 @@ impl ControlPlane for Autopilot {
 mod tests {
     use super::*;
     use cluster::{
-        AlertSeverity, DeploySpec, MigrationMode, ModelSample, NodeId, PlacementPolicy,
+        AlertSeverity, DeploySpec, Metric, MigrationMode, ModelSample, NodeId, PlacementPolicy,
         ReplicaSample, TelemetryFrame, TraceConfig, TraceRecorder, VnpuHandle,
     };
     use neu10::{DeadlineStats, LatencySummary, VnpuId};
@@ -323,9 +323,9 @@ mod tests {
         let mut recorder = TraceRecorder::new(TraceConfig::default());
         log.trace_into(&mut recorder);
         assert_eq!(recorder.len(), 3, "one control instant per logged action");
-        assert_eq!(recorder.metrics().counter("control.scale_ups"), 1);
-        assert_eq!(recorder.metrics().counter("control.scale_downs"), 1);
-        assert_eq!(recorder.metrics().counter("control.migrations"), 1);
+        assert_eq!(recorder.metrics().counter(Metric::ControlScaleUps), 1);
+        assert_eq!(recorder.metrics().counter(Metric::ControlScaleDowns), 1);
+        assert_eq!(recorder.metrics().counter(Metric::ControlMigrations), 1);
     }
 
     /// A frame where `model` has one healthy, idle replica — nothing the

@@ -25,7 +25,7 @@
 use autopilot::{Autopilot, AutoscalePolicy, ScalingSpec, TargetTracking};
 use cluster::{
     estimated_service_cycles, AdmissionControl, ClusterServingSim, DeploySpec, DispatchPolicy,
-    NpuCluster, PlacementPolicy, ServingOptions, ServingReport, TraceConfig, TraceRecorder,
+    Metric, NpuCluster, PlacementPolicy, ServingOptions, ServingReport, TraceConfig, TraceRecorder,
 };
 use npu_sim::{Cycles, NpuConfig};
 use workloads::{ClusterTrace, ModelId, PriorityClass, QosSpec};
@@ -185,27 +185,27 @@ fn main() {
     // 4. The registry is exact: counters equal the report's own accounting.
     let metrics = recorder.metrics();
     assert_eq!(
-        metrics.counter("serving.completed"),
+        metrics.counter(Metric::ServingCompleted),
         report.stats.completed as u64
     );
     assert_eq!(
-        metrics.counter("serving.arrivals"),
+        metrics.counter(Metric::ServingArrivals),
         report.stats.offered as u64
     );
     assert_eq!(
-        metrics.counter("serving.dispatched"),
+        metrics.counter(Metric::ServingDispatched),
         report.stats.admitted as u64
     );
     assert_eq!(
-        metrics.counter("serving.rejected_overload"),
+        metrics.counter(Metric::ServingRejectedOverload),
         report.stats.rejected_overload as u64
     );
     assert_eq!(
-        metrics.counter("serving.expired"),
+        metrics.counter(Metric::ServingExpired),
         report.deadline.dropped as u64
     );
     assert_eq!(
-        metrics.counter("serving.deadline_missed"),
+        metrics.counter(Metric::ServingDeadlineMissed),
         report.deadline.missed as u64
     );
 
@@ -225,7 +225,7 @@ fn main() {
         "every arrival made a sampling decision"
     );
     assert_eq!(
-        sampled.metrics().counter("serving.completed"),
+        sampled.metrics().counter(Metric::ServingCompleted),
         report.stats.completed as u64,
         "the registry is exact even when the ring samples"
     );

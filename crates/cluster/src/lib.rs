@@ -98,7 +98,7 @@ pub use node::ClusterNode;
 pub use obs::{
     export_chrome_trace, export_openmetrics, export_timeseries_openmetrics, validate_chrome_trace,
     validate_openmetrics, AlertKind, AlertLog, AlertSeverity, AlertTransition, BurnRatePolicy,
-    FleetCounters, MetricsRegistry, NoopSink, ObsSink, OpenMetricsSummary, RejectReason,
+    FleetCounters, Metric, MetricsRegistry, NoopSink, ObsSink, OpenMetricsSummary, RejectReason,
     SeriesLabels, SloConfig, SloEngine, SloSpec, TimeSeriesConfig, TimeSeriesRecorder,
     TimeSeriesStats, TraceConfig, TraceRecorder, TraceStats, TraceValidation,
 };

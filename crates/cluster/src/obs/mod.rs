@@ -15,9 +15,9 @@
 //!   control-action and telemetry-tick instants — recorded into a bounded
 //!   ring with seeded head-sampling, so trace memory is `O(capacity)` at any
 //!   arrival count;
-//! * an exact **metrics registry** ([`MetricsRegistry`]) — named counters,
-//!   gauges and quantile-sketch histograms accumulated over *every* event,
-//!   sampled or not;
+//! * an exact **metrics registry** ([`MetricsRegistry`]) — counters, gauges
+//!   and quantile-sketch histograms accumulated over *every* event, sampled
+//!   or not, in one array slot per declared [`Metric`];
 //! * a **Chrome `trace_event` JSON export** ([`export_chrome_trace`]) that
 //!   opens directly in <https://ui.perfetto.dev>: pid = board, tid = replica
 //!   slot, flow events stitching each sampled request from dispatch to
@@ -51,7 +51,7 @@ pub use openmetrics::{
     export_openmetrics, export_timeseries_openmetrics, validate_openmetrics, OpenMetricsSummary,
 };
 pub use perfetto::{export_chrome_trace, validate_chrome_trace, TraceValidation};
-pub use registry::{MetricsRegistry, METRIC_NAMES};
+pub use registry::{Metric, MetricsRegistry, METRIC_NAMES};
 pub use slo::{
     AlertKind, AlertLog, AlertSeverity, AlertTransition, BurnRatePolicy, SloConfig, SloEngine,
     SloSpec,
@@ -247,6 +247,9 @@ pub trait ObsSink {
     /// Failover re-placed a replacement replica at `slot` on `node`; its
     /// state restore occupies the interconnect for `restore_cycles`.
     fn on_replica_restored(&mut self, now: u64, node: NodeId, slot: usize, restore_cycles: u64) {}
+
+    /// Failover found no room to re-place a replica of the dead `node`.
+    fn on_restore_rejected(&mut self, now: u64, node: NodeId) {}
 
     /// An admitted request was lost to a fault (no surviving replica could
     /// take it, or it was still marooned on an undetected dead board at run

@@ -12,8 +12,8 @@
 //! samples carry their window index as the explicit OpenMetrics timestamp,
 //! so one exposition transports the whole retained history of every series.
 //!
-//! Both exporters iterate `BTreeMap`-ordered state and number cycles, never
-//! the wall clock — the same run exports **byte-identical** text however
+//! Both exporters iterate name-ordered state and number cycles, never the
+//! wall clock — the same run exports **byte-identical** text however
 //! many times it is rendered, which the golden tests lock.
 //!
 //! [`validate_openmetrics`] is the strict dependency-free parser mirroring
@@ -26,7 +26,7 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-use crate::obs::registry::MetricsRegistry;
+use crate::obs::registry::{Metric, MetricsRegistry};
 use crate::obs::timeseries::{SeriesLabels, TimeSeriesRecorder};
 
 /// The three quantiles a summary family exposes, matching the registry's
@@ -77,13 +77,14 @@ pub fn export_openmetrics(registry: &MetricsRegistry) -> String {
 /// meta-metrics. Deterministic and byte-identical across re-exports.
 pub fn export_timeseries_openmetrics(recorder: &TimeSeriesRecorder) -> String {
     let mut out = String::new();
-    let mut family = "";
-    for (name, labels) in recorder.counter_series() {
-        if family != name {
-            family = name;
+    let mut family = None;
+    for (metric, labels) in recorder.counter_series() {
+        let name = metric.name();
+        if family != Some(metric) {
+            family = Some(metric);
             let _ = writeln!(out, "# TYPE {} counter", sanitize(name));
         }
-        for (window, value) in recorder.counter_windows(name, labels) {
+        for (window, value) in recorder.counter_windows(metric, labels) {
             let _ = writeln!(
                 out,
                 "{}_total{} {value} {window}",
@@ -92,13 +93,14 @@ pub fn export_timeseries_openmetrics(recorder: &TimeSeriesRecorder) -> String {
             );
         }
     }
-    family = "";
-    for (name, labels) in recorder.gauge_series() {
-        if family != name {
-            family = name;
+    family = None;
+    for (metric, labels) in recorder.gauge_series() {
+        let name = metric.name();
+        if family != Some(metric) {
+            family = Some(metric);
             let _ = writeln!(out, "# TYPE {} gauge", sanitize(name));
         }
-        for (window, value) in recorder.gauge_windows(name, labels) {
+        for (window, value) in recorder.gauge_windows(metric, labels) {
             let _ = writeln!(
                 out,
                 "{}{} {} {window}",
@@ -108,13 +110,14 @@ pub fn export_timeseries_openmetrics(recorder: &TimeSeriesRecorder) -> String {
             );
         }
     }
-    family = "";
-    for (name, labels) in recorder.summary_series() {
-        if family != name {
-            family = name;
+    family = None;
+    for (metric, labels) in recorder.summary_series() {
+        let name = metric.name();
+        if family != Some(metric) {
+            family = Some(metric);
             let _ = writeln!(out, "# TYPE {} summary", sanitize(name));
         }
-        for (window, sketch) in recorder.summary_sketches(name, labels) {
+        for (window, sketch) in recorder.summary_sketches(metric, labels) {
             for (label, percentile) in QUANTILES {
                 let _ = writeln!(
                     out,
@@ -141,13 +144,13 @@ pub fn export_timeseries_openmetrics(recorder: &TimeSeriesRecorder) -> String {
         }
     }
     let stats = recorder.stats();
-    let meta_samples = sanitize("timeseries.samples");
+    let meta_samples = sanitize(Metric::TimeseriesSamples.name());
     let _ = writeln!(out, "# TYPE {meta_samples} counter");
     let _ = writeln!(out, "{meta_samples}_total {}", stats.samples);
-    let meta_series = sanitize("timeseries.series");
+    let meta_series = sanitize(Metric::TimeseriesSeries.name());
     let _ = writeln!(out, "# TYPE {meta_series} gauge");
     let _ = writeln!(out, "{meta_series} {}", recorder.series_count());
-    let meta_evicted = sanitize("timeseries.windows_evicted");
+    let meta_evicted = sanitize(Metric::TimeseriesWindowsEvicted.name());
     let _ = writeln!(out, "# TYPE {meta_evicted} counter");
     let _ = writeln!(out, "{meta_evicted}_total {}", stats.windows_evicted);
     out.push_str("# EOF\n");
@@ -482,11 +485,11 @@ mod tests {
     #[test]
     fn registry_export_is_valid_and_byte_stable() {
         let mut registry = MetricsRegistry::new();
-        registry.inc("serving.completed");
-        registry.add("serving.completed", 2);
-        registry.set_gauge("fleet.queued", 5.0);
-        registry.observe("serving.latency_cycles", 100);
-        registry.observe("serving.latency_cycles", 300);
+        registry.inc(Metric::ServingCompleted);
+        registry.add(Metric::ServingCompleted, 2);
+        registry.set_gauge(Metric::FleetQueued, 5.0);
+        registry.observe(Metric::ServingLatencyCycles, 100);
+        registry.observe(Metric::ServingLatencyCycles, 300);
         let text = export_openmetrics(&registry);
         assert_eq!(
             text,
@@ -498,11 +501,21 @@ mod tests {
         assert_eq!(summary.families_of("counter"), 1);
         assert_eq!(summary.families_of("gauge"), 1);
         assert_eq!(summary.families_of("summary"), 1);
-        assert!(text.contains("serving_completed_total 3\n"));
-        assert!(text.contains("fleet_queued 5\n"));
-        assert!(text.contains("serving_latency_cycles{quantile=\"0.99\"} 300\n"));
-        assert!(text.contains("serving_latency_cycles_count 2\n"));
-        assert!(text.ends_with("# EOF\n"));
+        assert_eq!(
+            text,
+            "# TYPE serving_completed counter\n\
+             serving_completed_total 3\n\
+             # TYPE fleet_queued gauge\n\
+             fleet_queued 5\n\
+             # TYPE serving_latency_cycles summary\n\
+             serving_latency_cycles{quantile=\"0.5\"} 100\n\
+             serving_latency_cycles{quantile=\"0.95\"} 300\n\
+             serving_latency_cycles{quantile=\"0.99\"} 300\n\
+             serving_latency_cycles_count 2\n\
+             serving_latency_cycles_sum 400\n\
+             # EOF\n",
+            "the exposition is pinned by value"
+        );
     }
 
     #[test]
@@ -512,7 +525,7 @@ mod tests {
         ts.on_arrival(1_200, 1, ModelId::Mnist);
         ts.observe(
             100,
-            "serving.latency_cycles",
+            Metric::ServingLatencyCycles,
             SeriesLabels::model(ModelId::Mnist),
             40,
         );

@@ -6,7 +6,7 @@
 //! totals erase: *when* did p99 start climbing, which priority class was
 //! burning, how fast did the autoscaler's capacity catch the ramp. It is an
 //! [`ObsSink`] that aggregates every hook into fixed-width, cycle-aligned
-//! windows (`window = now / width`), keyed by metric name plus a small label
+//! windows (`window = now / width`), keyed by [`Metric`] plus a small label
 //! set ([`SeriesLabels`]: model, board, priority class), and holds each
 //! series in a bounded overwrite-oldest ring of windows — memory is
 //! O(series × ring) at any arrival count, and everything is deterministic
@@ -15,11 +15,11 @@
 //! Per-window values come in three kinds, mirroring the registry:
 //! **counters** (events in the window), **gauges** (last value seen in the
 //! window) and **latency summaries** ([`QuantileSketch`] per window). Series
-//! reuse the registry's declared [`METRIC_NAMES`](crate::obs::METRIC_NAMES)
-//! taxonomy — a `timeseries.*`-prefixed meta-series would tell you about the
-//! recorder, not the fleet, so recorder bookkeeping lives in
-//! [`TimeSeriesStats`] instead and is exported under the declared
-//! `timeseries.*` names by the OpenMetrics exporter.
+//! reuse the registry's declared [`Metric`] taxonomy — a
+//! `timeseries.*`-prefixed meta-series would tell you about the recorder,
+//! not the fleet, so recorder bookkeeping lives in [`TimeSeriesStats`]
+//! instead and is exported under the declared `timeseries.*` names by the
+//! OpenMetrics exporter.
 
 use std::collections::BTreeMap;
 
@@ -29,7 +29,7 @@ use workloads::{ModelId, PriorityClass};
 use crate::fault::{FaultEvent, FaultKind};
 use crate::migration::{MigrationMode, MigrationRecord};
 use crate::obs::slo::{AlertKind, AlertTransition};
-use crate::obs::{FleetCounters, ObsSink, RejectReason};
+use crate::obs::{FleetCounters, Metric, ObsSink, RejectReason};
 use crate::telemetry::{ControlAction, TelemetryFrame};
 use crate::NodeId;
 
@@ -172,11 +172,11 @@ impl<T: Default> Ring<T> {
     }
 }
 
-/// The key of one series: metric name plus labels.
-type SeriesKey = (&'static str, SeriesLabels);
+/// The key of one series: metric plus labels.
+type SeriesKey = (Metric, SeriesLabels);
 
 /// The windowed time-series [`ObsSink`]: every hook lands in the window of
-/// its cycle timestamp, keyed by name + labels, in bounded memory.
+/// its cycle timestamp, keyed by metric + labels, in bounded memory.
 ///
 /// Attach one via
 /// [`ClusterServingSim::run_observed`](crate::ClusterServingSim::run_observed)
@@ -222,7 +222,7 @@ impl TimeSeriesRecorder {
         self.stats
     }
 
-    /// Distinct (name, labels) series across all kinds.
+    /// Distinct (metric, labels) series across all kinds.
     pub fn series_count(&self) -> usize {
         self.counters.len() + self.gauges.len() + self.summaries.len()
     }
@@ -233,34 +233,34 @@ impl TimeSeriesRecorder {
     }
 
     /// Adds `by` to the counter series' window at `now`.
-    pub fn inc(&mut self, now: u64, name: &'static str, labels: SeriesLabels, by: u64) {
+    pub fn inc(&mut self, now: u64, metric: Metric, labels: SeriesLabels, by: u64) {
         self.stats.samples += 1;
         let window = now / self.config.width;
         let ring = self
             .counters
-            .entry((name, labels))
+            .entry((metric, labels))
             .or_insert_with(|| Ring::new(self.config.ring));
         *ring.cell(window, &mut self.stats.windows_evicted, |v| *v = 0) += by;
     }
 
     /// Sets the gauge series' window at `now` to its latest value.
-    pub fn set(&mut self, now: u64, name: &'static str, labels: SeriesLabels, value: f64) {
+    pub fn set(&mut self, now: u64, metric: Metric, labels: SeriesLabels, value: f64) {
         self.stats.samples += 1;
         let window = now / self.config.width;
         let ring = self
             .gauges
-            .entry((name, labels))
+            .entry((metric, labels))
             .or_insert_with(|| Ring::new(self.config.ring));
         *ring.cell(window, &mut self.stats.windows_evicted, |v| *v = 0.0) = value;
     }
 
     /// Records one sample into the summary series' window at `now`.
-    pub fn observe(&mut self, now: u64, name: &'static str, labels: SeriesLabels, value: u64) {
+    pub fn observe(&mut self, now: u64, metric: Metric, labels: SeriesLabels, value: u64) {
         self.stats.samples += 1;
         let window = now / self.config.width;
         let ring = self
             .summaries
-            .entry((name, labels))
+            .entry((metric, labels))
             .or_insert_with(|| Ring::new(self.config.ring));
         ring.cell(
             window,
@@ -272,58 +272,57 @@ impl TimeSeriesRecorder {
 
     /// The retained `(window, count)` pairs of one counter series, oldest
     /// window first; empty if the series was never touched.
-    pub fn counter_windows(&self, name: &str, labels: SeriesLabels) -> Vec<(u64, u64)> {
+    pub fn counter_windows(&self, metric: Metric, labels: SeriesLabels) -> Vec<(u64, u64)> {
         self.counters
-            .get(&(lookup(name), labels))
+            .get(&(metric, labels))
             .map(|ring| ring.windows().into_iter().map(|(w, v)| (w, *v)).collect())
             .unwrap_or_default()
     }
 
     /// The retained `(window, value)` pairs of one gauge series.
-    pub fn gauge_windows(&self, name: &str, labels: SeriesLabels) -> Vec<(u64, f64)> {
+    pub fn gauge_windows(&self, metric: Metric, labels: SeriesLabels) -> Vec<(u64, f64)> {
         self.gauges
-            .get(&(lookup(name), labels))
+            .get(&(metric, labels))
             .map(|ring| ring.windows().into_iter().map(|(w, v)| (w, *v)).collect())
             .unwrap_or_default()
     }
 
     /// The retained `(window, summary)` pairs of one latency-summary series.
-    pub fn summary_windows(&self, name: &str, labels: SeriesLabels) -> Vec<(u64, LatencySummary)> {
-        self.summaries
-            .get(&(lookup(name), labels))
-            .map(|ring| {
-                ring.windows()
-                    .into_iter()
-                    .map(|(w, sketch)| (w, sketch.summary()))
-                    .collect()
-            })
-            .unwrap_or_default()
+    pub fn summary_windows(
+        &self,
+        metric: Metric,
+        labels: SeriesLabels,
+    ) -> Vec<(u64, LatencySummary)> {
+        self.summary_sketches(metric, labels)
+            .into_iter()
+            .map(|(w, sketch)| (w, sketch.summary()))
+            .collect()
     }
 
-    /// Every counter series key, in (name, labels) order.
-    pub fn counter_series(&self) -> impl Iterator<Item = (&'static str, SeriesLabels)> + '_ {
-        self.counters.keys().map(|(name, labels)| (*name, *labels))
+    /// Every counter series key, in (metric, labels) order.
+    pub fn counter_series(&self) -> impl Iterator<Item = (Metric, SeriesLabels)> + '_ {
+        self.counters.keys().copied()
     }
 
-    /// Every gauge series key, in (name, labels) order.
-    pub fn gauge_series(&self) -> impl Iterator<Item = (&'static str, SeriesLabels)> + '_ {
-        self.gauges.keys().map(|(name, labels)| (*name, *labels))
+    /// Every gauge series key, in (metric, labels) order.
+    pub fn gauge_series(&self) -> impl Iterator<Item = (Metric, SeriesLabels)> + '_ {
+        self.gauges.keys().copied()
     }
 
-    /// Every summary series key, in (name, labels) order.
-    pub fn summary_series(&self) -> impl Iterator<Item = (&'static str, SeriesLabels)> + '_ {
-        self.summaries.keys().map(|(name, labels)| (*name, *labels))
+    /// Every summary series key, in (metric, labels) order.
+    pub fn summary_series(&self) -> impl Iterator<Item = (Metric, SeriesLabels)> + '_ {
+        self.summaries.keys().copied()
     }
 
     /// The `(window, sketch count/sum)` pairs of one summary series —
     /// the exporter needs the raw totals, not just the summary.
     pub(crate) fn summary_sketches(
         &self,
-        name: &'static str,
+        metric: Metric,
         labels: SeriesLabels,
     ) -> Vec<(u64, &QuantileSketch)> {
         self.summaries
-            .get(&(name, labels))
+            .get(&(metric, labels))
             .map(|ring| ring.windows())
             .unwrap_or_default()
     }
@@ -342,23 +341,23 @@ impl TimeSeriesRecorder {
             "merging recorders with different window/ring configurations"
         );
         let width = self.config.width;
-        for ((name, labels), ring) in &other.counters {
+        for (&(metric, labels), ring) in &other.counters {
             for (window, value) in ring.windows() {
-                self.inc(window * width, name, *labels, *value);
+                self.inc(window * width, metric, labels, *value);
                 self.stats.samples -= 1;
             }
         }
-        for ((name, labels), ring) in &other.gauges {
+        for (&(metric, labels), ring) in &other.gauges {
             for (window, value) in ring.windows() {
-                self.set(window * width, name, *labels, *value);
+                self.set(window * width, metric, labels, *value);
                 self.stats.samples -= 1;
             }
         }
-        for ((name, labels), ring) in &other.summaries {
+        for (key, ring) in &other.summaries {
             for (window, sketch) in ring.windows() {
                 let target = self
                     .summaries
-                    .entry((*name, *labels))
+                    .entry(*key)
                     .or_insert_with(|| Ring::new(self.config.ring));
                 target
                     .cell(
@@ -373,23 +372,13 @@ impl TimeSeriesRecorder {
     }
 }
 
-/// Interns a runtime name against the declared taxonomy so query methods can
-/// take `&str` while the map keys stay `&'static str`.
-fn lookup(name: &str) -> &'static str {
-    crate::obs::METRIC_NAMES
-        .iter()
-        .find(|declared| **declared == name)
-        .copied()
-        .unwrap_or("")
-}
-
 impl ObsSink for TimeSeriesRecorder {
     fn active(&self) -> bool {
         true
     }
 
     fn on_arrival(&mut self, now: u64, _sequence: u64, model: ModelId) {
-        self.inc(now, "serving.arrivals", SeriesLabels::model(model), 1);
+        self.inc(now, Metric::ServingArrivals, SeriesLabels::model(model), 1);
     }
 
     fn on_dispatch(
@@ -402,7 +391,7 @@ impl ObsSink for TimeSeriesRecorder {
     ) {
         self.inc(
             now,
-            "serving.dispatched",
+            Metric::ServingDispatched,
             SeriesLabels::model(model).with_node(node),
             1,
         );
@@ -410,8 +399,8 @@ impl ObsSink for TimeSeriesRecorder {
 
     fn on_reject(&mut self, now: u64, _sequence: u64, model: ModelId, reason: RejectReason) {
         let name = match reason {
-            RejectReason::NoReplica => "serving.rejected_no_replica",
-            RejectReason::Overload => "serving.rejected_overload",
+            RejectReason::NoReplica => Metric::ServingRejectedNoReplica,
+            RejectReason::Overload => Metric::ServingRejectedOverload,
         };
         self.inc(now, name, SeriesLabels::model(model), 1);
     }
@@ -426,8 +415,8 @@ impl ObsSink for TimeSeriesRecorder {
         batch: usize,
     ) {
         let labels = SeriesLabels::model(model).with_node(node);
-        self.inc(start, "serving.batches", labels, 1);
-        self.observe(start, "serving.batch_size", labels, batch as u64);
+        self.inc(start, Metric::ServingBatches, labels, 1);
+        self.observe(start, Metric::ServingBatchSize, labels, batch as u64);
     }
 
     fn on_complete(
@@ -442,18 +431,18 @@ impl ObsSink for TimeSeriesRecorder {
         deadline_met: Option<bool>,
     ) {
         let qos = SeriesLabels::model(model).with_priority(priority);
-        self.inc(now, "serving.completed", qos.with_node(node), 1);
+        self.inc(now, Metric::ServingCompleted, qos.with_node(node), 1);
         self.observe(
             now,
-            "serving.latency_cycles",
+            Metric::ServingLatencyCycles,
             qos,
             now.saturating_sub(arrived),
         );
         if let Some(met) = deadline_met {
             let name = if met {
-                "serving.deadline_met"
+                Metric::ServingDeadlineMet
             } else {
-                "serving.deadline_missed"
+                Metric::ServingDeadlineMissed
             };
             self.inc(now, name, qos, 1);
         }
@@ -469,10 +458,10 @@ impl ObsSink for TimeSeriesRecorder {
         _slot: usize,
     ) {
         let labels = SeriesLabels::model(model).with_node(node);
-        self.inc(now, "serving.expired", labels, 1);
+        self.inc(now, Metric::ServingExpired, labels, 1);
         self.observe(
             now,
-            "serving.expired_wait_cycles",
+            Metric::ServingExpiredWaitCycles,
             labels,
             now.saturating_sub(arrived),
         );
@@ -489,43 +478,43 @@ impl ObsSink for TimeSeriesRecorder {
         bytes: u64,
     ) {
         let labels = SeriesLabels::none().with_node(from);
-        self.inc(start, "migration.copy_rounds", labels, 1);
-        self.inc(start, "migration.copy_bytes", labels, bytes);
+        self.inc(start, Metric::MigrationCopyRounds, labels, 1);
+        self.inc(start, Metric::MigrationCopyBytes, labels, bytes);
     }
 
     fn on_stop_copy(&mut self, start: u64, _finish: u64, _slot: usize, record: &MigrationRecord) {
         let labels = SeriesLabels::none().with_node(record.from);
         let name = match record.mode {
-            MigrationMode::Cold => "migration.cold",
-            MigrationMode::PreCopy => "migration.precopy",
+            MigrationMode::Cold => Metric::MigrationCold,
+            MigrationMode::PreCopy => Metric::MigrationPrecopy,
         };
         self.inc(start, name, labels, 1);
         if record.mode == MigrationMode::PreCopy && !record.converged {
-            self.inc(start, "migration.precopy_fallbacks", labels, 1);
+            self.inc(start, Metric::MigrationPrecopyFallbacks, labels, 1);
         }
         self.observe(
             start,
-            "migration.downtime_cycles",
+            Metric::MigrationDowntimeCycles,
             labels,
             record.downtime().get(),
         );
     }
 
     fn on_migration_rejected(&mut self, now: u64, _slot: usize) {
-        self.inc(now, "migration.rejected", SeriesLabels::none(), 1);
+        self.inc(now, Metric::MigrationRejected, SeriesLabels::none(), 1);
     }
 
     fn on_control(&mut self, now: u64, action: &ControlAction) {
         let (name, labels) = match action {
             ControlAction::ScaleUp { spec, .. } => {
-                ("control.scale_ups", SeriesLabels::model(spec.model))
+                (Metric::ControlScaleUps, SeriesLabels::model(spec.model))
             }
             ControlAction::ScaleDown { handle } => (
-                "control.scale_downs",
+                Metric::ControlScaleDowns,
                 SeriesLabels::none().with_node(handle.node),
             ),
             ControlAction::Migrate { handle, .. } => (
-                "control.migrations",
+                Metric::ControlMigrations,
                 SeriesLabels::none().with_node(handle.node),
             ),
         };
@@ -534,24 +523,24 @@ impl ObsSink for TimeSeriesRecorder {
 
     fn on_tick(&mut self, now: u64, _frame: &TelemetryFrame, counters: &FleetCounters) {
         let fleet = SeriesLabels::none();
-        self.inc(now, "telemetry.ticks", fleet, 1);
-        self.set(now, "fleet.queued", fleet, counters.queued as f64);
-        self.set(now, "fleet.in_flight", fleet, counters.in_flight as f64);
+        self.inc(now, Metric::TelemetryTicks, fleet, 1);
+        self.set(now, Metric::FleetQueued, fleet, counters.queued as f64);
+        self.set(now, Metric::FleetInFlight, fleet, counters.in_flight as f64);
         self.set(
             now,
-            "fleet.live_replicas",
+            Metric::FleetLiveReplicas,
             fleet,
             counters.live_replicas as f64,
         );
         self.set(
             now,
-            "fleet.migrations_in_flight",
+            Metric::FleetMigrationsInFlight,
             fleet,
             counters.migrations_in_flight as f64,
         );
         self.set(
             now,
-            "fleet.resident_bytes",
+            Metric::FleetResidentBytes,
             fleet,
             counters.resident_bytes as f64,
         );
@@ -563,21 +552,21 @@ impl ObsSink for TimeSeriesRecorder {
             labels = labels.with_priority(priority);
         }
         let name = match alert.kind {
-            AlertKind::Fired => "slo.alerts_fired",
-            AlertKind::Resolved => "slo.alerts_resolved",
+            AlertKind::Fired => Metric::SloAlertsFired,
+            AlertKind::Resolved => Metric::SloAlertsResolved,
         };
         self.inc(now, name, labels, 1);
     }
 
     fn on_fault(&mut self, now: u64, fault: &FaultEvent) {
         let labels = SeriesLabels::none().with_node(fault.kind.node());
-        self.inc(now, "fault.injected", labels, 1);
+        self.inc(now, Metric::FaultInjected, labels, 1);
         let name = match fault.kind {
-            FaultKind::BoardCrash { .. } => "fault.board_crashes",
-            FaultKind::BoardHang { .. } => "fault.board_hangs",
-            FaultKind::LinkDegrade { .. } => "fault.link_degrades",
-            FaultKind::Straggler { .. } => "fault.stragglers",
-            FaultKind::TelemetryDropout { .. } => "fault.telemetry_dropouts",
+            FaultKind::BoardCrash { .. } => Metric::FaultBoardCrashes,
+            FaultKind::BoardHang { .. } => Metric::FaultBoardHangs,
+            FaultKind::LinkDegrade { .. } => Metric::FaultLinkDegrades,
+            FaultKind::Straggler { .. } => Metric::FaultStragglers,
+            FaultKind::TelemetryDropout { .. } => Metric::FaultTelemetryDropouts,
         };
         self.inc(now, name, labels, 1);
     }
@@ -591,21 +580,26 @@ impl ObsSink for TimeSeriesRecorder {
         detect_cycles: u64,
     ) {
         let labels = SeriesLabels::none().with_node(node);
-        self.inc(now, "recovery.failovers", labels, 1);
-        self.inc(now, "recovery.redispatched", labels, redispatched);
-        self.observe(now, "recovery.detect_cycles", labels, detect_cycles);
+        self.inc(now, Metric::RecoveryFailovers, labels, 1);
+        self.inc(now, Metric::RecoveryRedispatched, labels, redispatched);
+        self.observe(now, Metric::RecoveryDetectCycles, labels, detect_cycles);
     }
 
     fn on_replica_restored(&mut self, now: u64, node: NodeId, _slot: usize, restore_cycles: u64) {
         let labels = SeriesLabels::none().with_node(node);
-        self.inc(now, "recovery.replicas_restored", labels, 1);
-        self.observe(now, "recovery.restore_cycles", labels, restore_cycles);
+        self.inc(now, Metric::RecoveryReplicasRestored, labels, 1);
+        self.observe(now, Metric::RecoveryRestoreCycles, labels, restore_cycles);
+    }
+
+    fn on_restore_rejected(&mut self, now: u64, node: NodeId) {
+        let labels = SeriesLabels::none().with_node(node);
+        self.inc(now, Metric::RecoveryRestoreRejected, labels, 1);
     }
 
     fn on_lost(&mut self, now: u64, _sequence: u64, model: ModelId, node: NodeId) {
         self.inc(
             now,
-            "recovery.lost_requests",
+            Metric::RecoveryLostRequests,
             SeriesLabels::model(model).with_node(node),
             1,
         );
@@ -623,9 +617,10 @@ mod tests {
         ts.on_arrival(999, 1, ModelId::Mnist);
         ts.on_arrival(1_000, 2, ModelId::Mnist);
         ts.on_arrival(500, 3, ModelId::Bert);
-        let mnist = ts.counter_windows("serving.arrivals", SeriesLabels::model(ModelId::Mnist));
+        let mnist =
+            ts.counter_windows(Metric::ServingArrivals, SeriesLabels::model(ModelId::Mnist));
         assert_eq!(mnist, vec![(0, 2), (1, 1)]);
-        let bert = ts.counter_windows("serving.arrivals", SeriesLabels::model(ModelId::Bert));
+        let bert = ts.counter_windows(Metric::ServingArrivals, SeriesLabels::model(ModelId::Bert));
         assert_eq!(bert, vec![(0, 1)]);
         assert_eq!(ts.series_count(), 2);
         assert_eq!(ts.stats().samples, 4);
@@ -635,9 +630,14 @@ mod tests {
     fn ring_overwrites_oldest_and_counts_evictions() {
         let mut ts = TimeSeriesRecorder::new(TimeSeriesConfig::new(100).with_ring(4));
         for window in 0..10u64 {
-            ts.inc(window * 100, "serving.arrivals", SeriesLabels::none(), 1);
+            ts.inc(
+                window * 100,
+                Metric::ServingArrivals,
+                SeriesLabels::none(),
+                1,
+            );
         }
-        let windows = ts.counter_windows("serving.arrivals", SeriesLabels::none());
+        let windows = ts.counter_windows(Metric::ServingArrivals, SeriesLabels::none());
         assert_eq!(
             windows,
             vec![(6, 1), (7, 1), (8, 1), (9, 1)],
@@ -681,21 +681,25 @@ mod tests {
         );
         let interactive =
             SeriesLabels::model(ModelId::Mnist).with_priority(PriorityClass::Interactive);
-        let summaries = ts.summary_windows("serving.latency_cycles", interactive);
+        let summaries = ts.summary_windows(Metric::ServingLatencyCycles, interactive);
         assert_eq!(summaries.len(), 2);
         assert_eq!(summaries[0].0, 0);
         assert_eq!(summaries[0].1.max, 100);
         assert_eq!(summaries[1].1.max, 1_000);
         assert_eq!(
-            ts.counter_windows("serving.deadline_met", interactive),
+            ts.counter_windows(Metric::ServingDeadlineMet, interactive),
             vec![(0, 1)]
         );
         assert_eq!(
-            ts.counter_windows("serving.deadline_missed", interactive),
+            ts.counter_windows(Metric::ServingDeadlineMissed, interactive),
             vec![(1, 1)]
         );
         let batch = SeriesLabels::model(ModelId::Mnist).with_priority(PriorityClass::Batch);
-        assert_eq!(ts.summary_windows("serving.latency_cycles", batch).len(), 1);
+        assert_eq!(
+            ts.summary_windows(Metric::ServingLatencyCycles, batch)
+                .len(),
+            1
+        );
     }
 
     #[test]
@@ -717,11 +721,11 @@ mod tests {
         counters.queued = 2;
         ts.on_tick(1_100, &frame, &counters);
         assert_eq!(
-            ts.gauge_windows("fleet.queued", SeriesLabels::none()),
+            ts.gauge_windows(Metric::FleetQueued, SeriesLabels::none()),
             vec![(0, 9.0), (1, 2.0)]
         );
         assert_eq!(
-            ts.counter_windows("telemetry.ticks", SeriesLabels::none()),
+            ts.counter_windows(Metric::TelemetryTicks, SeriesLabels::none()),
             vec![(0, 2), (1, 1)]
         );
     }
@@ -736,27 +740,27 @@ mod tests {
         b.on_arrival(1_200, 2, ModelId::Bert);
         a.observe(
             100,
-            "serving.latency_cycles",
+            Metric::ServingLatencyCycles,
             SeriesLabels::model(ModelId::Mnist),
             10,
         );
         b.observe(
             200,
-            "serving.latency_cycles",
+            Metric::ServingLatencyCycles,
             SeriesLabels::model(ModelId::Mnist),
             30,
         );
         a.merge(&b);
         assert_eq!(
-            a.counter_windows("serving.arrivals", SeriesLabels::model(ModelId::Mnist)),
+            a.counter_windows(Metric::ServingArrivals, SeriesLabels::model(ModelId::Mnist)),
             vec![(0, 2)]
         );
         assert_eq!(
-            a.counter_windows("serving.arrivals", SeriesLabels::model(ModelId::Bert)),
+            a.counter_windows(Metric::ServingArrivals, SeriesLabels::model(ModelId::Bert)),
             vec![(1, 1)]
         );
         let merged = a.summary_windows(
-            "serving.latency_cycles",
+            Metric::ServingLatencyCycles,
             SeriesLabels::model(ModelId::Mnist),
         );
         assert_eq!(merged[0].1.count, 2);
@@ -772,16 +776,13 @@ mod tests {
     fn unknown_series_read_as_empty() {
         let ts = TimeSeriesRecorder::default();
         assert!(ts
-            .counter_windows("serving.arrivals", SeriesLabels::none())
+            .counter_windows(Metric::ServingArrivals, SeriesLabels::none())
             .is_empty());
         assert!(ts
-            .gauge_windows("fleet.queued", SeriesLabels::none())
+            .gauge_windows(Metric::FleetQueued, SeriesLabels::none())
             .is_empty());
         assert!(ts
-            .summary_windows("serving.latency_cycles", SeriesLabels::none())
-            .is_empty());
-        assert!(ts
-            .counter_windows("not.a.metric", SeriesLabels::none())
+            .summary_windows(Metric::ServingLatencyCycles, SeriesLabels::none())
             .is_empty());
     }
 }

@@ -5,7 +5,7 @@ use workloads::{ModelId, PriorityClass};
 use crate::fault::{FaultEvent, FaultKind};
 use crate::migration::{MigrationMode, MigrationRecord};
 use crate::obs::{
-    AlertKind, AlertTransition, FleetCounters, MetricsRegistry, ObsSink, RejectReason,
+    AlertKind, AlertTransition, FleetCounters, Metric, MetricsRegistry, ObsSink, RejectReason,
 };
 use crate::telemetry::{ControlAction, TelemetryFrame};
 use crate::NodeId;
@@ -212,20 +212,20 @@ impl Default for TraceRecorder {
 }
 
 impl TraceRecorder {
-    /// A recorder with the given ring/sampling configuration.
+    /// A recorder with the given ring/sampling configuration, normalized by
+    /// the [`TraceConfig`] builders' rules (a struct literal's non-finite
+    /// rate samples everything, exactly as `with_sample_rate` would).
     pub fn new(config: TraceConfig) -> Self {
+        let config = config
+            .with_capacity(config.capacity)
+            .with_sample_rate(config.sample_rate);
         let threshold = if config.sample_rate >= 1.0 {
             u64::MAX
-        } else if config.sample_rate <= 0.0 {
-            0
         } else {
             (config.sample_rate * u64::MAX as f64) as u64
         };
         TraceRecorder {
-            config: TraceConfig {
-                capacity: config.capacity.max(1),
-                ..config
-            },
+            config,
             threshold,
             ring: Vec::new(),
             head: 0,
@@ -326,7 +326,7 @@ impl ObsSink for TraceRecorder {
     }
 
     fn on_arrival(&mut self, now: u64, sequence: u64, model: ModelId) {
-        self.registry.inc("serving.arrivals");
+        self.registry.inc(Metric::ServingArrivals);
         if self.is_sampled(sequence) {
             self.stats.sampled_requests += 1;
             self.push(TraceEvent::Arrival {
@@ -347,13 +347,13 @@ impl ObsSink for TraceRecorder {
         _node: NodeId,
         _slot: usize,
     ) {
-        self.registry.inc("serving.dispatched");
+        self.registry.inc(Metric::ServingDispatched);
     }
 
     fn on_reject(&mut self, now: u64, sequence: u64, model: ModelId, reason: RejectReason) {
         self.registry.inc(match reason {
-            RejectReason::NoReplica => "serving.rejected_no_replica",
-            RejectReason::Overload => "serving.rejected_overload",
+            RejectReason::NoReplica => Metric::ServingRejectedNoReplica,
+            RejectReason::Overload => Metric::ServingRejectedOverload,
         });
         if self.is_sampled(sequence) {
             self.push(TraceEvent::Reject {
@@ -396,8 +396,9 @@ impl ObsSink for TraceRecorder {
         slot: usize,
         batch: usize,
     ) {
-        self.registry.inc("serving.batches");
-        self.registry.observe("serving.batch_size", batch as u64);
+        self.registry.inc(Metric::ServingBatches);
+        self.registry
+            .observe(Metric::ServingBatchSize, batch as u64);
         if std::mem::take(&mut self.batch_sampled) {
             self.push(TraceEvent::Service {
                 from: start,
@@ -421,14 +422,14 @@ impl ObsSink for TraceRecorder {
         slot: usize,
         deadline_met: Option<bool>,
     ) {
-        self.registry.inc("serving.completed");
+        self.registry.inc(Metric::ServingCompleted);
         self.registry
-            .observe("serving.latency_cycles", now.saturating_sub(arrived));
+            .observe(Metric::ServingLatencyCycles, now.saturating_sub(arrived));
         if let Some(met) = deadline_met {
             self.registry.inc(if met {
-                "serving.deadline_met"
+                Metric::ServingDeadlineMet
             } else {
-                "serving.deadline_missed"
+                Metric::ServingDeadlineMissed
             });
         }
         if self.is_sampled(sequence) {
@@ -451,9 +452,11 @@ impl ObsSink for TraceRecorder {
         node: NodeId,
         slot: usize,
     ) {
-        self.registry.inc("serving.expired");
-        self.registry
-            .observe("serving.expired_wait_cycles", now.saturating_sub(arrived));
+        self.registry.inc(Metric::ServingExpired);
+        self.registry.observe(
+            Metric::ServingExpiredWaitCycles,
+            now.saturating_sub(arrived),
+        );
         if self.is_sampled(sequence) {
             self.push(TraceEvent::Expire {
                 at: now,
@@ -475,8 +478,8 @@ impl ObsSink for TraceRecorder {
         round: u32,
         bytes: u64,
     ) {
-        self.registry.inc("migration.copy_rounds");
-        self.registry.add("migration.copy_bytes", bytes);
+        self.registry.inc(Metric::MigrationCopyRounds);
+        self.registry.add(Metric::MigrationCopyBytes, bytes);
         self.push(TraceEvent::CopyRound {
             from: start,
             until: finish,
@@ -490,14 +493,14 @@ impl ObsSink for TraceRecorder {
 
     fn on_stop_copy(&mut self, start: u64, finish: u64, slot: usize, record: &MigrationRecord) {
         self.registry.inc(match record.mode {
-            MigrationMode::Cold => "migration.cold",
-            MigrationMode::PreCopy => "migration.precopy",
+            MigrationMode::Cold => Metric::MigrationCold,
+            MigrationMode::PreCopy => Metric::MigrationPrecopy,
         });
         if record.mode == MigrationMode::PreCopy && !record.converged {
-            self.registry.inc("migration.precopy_fallbacks");
+            self.registry.inc(Metric::MigrationPrecopyFallbacks);
         }
         self.registry
-            .observe("migration.downtime_cycles", record.downtime().get());
+            .observe(Metric::MigrationDowntimeCycles, record.downtime().get());
         self.push(TraceEvent::StopCopy {
             from: start,
             until: finish,
@@ -511,7 +514,7 @@ impl ObsSink for TraceRecorder {
     }
 
     fn on_migration_rejected(&mut self, _now: u64, _slot: usize) {
-        self.registry.inc("migration.rejected");
+        self.registry.inc(Metric::MigrationRejected);
     }
 
     fn on_control(&mut self, now: u64, action: &ControlAction) {
@@ -527,9 +530,9 @@ impl ObsSink for TraceRecorder {
             }
         };
         self.registry.inc(match kind {
-            ControlKind::ScaleUp => "control.scale_ups",
-            ControlKind::ScaleDown => "control.scale_downs",
-            ControlKind::Migrate => "control.migrations",
+            ControlKind::ScaleUp => Metric::ControlScaleUps,
+            ControlKind::ScaleDown => Metric::ControlScaleDowns,
+            ControlKind::Migrate => Metric::ControlMigrations,
         });
         self.push(TraceEvent::Control {
             at: now,
@@ -541,19 +544,19 @@ impl ObsSink for TraceRecorder {
     }
 
     fn on_tick(&mut self, now: u64, _frame: &TelemetryFrame, counters: &FleetCounters) {
-        self.registry.inc("telemetry.ticks");
+        self.registry.inc(Metric::TelemetryTicks);
         self.registry
-            .set_gauge("fleet.queued", counters.queued as f64);
+            .set_gauge(Metric::FleetQueued, counters.queued as f64);
         self.registry
-            .set_gauge("fleet.in_flight", counters.in_flight as f64);
+            .set_gauge(Metric::FleetInFlight, counters.in_flight as f64);
         self.registry
-            .set_gauge("fleet.live_replicas", counters.live_replicas as f64);
+            .set_gauge(Metric::FleetLiveReplicas, counters.live_replicas as f64);
         self.registry.set_gauge(
-            "fleet.migrations_in_flight",
+            Metric::FleetMigrationsInFlight,
             counters.migrations_in_flight as f64,
         );
         self.registry
-            .set_gauge("fleet.resident_bytes", counters.resident_bytes as f64);
+            .set_gauge(Metric::FleetResidentBytes, counters.resident_bytes as f64);
         self.push(TraceEvent::Tick {
             at: now,
             counters: *counters,
@@ -562,19 +565,19 @@ impl ObsSink for TraceRecorder {
 
     fn on_alert(&mut self, _now: u64, alert: &AlertTransition) {
         self.registry.inc(match alert.kind {
-            AlertKind::Fired => "slo.alerts_fired",
-            AlertKind::Resolved => "slo.alerts_resolved",
+            AlertKind::Fired => Metric::SloAlertsFired,
+            AlertKind::Resolved => Metric::SloAlertsResolved,
         });
     }
 
     fn on_fault(&mut self, _now: u64, fault: &FaultEvent) {
-        self.registry.inc("fault.injected");
+        self.registry.inc(Metric::FaultInjected);
         self.registry.inc(match fault.kind {
-            FaultKind::BoardCrash { .. } => "fault.board_crashes",
-            FaultKind::BoardHang { .. } => "fault.board_hangs",
-            FaultKind::LinkDegrade { .. } => "fault.link_degrades",
-            FaultKind::Straggler { .. } => "fault.stragglers",
-            FaultKind::TelemetryDropout { .. } => "fault.telemetry_dropouts",
+            FaultKind::BoardCrash { .. } => Metric::FaultBoardCrashes,
+            FaultKind::BoardHang { .. } => Metric::FaultBoardHangs,
+            FaultKind::LinkDegrade { .. } => Metric::FaultLinkDegrades,
+            FaultKind::Straggler { .. } => Metric::FaultStragglers,
+            FaultKind::TelemetryDropout { .. } => Metric::FaultTelemetryDropouts,
         });
     }
 
@@ -586,20 +589,25 @@ impl ObsSink for TraceRecorder {
         redispatched: u64,
         detect_cycles: u64,
     ) {
-        self.registry.inc("recovery.failovers");
-        self.registry.add("recovery.redispatched", redispatched);
+        self.registry.inc(Metric::RecoveryFailovers);
         self.registry
-            .observe("recovery.detect_cycles", detect_cycles);
+            .add(Metric::RecoveryRedispatched, redispatched);
+        self.registry
+            .observe(Metric::RecoveryDetectCycles, detect_cycles);
     }
 
     fn on_replica_restored(&mut self, _now: u64, _node: NodeId, _slot: usize, restore_cycles: u64) {
-        self.registry.inc("recovery.replicas_restored");
+        self.registry.inc(Metric::RecoveryReplicasRestored);
         self.registry
-            .observe("recovery.restore_cycles", restore_cycles);
+            .observe(Metric::RecoveryRestoreCycles, restore_cycles);
+    }
+
+    fn on_restore_rejected(&mut self, _now: u64, _node: NodeId) {
+        self.registry.inc(Metric::RecoveryRestoreRejected);
     }
 
     fn on_lost(&mut self, _now: u64, _sequence: u64, _model: ModelId, _node: NodeId) {
-        self.registry.inc("recovery.lost_requests");
+        self.registry.inc(Metric::RecoveryLostRequests);
     }
 }
 
@@ -627,7 +635,7 @@ mod tests {
             .collect();
         assert_eq!(sequences, (92..100).collect::<Vec<u64>>());
         // Registry aggregates are exact regardless of the ring.
-        assert_eq!(recorder.metrics().counter("serving.arrivals"), 100);
+        assert_eq!(recorder.metrics().counter(Metric::ServingArrivals), 100);
     }
 
     #[test]
@@ -656,6 +664,27 @@ mod tests {
     }
 
     #[test]
+    fn struct_literal_configs_normalize_like_the_builders() {
+        for rate in [f64::NAN, f64::NEG_INFINITY, f64::INFINITY, -0.5, 0.3, 1.5] {
+            let literal = TraceRecorder::new(TraceConfig {
+                sample_rate: rate,
+                capacity: 0,
+                ..TraceConfig::default()
+            });
+            let built = TraceRecorder::new(
+                TraceConfig::default()
+                    .with_sample_rate(rate)
+                    .with_capacity(0),
+            );
+            assert_eq!(literal.config(), built.config(), "rate {rate}");
+            assert!(
+                (0..1_000u64).all(|s| literal.is_sampled(s) == built.is_sampled(s)),
+                "rate {rate} samples differently from a struct literal"
+            );
+        }
+    }
+
+    #[test]
     fn unsampled_requests_skip_the_ring_but_count_in_the_registry() {
         let mut recorder = TraceRecorder::new(TraceConfig::default().with_sample_rate(0.0));
         recorder.on_arrival(0, 1, ModelId::Mnist);
@@ -672,8 +701,8 @@ mod tests {
             None,
         );
         assert!(recorder.is_empty(), "no spans at rate 0");
-        assert_eq!(recorder.metrics().counter("serving.completed"), 1);
-        assert_eq!(recorder.metrics().counter("serving.batches"), 1);
+        assert_eq!(recorder.metrics().counter(Metric::ServingCompleted), 1);
+        assert_eq!(recorder.metrics().counter(Metric::ServingBatches), 1);
         assert_eq!(recorder.stats().skipped_requests, 1);
     }
 
@@ -694,7 +723,7 @@ mod tests {
         // b lost 2 to its own wrap; the merge overwrote 3 more in a.
         assert_eq!(stats.overwritten, 5);
         assert_eq!(stats.sampled_requests, 9);
-        assert_eq!(a.metrics().counter("serving.arrivals"), 9);
+        assert_eq!(a.metrics().counter(Metric::ServingArrivals), 9);
         // The survivors are b's newest retained events, oldest first.
         let sequences: Vec<u64> = a
             .events()

@@ -2303,6 +2303,7 @@ impl<'a> PartitionSim<'a> {
                         }
                         Err(_) => {
                             chaos.stats.restore_rejected += 1;
+                            sink.on_restore_rejected(now, node);
                         }
                     }
                 }

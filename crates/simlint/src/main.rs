@@ -14,7 +14,6 @@ use std::fs;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use simlint::rules::{resolve_workspace, WorkspaceFacts};
 use simlint::{lint_source, lint_workspace, report, rule_info, FileContext, RULES};
 
 fn main() -> ExitCode {
@@ -86,9 +85,7 @@ fn run(args: &[String]) -> Result<bool, String> {
         let source = fs::read_to_string(&path)
             .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
         let ctx = FileContext::classify(&rel);
-        let mut facts = WorkspaceFacts::default();
-        let mut findings = lint_source(&ctx, &source, &mut facts);
-        findings.extend(resolve_workspace(&facts));
+        let mut findings = lint_source(&ctx, &source);
         report::sort_findings(&mut findings);
         print!("{}", report::render(&findings));
         return Ok(findings.is_empty());

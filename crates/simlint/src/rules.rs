@@ -9,7 +9,7 @@
 //! | `P1` | no `unwrap()`/`expect()`/`panic!`/`todo!`/`unimplemented!` in library code |
 //! | `S1` | every non-shim library crate root carries `#![forbid(unsafe_code)]` |
 //! | `T1` | no host-concurrency primitives (`Mutex`/`RwLock`/`Condvar`/`mpsc`, `thread::scope`/`spawn`) in digest-affecting crates outside audited, pragma-documented sites |
-//! | `X1` | every `EV_*` event-kind constant has a match arm; every emitted `serving.*`/`migration.*`/`control.*`/`slo.*`/`timeseries.*`/`fault.*`/`recovery.*` metric name is declared in the `METRIC_NAMES` taxonomy |
+//! | `X1` | every `EV_*` event-kind constant has a match arm |
 //!
 //! Scoping decisions (also printed by `--explain`):
 //!
@@ -41,17 +41,6 @@ pub const RULE_PRAGMA: &str = "PRAGMA";
 /// Crates whose iteration order can reach a `ServingReport`, golden digest
 /// or exported trace — the blast radius of rule `D1`.
 pub const DIGEST_CRATES: &[&str] = &["cluster", "neu10", "autopilot", "workloads", "npu-sim"];
-
-/// Metric-name prefixes rule `X1` cross-checks against the taxonomy.
-pub const METRIC_PREFIXES: &[&str] = &[
-    "serving.",
-    "migration.",
-    "control.",
-    "slo.",
-    "timeseries.",
-    "fault.",
-    "recovery.",
-];
 
 /// Static description of one rule, served by `--explain`.
 #[derive(Debug, Clone, Copy)]
@@ -164,19 +153,16 @@ pub const RULES: &[RuleInfo] = &[
     },
     RuleInfo {
         id: "X1",
-        summary: "event-kind constants need match arms; metric names need taxonomy entries",
-        explain: "X1 — cross-file exhaustiveness\n\
+        summary: "event-kind constants need match arms",
+        explain: "X1 — event-kind exhaustiveness\n\
                   \n\
-                  (a) Every `const EV_*` event-kind constant declared in a library\n\
+                  Every `const EV_*` event-kind constant declared in a library\n\
                   file must appear as a `EV_* =>` match arm in that file: a declared\n\
                   kind the event loop never matches is either dead or — worse —\n\
                   silently swallowed by a `_ =>` arm.\n\
-                  (b) Every serving.* / migration.* / control.* / slo.* /\n\
-                  timeseries.* / fault.* / recovery.* metric-name string\n\
-                  in library code must be declared in the MetricsRegistry\n\
-                  METRIC_NAMES taxonomy (crates/cluster/src/obs/registry.rs): the\n\
-                  taxonomy is what dashboards and exports are built against, so an\n\
-                  undeclared name is an invisible metric.\n\
+                  Metric names need no lint: the registry and the time-series\n\
+                  recorder take the `Metric` enum (crates/cluster/src/obs/registry.rs),\n\
+                  so an undeclared or misspelled metric is a compile error.\n\
                   Scope: library code outside #[cfg(test)] mods.",
     },
 ];
@@ -227,26 +213,8 @@ pub fn rule_info(id: &str) -> Option<&'static RuleInfo> {
     RULES.iter().find(|r| r.id == id)
 }
 
-/// Cross-file facts accumulated while scanning, resolved by
-/// [`resolve_workspace`] once every file has been seen.
-#[derive(Debug, Default)]
-pub struct WorkspaceFacts {
-    /// `(file, line, metric-name)` for every prefixed metric literal in
-    /// non-test library code (pragma-suppressed sites excluded).
-    metric_literals: Vec<(String, u32, String)>,
-    /// Every name declared in a `METRIC_NAMES` taxonomy constant.
-    taxonomy: BTreeSet<String>,
-    /// Whether any `METRIC_NAMES` declaration was seen at all.
-    taxonomy_found: bool,
-}
-
-/// Lints one file's token stream; cross-file facts go into `facts`.
-pub fn lint_tokens(
-    ctx: &FileContext,
-    tokens: &[Token],
-    pragmas: &Pragmas,
-    facts: &mut WorkspaceFacts,
-) -> Vec<Finding> {
+/// Lints one file's token stream.
+pub fn lint_tokens(ctx: &FileContext, tokens: &[Token], pragmas: &Pragmas) -> Vec<Finding> {
     let mut findings: Vec<Finding> = pragmas.findings.clone();
     if ctx.is_shim {
         return findings;
@@ -455,77 +423,7 @@ pub fn lint_tokens(
         }
     }
 
-    // --- X1(b): collect metric literals and taxonomy declarations. --------
-    if lib_kind {
-        for &(i, token) in &code {
-            if token.kind == TokenKind::Str
-                && !in_test[i]
-                && is_metric_name(&token.text)
-                && !pragmas.allows("X1", token.line)
-            {
-                facts
-                    .metric_literals
-                    .push((ctx.rel_path.clone(), token.line, token.text.clone()));
-            }
-        }
-        for w in 0..code.len() {
-            if code[w].1.is_ident("METRIC_NAMES") && w >= 1 && code[w - 1].1.is_ident("const") {
-                facts.taxonomy_found = true;
-                for &(_, t) in code.iter().skip(w + 1) {
-                    if t.is_punct(';') {
-                        break;
-                    }
-                    if t.kind == TokenKind::Str {
-                        facts.taxonomy.insert(t.text.clone());
-                    }
-                }
-            }
-        }
-    }
-
     findings
-}
-
-/// Resolves the cross-file checks once every file has been scanned.
-pub fn resolve_workspace(facts: &WorkspaceFacts) -> Vec<Finding> {
-    let mut findings = Vec::new();
-    for (file, line, name) in &facts.metric_literals {
-        if !facts.taxonomy_found {
-            findings.push(Finding::new(
-                file.clone(),
-                *line,
-                "X1",
-                format!(
-                    "metric `{name}` is emitted but no `METRIC_NAMES` taxonomy \
-                     constant exists anywhere in the workspace"
-                ),
-            ));
-        } else if !facts.taxonomy.contains(name) {
-            findings.push(Finding::new(
-                file.clone(),
-                *line,
-                "X1",
-                format!(
-                    "metric `{name}` is not declared in the METRIC_NAMES taxonomy \
-                     — add it to MetricsRegistry's declared names or fix the typo"
-                ),
-            ));
-        }
-    }
-    findings
-}
-
-/// Whether `text` looks like a taxonomy-governed metric name:
-/// a governed prefix followed by `[a-z0-9_.]` only.
-fn is_metric_name(text: &str) -> bool {
-    METRIC_PREFIXES.iter().any(|p| {
-        text.strip_prefix(p).is_some_and(|rest| {
-            !rest.is_empty()
-                && rest
-                    .bytes()
-                    .all(|b| b.is_ascii_lowercase() || b.is_ascii_digit() || b == b'_' || b == b'.')
-        })
-    })
 }
 
 /// Whether the token stream contains a crate-level `#![forbid(unsafe_code)]`.
@@ -642,10 +540,7 @@ mod tests {
         let ctx = FileContext::classify(rel_path);
         let tokens = lex(src);
         let pragmas = Pragmas::parse(rel_path, &tokens);
-        let mut facts = WorkspaceFacts::default();
-        let mut findings = lint_tokens(&ctx, &tokens, &pragmas, &mut facts);
-        findings.extend(resolve_workspace(&facts));
-        findings
+        lint_tokens(&ctx, &tokens, &pragmas)
     }
 
     #[test]
@@ -731,34 +626,6 @@ mod tests {
         assert!(findings[0].message.contains("EV_LOST"));
         let good = "const EV_OK: u8 = 1;\nfn f(k: u8) { match k { EV_OK => {}, _ => {} } }\n";
         assert_eq!(lint("crates/cluster/src/x.rs", good).len(), 0);
-    }
-
-    #[test]
-    fn x1_metrics_need_taxonomy() {
-        let with_taxonomy = "pub const METRIC_NAMES: &[&str] = &[\"serving.completed\"];\nfn f(r: &mut R) { r.inc(\"serving.completed\"); }\n";
-        assert_eq!(lint("crates/cluster/src/x.rs", with_taxonomy).len(), 0);
-        let undeclared = "pub const METRIC_NAMES: &[&str] = &[\"serving.completed\"];\nfn f(r: &mut R) { r.inc(\"serving.compelted\"); }\n";
-        let findings = lint("crates/cluster/src/x.rs", undeclared);
-        assert_eq!(findings.len(), 1);
-        assert!(findings[0].message.contains("serving.compelted"));
-        let no_taxonomy = "fn f(r: &mut R) { r.inc(\"control.scale_ups\"); }\n";
-        let findings = lint("crates/cluster/src/x.rs", no_taxonomy);
-        assert_eq!(findings.len(), 1);
-        assert!(findings[0].message.contains("no `METRIC_NAMES` taxonomy"));
-    }
-
-    #[test]
-    fn x1_covers_fault_and_recovery_prefixes() {
-        let undeclared = "pub const METRIC_NAMES: &[&str] = &[\"fault.injected\"];\nfn f(r: &mut R) { r.inc(\"fault.injected\"); r.inc(\"recovery.failovers\"); }\n";
-        let findings = lint("crates/cluster/src/x.rs", undeclared);
-        assert_eq!(
-            findings.len(),
-            1,
-            "the undeclared recovery.* name is caught"
-        );
-        assert!(findings[0].message.contains("recovery.failovers"));
-        let declared = "pub const METRIC_NAMES: &[&str] = &[\"fault.injected\", \"recovery.failovers\"];\nfn f(r: &mut R) { r.inc(\"fault.injected\"); r.inc(\"recovery.failovers\"); }\n";
-        assert_eq!(lint("crates/cluster/src/x.rs", declared).len(), 0);
     }
 
     #[test]

@@ -6,16 +6,11 @@
 //! `fixtures` directories, so these files never pollute a `--workspace`
 //! run.
 
-use simlint::rules::{resolve_workspace, WorkspaceFacts};
 use simlint::{lint_source, FileContext, Finding};
 
 /// Lints one fixture under a claimed workspace-relative path.
 fn lint_as(rel_path: &str, fixture: &str) -> Vec<Finding> {
-    let ctx = FileContext::classify(rel_path);
-    let mut facts = WorkspaceFacts::default();
-    let mut findings = lint_source(&ctx, fixture, &mut facts);
-    findings.extend(resolve_workspace(&facts));
-    findings
+    lint_source(&FileContext::classify(rel_path), fixture)
 }
 
 /// Asserts the failing fixture reports `rule` (and nothing else) while the
@@ -144,26 +139,6 @@ fn x1_event_kinds_need_match_arms() {
     assert!(
         findings.iter().any(|f| f.message.contains("EV_LOST")),
         "the dead event kind must be named: {findings:?}"
-    );
-}
-
-#[test]
-fn x1_metric_names_need_taxonomy() {
-    assert_pair(
-        "X1",
-        "crates/cluster/src/fixture.rs",
-        include_str!("fixtures/x1_metric_fail.rs"),
-        include_str!("fixtures/x1_metric_pass.rs"),
-    );
-    let findings = lint_as(
-        "crates/cluster/src/fixture.rs",
-        include_str!("fixtures/x1_metric_fail.rs"),
-    );
-    assert!(
-        findings
-            .iter()
-            .any(|f| f.message.contains("serving.compelted")),
-        "the undeclared metric must be named: {findings:?}"
     );
 }
 

@@ -1,4 +1,4 @@
-//! Deadline-aware failover re-dispatch.
+//! Failover re-dispatch and re-placement.
 //!
 //! When a board dies, its queued requests are orphaned and re-dispatched to
 //! the surviving replicas. The default order is arrival (sequence) order —
@@ -9,11 +9,15 @@
 //!
 //! The regression scenario below constructs a board whose queue mixes loose
 //! early-sequence requests with tight late-sequence ones, crashes it, and
-//! checks that EDF ordering strictly cuts the orphan deadline misses.
+//! checks that EDF ordering strictly cuts the orphan deadline misses. A
+//! second scenario crashes a board of a full fleet, so failover has nowhere
+//! to re-place the dead board's replicas, and checks that the observability
+//! sinks count those rejected re-placements exactly as the report does.
 
 use cluster::{
     AdmissionControl, ClusterServingSim, DeploySpec, DispatchPolicy, FaultKind, FaultSchedule,
-    NodeId, NpuCluster, RecoveryPolicy, ServingOptions, ServingReport,
+    Metric, NodeId, NpuCluster, RecoveryPolicy, SeriesLabels, ServingOptions, ServingReport,
+    TimeSeriesConfig, TimeSeriesRecorder, TraceConfig, TraceRecorder,
 };
 use npu_sim::{Cycles, NpuConfig};
 use workloads::{ClusterTrace, ModelId, PriorityClass, RequestArrival};
@@ -119,5 +123,53 @@ fn edf_failover_is_inert_without_faults() {
         run(false),
         run(true),
         "without faults the re-dispatch order is never consulted"
+    );
+}
+
+/// A crash on a fleet with no spare room: the dead board's replicas cannot be
+/// re-placed, and every sink counts each rejected re-placement the report
+/// counts.
+#[test]
+fn rejected_restores_reach_the_sinks() {
+    let npu = NpuConfig::single_core();
+    let service = cluster::estimated_service_cycles(ModelId::Mnist, 2, 2, &npu);
+    let fleet = || {
+        // Two 2ME/2VE replicas fill each 4ME/4VE board.
+        let mut fleet = NpuCluster::homogeneous(2, &npu);
+        for node in [0, 0, 1, 1] {
+            fleet
+                .deploy_pinned(DeploySpec::replica(ModelId::Mnist, 2, 2), NodeId(node))
+                .expect("capacity for the replica");
+        }
+        fleet
+    };
+    let trace = ClusterTrace::poisson(&[(ModelId::Mnist, service)], 200, 5);
+    let sim = ClusterServingSim::new(
+        ServingOptions::new(DispatchPolicy::LeastLoaded)
+            .with_telemetry(service)
+            .with_faults(
+                FaultSchedule::new()
+                    .with_fault(service * 4, FaultKind::BoardCrash { node: NodeId(0) }),
+            )
+            .with_recovery(RecoveryPolicy::new(1)),
+    );
+    let mut recorder = TraceRecorder::new(TraceConfig::default());
+    let report = sim.run_observed(&mut fleet(), &trace, &mut recorder);
+    let rejected = report.availability.restore_rejected;
+    assert!(rejected > 0, "the full fleet must reject the re-placement");
+    assert_eq!(
+        recorder.metrics().counter(Metric::RecoveryRestoreRejected),
+        rejected,
+        "the registry must count every rejected re-placement"
+    );
+    let mut series = TimeSeriesRecorder::new(TimeSeriesConfig::new(service));
+    assert_eq!(sim.run_observed(&mut fleet(), &trace, &mut series), report);
+    let windows = series.counter_windows(
+        Metric::RecoveryRestoreRejected,
+        SeriesLabels::none().with_node(NodeId(0)),
+    );
+    assert_eq!(
+        windows.iter().map(|(_, count)| count).sum::<u64>(),
+        rejected
     );
 }
