@@ -178,8 +178,7 @@ impl Defragmenter {
                         return false;
                     };
                     let npu = node.npu_config();
-                    let demand =
-                        ResourceDemand::of(&self.migrant_spec(&deployment).vnpu_config(npu), npu);
+                    let demand = ResourceDemand::of(&deployment.spec().vnpu_config(npu), npu);
                     inventory.can_host(&demand)
                 })
                 .min_by(|(_, a), (_, b)| {
@@ -201,10 +200,8 @@ impl Defragmenter {
                     .node(dest_node)
                     .expect("destination filtered above") // simlint::allow(P1, reason = "defrag candidates are drawn from cluster.nodes() in this scan")
                     .npu_config();
-                let dest_demand = ResourceDemand::of(
-                    &self.migrant_spec(&deployment).vnpu_config(dest_npu),
-                    dest_npu,
-                );
+                let dest_demand =
+                    ResourceDemand::of(&deployment.spec().vnpu_config(dest_npu), dest_npu);
                 inventories[dest_at] = Self::debit(&inventories[dest_at], &dest_demand);
             }
         }
@@ -237,19 +234,6 @@ impl Defragmenter {
                 .free_hbm_segments
                 .saturating_sub(demand.hbm_segments),
             ..*inventory
-        }
-    }
-
-    /// The deploy-shaped view of a live deployment (for destination sizing).
-    fn migrant_spec(&self, deployment: &cluster::DeployedVnpu) -> DeploySpec {
-        DeploySpec {
-            model: deployment.model,
-            mes: deployment.config.num_mes_per_core,
-            ves: deployment.config.num_ves_per_core,
-            sram_bytes: Some(deployment.config.sram_size_per_core),
-            hbm_bytes: Some(deployment.config.mem_size_per_core),
-            priority: deployment.priority,
-            mode: deployment.mode,
         }
     }
 }

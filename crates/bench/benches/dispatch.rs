@@ -1,7 +1,5 @@
 //! Dispatch hot-path microbenchmark: indexed dispatch (per-model load trees)
-//! versus the per-arrival candidate rebuild it replaced, measured through the
-//! full serving loop on a replica-dense fleet (the regime where the rebuild's
-//! O(replicas²)-per-arrival cost dominates).
+//! measured through the full serving loop on a replica-dense fleet.
 //!
 //! The bench also runs under a counting allocator and verifies two
 //! allocation budgets on top of the timing numbers:
@@ -176,15 +174,6 @@ fn bench_dispatch(c: &mut Criterion) {
         b.iter(|| {
             let mut fleet = fleet();
             let options = ServingOptions::new(DispatchPolicy::LeastLoaded).with_batching(MAX_BATCH);
-            black_box(ClusterServingSim::new(options).run(&mut fleet, &trace))
-        })
-    });
-    group.bench_function("reference-rebuild", |b| {
-        b.iter(|| {
-            let mut fleet = fleet();
-            let options = ServingOptions::new(DispatchPolicy::LeastLoaded)
-                .with_batching(MAX_BATCH)
-                .with_reference_dispatch();
             black_box(ClusterServingSim::new(options).run(&mut fleet, &trace))
         })
     });

@@ -41,11 +41,7 @@
 //! regression emits a GitHub-style `::warning::`, a **>3× regression fails
 //! the run** (both behind a 50 ms absolute floor so smoke-scale scenarios
 //! don't trip on scheduler noise), and when CI provides
-//! `$GITHUB_STEP_SUMMARY` the before/after table is rendered there. With
-//! `NEU10_PERF_COMPARE=1` the `steady` and `fleet-1m`
-//! scenarios are additionally re-run on the pre-index reference dispatch
-//! path ([`ServingOptions::with_reference_dispatch`]); the reports are
-//! asserted identical and the speedup is printed and recorded.
+//! `$GITHUB_STEP_SUMMARY` the before/after table is rendered there.
 //!
 //! Every scenario is additionally re-run with a head-sampled
 //! [`TraceRecorder`] attached; the observed report is asserted identical to
@@ -171,8 +167,6 @@ struct Measurement {
     threads: usize,
     wall_ms: f64,
     report: ServingReport,
-    /// Wall time of the reference (pre-index) dispatch path, when compared.
-    reference_wall_ms: Option<f64>,
     /// The sequential run of the same scenario (wall time and simulated
     /// p99), when it was measured in the same harness invocation.
     sequential: Option<(f64, u64)>,
@@ -193,11 +187,6 @@ impl Measurement {
             return 0.0;
         }
         self.report.stats.offered as f64 / (self.wall_ms / 1e3)
-    }
-
-    fn speedup(&self) -> Option<f64> {
-        self.reference_wall_ms
-            .map(|reference| reference / self.wall_ms.max(1e-9))
     }
 
     /// What partitioning alone buys: the sequential wall time over the same
@@ -237,14 +226,6 @@ impl Measurement {
     }
 
     fn json_line(&self) -> String {
-        let speedup = match self.speedup() {
-            Some(s) => format!(
-                ",\"reference_wall_ms\":{:.1},\"speedup_vs_reference\":{:.2}",
-                self.reference_wall_ms.unwrap_or(0.0),
-                s
-            ),
-            None => String::new(),
-        };
         let timeseries = match (self.timeseries_wall_ms, self.timeseries_overhead_pct()) {
             (Some(wall), Some(pct)) => {
                 format!(",\"timeseries_wall_ms\":{wall:.1},\"timeseries_overhead_pct\":{pct:.1}")
@@ -271,7 +252,7 @@ impl Measurement {
              \"offered\":{},\"completed\":{},\"rejected\":{},\"arrivals_per_sec_wall\":{:.0},\
              \"sim_events\":{},\"events_processed\":{},\"peak_replicas\":{},\"batches\":{},\
              \"p99_cycles\":{},\"makespan_cycles\":{},\
-             \"obs_wall_ms\":{:.1},\"obs_overhead_pct\":{:.1}{}{}{}}}",
+             \"obs_wall_ms\":{:.1},\"obs_overhead_pct\":{:.1}{}{}}}",
             self.name,
             self.boards,
             self.replicas,
@@ -293,7 +274,6 @@ impl Measurement {
             self.obs_overhead_pct(),
             timeseries,
             sharded,
-            speedup,
         )
     }
 }
@@ -362,19 +342,13 @@ fn timeseries_config() -> TimeSeriesConfig {
     TimeSeriesConfig::default().with_ring(64)
 }
 
-fn serving_options(reference: bool) -> ServingOptions {
-    let mut options = ServingOptions::new(DispatchPolicy::LeastLoaded)
+fn serving_options() -> ServingOptions {
+    ServingOptions::new(DispatchPolicy::LeastLoaded)
         .with_batching(MAX_BATCH)
-        .with_stochastic(StochasticService::seeded(SEED).with_cv(0.2));
-    if reference {
-        options = options.with_reference_dispatch();
-    }
-    options
+        .with_stochastic(StochasticService::seeded(SEED).with_cv(0.2))
 }
 
-/// Runs one open-loop scenario, optionally measuring the reference dispatch
-/// path for the speedup column.
-#[allow(clippy::too_many_arguments)]
+/// Runs one open-loop scenario, with a time-series re-run when `timeseries`.
 fn run_open_loop(
     name: &'static str,
     boards: usize,
@@ -382,33 +356,20 @@ fn run_open_loop(
     models: Vec<ModelId>,
     per_model: usize,
     npu: &NpuConfig,
-    compare: bool,
     timeseries: bool,
 ) -> Measurement {
     let trace = steady_trace(&models, replicas, per_model, npu);
 
     let mut fleet = deploy_fleet(boards, replicas, &models, npu);
     let started = Instant::now();
-    let report = ClusterServingSim::new(serving_options(false)).run(&mut fleet, &trace);
+    let report = ClusterServingSim::new(serving_options()).run(&mut fleet, &trace);
     let wall_ms = started.elapsed().as_secs_f64() * 1e3;
-
-    let reference_wall_ms = compare.then(|| {
-        let mut fleet = deploy_fleet(boards, replicas, &models, npu);
-        let started = Instant::now();
-        let reference = ClusterServingSim::new(serving_options(true)).run(&mut fleet, &trace);
-        let reference_wall = started.elapsed().as_secs_f64() * 1e3;
-        assert_eq!(
-            report, reference,
-            "{name}: indexed and reference dispatch must produce identical reports"
-        );
-        reference_wall
-    });
 
     let obs_wall_ms = {
         let mut fleet = deploy_fleet(boards, replicas, &models, npu);
         let mut recorder = TraceRecorder::new(obs_config());
         let started = Instant::now();
-        let observed = ClusterServingSim::new(serving_options(false)).run_observed(
+        let observed = ClusterServingSim::new(serving_options()).run_observed(
             &mut fleet,
             &trace,
             &mut recorder,
@@ -425,7 +386,7 @@ fn run_open_loop(
         let mut fleet = deploy_fleet(boards, replicas, &models, npu);
         let mut recorder = TimeSeriesRecorder::new(timeseries_config());
         let started = Instant::now();
-        let observed = ClusterServingSim::new(serving_options(false)).run_observed(
+        let observed = ClusterServingSim::new(serving_options()).run_observed(
             &mut fleet,
             &trace,
             &mut recorder,
@@ -451,7 +412,6 @@ fn run_open_loop(
         threads: 1,
         wall_ms,
         report,
-        reference_wall_ms,
         sequential: None,
         single_thread_wall_ms: None,
         obs_wall_ms,
@@ -487,7 +447,7 @@ fn run_sharded_fleet(
         let mut fleet = deploy_fleet(boards, replicas, &models, npu);
         let started = Instant::now();
         let report =
-            ClusterServingSim::new(serving_options(false)).run_sharded(&mut fleet, &trace, shard);
+            ClusterServingSim::new(serving_options()).run_sharded(&mut fleet, &trace, shard);
         (report, started.elapsed().as_secs_f64() * 1e3)
     };
 
@@ -505,7 +465,7 @@ fn run_sharded_fleet(
         let mut fleet = deploy_fleet(boards, replicas, &models, npu);
         let mut recorders: Vec<TraceRecorder> = Vec::new();
         let started = Instant::now();
-        let observed = ClusterServingSim::new(serving_options(false)).run_sharded_observed(
+        let observed = ClusterServingSim::new(serving_options()).run_sharded_observed(
             &mut fleet,
             &trace,
             shard,
@@ -536,7 +496,6 @@ fn run_sharded_fleet(
         threads,
         wall_ms,
         report,
-        reference_wall_ms: None,
         sequential,
         single_thread_wall_ms,
         obs_wall_ms,
@@ -619,7 +578,6 @@ fn run_autopilot(boards: usize, horizon_services: u64, npu: &NpuConfig) -> Measu
         threads: 1,
         wall_ms,
         report,
-        reference_wall_ms: None,
         sequential: None,
         single_thread_wall_ms: None,
         obs_wall_ms,
@@ -882,7 +840,6 @@ fn main() {
         "smoke" => Sizes::smoke(),
         _ => Sizes::full(),
     };
-    let compare = std::env::var("NEU10_PERF_COMPARE").is_ok_and(|v| v == "1");
     let out = std::env::var("NEU10_BENCH_OUT").unwrap_or_else(|_| "BENCH_serving.json".into());
     let npu = NpuConfig::tpu_v4_like();
     let auto_npu = NpuConfig::single_core();
@@ -912,7 +869,6 @@ fn main() {
             scenario_models(sizes.steady_models),
             sizes.steady_arrivals_per_model,
             &npu,
-            compare,
             false,
         ),
         run_autopilot(sizes.auto_boards, sizes.auto_horizon_services, &auto_npu),
@@ -923,7 +879,6 @@ fn main() {
             scenario_models(sizes.fleet_models),
             sizes.fleet_arrivals_per_model,
             &npu,
-            compare,
             true,
         ),
     ];
@@ -979,7 +934,6 @@ fn main() {
             measurement.report.perf.peak_replicas,
             measurement
                 .speedup_threads()
-                .or_else(|| measurement.speedup())
                 .map(|s| format!("{s:.1}x"))
                 .unwrap_or_else(|| "-".into()),
             measurement.obs_overhead_pct(),

@@ -13,11 +13,15 @@
 //!   are re-sorted by tag before the caller sees them.
 //! * With `threads <= 1` no thread is ever spawned: jobs run in tag order on
 //!   the calling thread, monomorphizing to a plain loop.
+//! * A job that panics on a worker re-raises on the calling thread, just as
+//!   it does at `threads <= 1`: a failing partition fails the run, never
+//!   hangs it.
 //!
 //! The result: for a fixed partition count, the bytes of the merged report
 //! are identical at every thread count — threads buy wall-clock, never
 //! different answers.
 
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::mpsc; // simlint::allow(T1, reason = "cluster::par is the audited concurrency layer: jobs move by value, results re-sort by tag")
 
 /// Runs `body` with a round executor: a function that takes one round of
@@ -50,7 +54,7 @@ pub(crate) fn with_pool<T: Send, R>(
     // simlint::allow(T1, reason = "cluster::par is the audited concurrency layer: jobs move by value, results re-sort by tag, scheduling cannot reach a digest")
     std::thread::scope(|scope| {
         let mut senders: Vec<mpsc::Sender<(usize, T)>> = Vec::with_capacity(threads); // simlint::allow(T1, reason = "per-worker job channels of the audited pool")
-        let (done_tx, done_rx) = mpsc::channel::<(usize, T)>(); // simlint::allow(T1, reason = "result channel of the audited pool; results are re-sorted by tag")
+        let (done_tx, done_rx) = mpsc::channel::<(usize, std::thread::Result<T>)>(); // simlint::allow(T1, reason = "result channel of the audited pool; results are re-sorted by tag")
         for _ in 0..threads {
             let (tx, rx) = mpsc::channel::<(usize, T)>(); // simlint::allow(T1, reason = "per-worker job channel of the audited pool")
             senders.push(tx);
@@ -58,8 +62,11 @@ pub(crate) fn with_pool<T: Send, R>(
             // simlint::allow(T1, reason = "worker threads of the audited pool, joined by the scope")
             scope.spawn(move || {
                 while let Ok((tag, mut job)) = rx.recv() {
-                    run(&mut job);
-                    if done.send((tag, job)).is_err() {
+                    // A panicking job comes back as its payload, so the
+                    // worker stays alive and the coordinator always gets an
+                    // answer for every job it sent.
+                    let result = panic::catch_unwind(AssertUnwindSafe(|| run(&mut job)));
+                    if done.send((tag, result.map(|()| job))).is_err() {
                         break;
                     }
                 }
@@ -77,12 +84,14 @@ pub(crate) fn with_pool<T: Send, R>(
             }
             let mut done: Vec<(usize, T)> = Vec::with_capacity(count);
             for _ in 0..count {
-                match done_rx.recv() {
-                    Ok(result) => done.push(result),
-                    // A worker can only vanish by panicking through a job;
-                    // propagate by ending the round with what we have (the
-                    // scope will re-raise the worker's panic on join).
-                    Err(_) => break,
+                let (tag, result) = done_rx.recv().expect("pool workers outlive the round loop"); // simlint::allow(P1, reason = "workers catch every job's panic and exit only after the job senders hang up")
+                match result {
+                    Ok(job) => done.push((tag, job)),
+                    // Re-raise a job's panic on the caller. Unwinding drops
+                    // the job senders, so the other workers finish their
+                    // current job and exit, and the scope joins them before
+                    // the panic leaves `with_pool`.
+                    Err(payload) => panic::resume_unwind(payload),
                 }
             }
             // Completion order is scheduling noise; tag order is the
@@ -147,6 +156,27 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn a_panicking_job_fails_the_round_instead_of_hanging_it() {
+        let (report, outcome) = mpsc::channel(); // simlint::allow(T1, reason = "test-only: the caller reports back so a hang times out instead of blocking the suite")
+                                                 // simlint::allow(T1, reason = "test-only helper thread, joined below once it reports")
+        let caller = std::thread::spawn(move || {
+            let result = panic::catch_unwind(|| {
+                with_pool(
+                    2,
+                    &|job: &mut usize| assert_ne!(*job, 1, "partition 1 fails"),
+                    |execute| execute(vec![(0, 0usize), (1, 1usize), (2, 2usize)]),
+                )
+            });
+            report.send(result.is_err()).unwrap();
+        });
+        let panicked = outcome
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .expect("with_pool must re-raise a job's panic, not hang");
+        assert!(panicked, "a job's panic must reach the caller");
+        caller.join().unwrap();
     }
 
     #[test]

@@ -156,13 +156,6 @@ pub struct ServingOptions {
     /// Telemetry sampling interval in cycles; `None` disables the telemetry
     /// bus (and with it any control plane).
     pub telemetry_interval: Option<u64>,
-    /// Use the pre-index reference dispatch path: rebuild the candidate
-    /// [`ReplicaView`]s from the full replica table on every arrival
-    /// (O(replicas²) per arrival) instead of reading the incremental
-    /// [`ReplicaIndex`]. The two paths produce identical reports; this knob
-    /// exists so equivalence tests and the perf harness can measure the
-    /// indexed path against the loop it replaced.
-    pub reference_dispatch: bool,
     /// SLO specs and burn-rate policies evaluated inside the event loop;
     /// `None` (the default) schedules no alert ticks and leaves the report's
     /// [`AlertLog`] empty.
@@ -197,7 +190,6 @@ impl ServingOptions {
             drop_expired: false,
             stochastic: None,
             telemetry_interval: None,
-            reference_dispatch: false,
             slo: None,
             faults: None,
             recovery: None,
@@ -271,14 +263,6 @@ impl ServingOptions {
     /// the autopilot control plane).
     pub fn with_telemetry(mut self, interval: u64) -> Self {
         self.telemetry_interval = Some(interval.max(1));
-        self
-    }
-
-    /// Switches to the pre-index reference dispatch path (per-arrival
-    /// candidate rebuild). For equivalence tests and benchmarks only — it is
-    /// quadratic in the replica count per arrival.
-    pub fn with_reference_dispatch(mut self) -> Self {
-        self.reference_dispatch = true;
         self
     }
 
@@ -1250,6 +1234,8 @@ impl PartitionOutcome {
 /// is conservative-safe because partitions never run past the barrier bound.
 pub(crate) struct MigrationEnvelope {
     pub(crate) from_node: NodeId,
+    /// The replica's slot in the exporting partition.
+    pub(crate) from_slot: usize,
     pub(crate) to_node: NodeId,
     pub(crate) spec: DeploySpec,
     queue: Vec<QueuedRequest>,
@@ -1459,8 +1445,7 @@ impl<'a> PartitionSim<'a> {
             per_model: BTreeMap::new(),
             per_node_completed: BTreeMap::new(),
             migration_records: Vec::new(),
-            // Candidate-view scratch for the reference path and the debug
-            // oracle; after warm-up the dispatch path allocates nothing.
+            // Candidate-view scratch for the debug-build dispatch oracle.
             views: Vec::new(),
             shard,
         }
@@ -1685,55 +1670,22 @@ impl<'a> PartitionSim<'a> {
                             continue; // stale handle (already moved or undeployed)
                         };
                         dispatch_index.touch(target);
-                        // Under the sharded runner a destination owned by
-                        // another partition demotes a pre-copy to a cold
-                        // drain-and-move: the copy loop needs destination
-                        // state the source partition cannot see.
-                        let export = shard.is_some() && cluster.node(scheduled.to).is_none();
-                        match scheduled.mode {
-                            MigrationMode::Cold => Self::request_migration(
-                                cluster,
-                                replicas,
-                                dispatch_index,
-                                target,
-                                scheduled.to,
-                                now,
-                                &options.cost_model,
-                                migration_records,
-                                events,
-                                links,
-                                state,
-                                shard,
-                                sink,
-                            ),
-                            MigrationMode::PreCopy if export => Self::request_migration(
-                                cluster,
-                                replicas,
-                                dispatch_index,
-                                target,
-                                scheduled.to,
-                                now,
-                                &options.cost_model,
-                                migration_records,
-                                events,
-                                links,
-                                state,
-                                shard,
-                                sink,
-                            ),
-                            MigrationMode::PreCopy => Self::begin_precopy(
-                                cluster,
-                                replicas,
-                                target,
-                                scheduled.to,
-                                now,
-                                &options.cost_model,
-                                events,
-                                links,
-                                state,
-                                sink,
-                            ),
-                        }
+                        Self::start_migration(
+                            cluster,
+                            replicas,
+                            dispatch_index,
+                            target,
+                            scheduled.to,
+                            scheduled.mode,
+                            now,
+                            &options.cost_model,
+                            migration_records,
+                            events,
+                            links,
+                            state,
+                            shard,
+                            sink,
+                        );
                     }
                     EV_FAULT => {
                         let mut chaos = state
@@ -1812,23 +1764,7 @@ impl<'a> PartitionSim<'a> {
                         );
                         Self::sample_into(frame, stale_models, replicas, now, state);
                         state.control.samples += 1;
-                        // Fleet-wide counter tracks are gathered only for an
-                        // active sink: the disabled path never pays the scan.
-                        if sink.active() {
-                            let mut counters = FleetCounters::default();
-                            for replica in replicas.iter().filter(|r| r.live()) {
-                                counters.queued += replica.queue.len() as u64;
-                                counters.in_flight += replica.in_flight() as u64;
-                                counters.live_replicas += 1;
-                                if replica.precopy.is_some() || replica.pending_migration.is_some()
-                                {
-                                    counters.migrations_in_flight += 1;
-                                }
-                                counters.resident_bytes +=
-                                    cluster.resident_state_bytes(replica.handle).unwrap_or(0);
-                            }
-                            sink.on_tick(now, frame, &counters);
-                        }
+                        Self::observe_tick(sink, cluster, replicas, now, frame);
                         let actions = controller.control(frame, cluster);
                         for action in actions {
                             Self::apply_action(
@@ -1909,46 +1845,16 @@ impl<'a> PartitionSim<'a> {
                 let now = arrival.at.get();
                 sink.on_arrival(now, arrival.sequence, arrival.model);
 
-                let decision = if options.reference_dispatch {
-                    // The pre-index reference path, kept verbatim: scan the
-                    // whole table per arrival and recount the locality signal
-                    // per candidate.
-                    views.clear();
-                    views.extend(
-                        replicas
-                            .iter()
-                            .enumerate()
-                            .filter(|(_, r)| r.live() && !r.draining && r.model == arrival.model)
-                            .map(|(slot, r)| ReplicaView {
-                                index: slot,
-                                node: r.handle.node,
-                                queue_len: r.queue.len(),
-                                in_flight: r.in_flight(),
-                                unavailable: !r.dispatchable(now, state.avoid_migrating),
-                                node_replicas: replicas
-                                    .iter()
-                                    .filter(|o| {
-                                        o.live()
-                                            && !o.draining
-                                            && o.model == arrival.model
-                                            && o.handle.node == r.handle.node
-                                    })
-                                    .count(),
-                            }),
-                    );
-                    router.dispatch(arrival.model, views)
-                } else {
-                    Self::route(
-                        router,
-                        dispatch_index,
-                        replicas,
-                        views,
-                        state,
-                        arrival.model,
-                        now,
-                        true,
-                    )
-                };
+                let decision = Self::route(
+                    router,
+                    dispatch_index,
+                    replicas,
+                    views,
+                    state,
+                    arrival.model,
+                    now,
+                    true,
+                );
                 match decision {
                     DispatchDecision::Dispatch(index) => {
                         if let Some(window) = state.window_of(arrival.model) {
@@ -1996,9 +1902,14 @@ impl<'a> PartitionSim<'a> {
     /// Picks a replica for `model` off the dispatch index's load trees,
     /// first refreshing any slot touched since the last edge (failover
     /// re-dispatch touches between picks). An arrival (`admit`) moves the
-    /// router's admission counters; a failover re-dispatch does not. Debug
-    /// builds also route the request over views of the same candidates and
-    /// assert that both picks agree, so every tested arrival checks the trees.
+    /// router's admission counters; a failover re-dispatch does not.
+    ///
+    /// Debug builds also make the reference pick and assert that both agree.
+    /// Its views come straight off the replica table: every live,
+    /// non-draining replica of `model` in slot order, with each node's
+    /// replica count taken over the same scan. Nothing the index maintains
+    /// reaches the reference, so every tested pick checks the index's
+    /// candidate sets, locality counts and trees against the fleet itself.
     #[allow(clippy::too_many_arguments)]
     fn route(
         router: &mut Router,
@@ -2013,17 +1924,23 @@ impl<'a> PartitionSim<'a> {
         dispatch_index.refresh(|slot| replicas[slot].load(now, state));
         let expected = if cfg!(debug_assertions) {
             views.clear();
-            views.extend(dispatch_index.candidates(model).iter().map(|&slot| {
-                let replica = &replicas[slot];
-                ReplicaView {
-                    index: slot,
-                    node: replica.handle.node,
-                    queue_len: replica.queue.len(),
-                    in_flight: replica.in_flight(),
-                    unavailable: !replica.dispatchable(now, state.avoid_migrating),
-                    node_replicas: dispatch_index.node_count(model, replica.handle.node),
+            let mut per_node: BTreeMap<NodeId, usize> = BTreeMap::new();
+            for (slot, replica) in replicas.iter().enumerate() {
+                if replica.live() && !replica.draining && replica.model == model {
+                    *per_node.entry(replica.handle.node).or_default() += 1;
+                    views.push(ReplicaView {
+                        index: slot,
+                        node: replica.handle.node,
+                        queue_len: replica.queue.len(),
+                        in_flight: replica.in_flight(),
+                        unavailable: !replica.dispatchable(now, state.avoid_migrating),
+                        node_replicas: 0,
+                    });
                 }
-            }));
+            }
+            for view in views.iter_mut() {
+                view.node_replicas = per_node[&view.node];
+            }
             Some(router.peek(model, views))
         } else {
             None
@@ -2039,6 +1956,49 @@ impl<'a> PartitionSim<'a> {
              view scan's {expected:?}"
         );
         decision
+    }
+
+    /// Adds a freshly deployed replica to the table and the dispatch index
+    /// and counts it live, returning its slot. Every mid-run deployment
+    /// enters here: scale-ups, failover re-placements and cross-partition
+    /// imports.
+    fn add_replica(
+        replicas: &mut Vec<ReplicaSim>,
+        dispatch_index: &mut ReplicaIndex,
+        state: &mut ServeState,
+        replica: ReplicaSim,
+    ) -> usize {
+        let slot = replicas.len();
+        dispatch_index.insert(slot, replica.model, replica.handle.node, replica.handle);
+        replicas.push(replica);
+        state.live_replicas += 1;
+        state.peak_replicas = state.peak_replicas.max(state.live_replicas);
+        slot
+    }
+
+    /// Hands an active sink the settled telemetry tick: `frame` plus the
+    /// fleet-wide counter tracks, whose scan the disabled path never pays.
+    fn observe_tick<S: ObsSink + ?Sized>(
+        sink: &mut S,
+        cluster: &NpuCluster,
+        replicas: &[ReplicaSim],
+        now: u64,
+        frame: &TelemetryFrame,
+    ) {
+        if !sink.active() {
+            return;
+        }
+        let mut counters = FleetCounters::default();
+        for replica in replicas.iter().filter(|r| r.live()) {
+            counters.queued += replica.queue.len() as u64;
+            counters.in_flight += replica.in_flight() as u64;
+            counters.live_replicas += 1;
+            if replica.precopy.is_some() || replica.pending_migration.is_some() {
+                counters.migrations_in_flight += 1;
+            }
+            counters.resident_bytes += cluster.resident_state_bytes(replica.handle).unwrap_or(0);
+        }
+        sink.on_tick(now, frame, &counters);
     }
 
     /// Ends the run: sweeps requests still marooned on fenced boards, banks
@@ -2219,20 +2179,9 @@ impl<'a> PartitionSim<'a> {
                 let restore_spec = if was_draining {
                     None
                 } else {
-                    cluster.deployment(handle).map(|d| {
-                        (
-                            DeploySpec {
-                                model: d.model,
-                                mes: d.config.num_mes_per_core,
-                                ves: d.config.num_ves_per_core,
-                                sram_bytes: Some(d.config.sram_size_per_core),
-                                hbm_bytes: Some(d.config.mem_size_per_core),
-                                priority: d.priority,
-                                mode: d.mode,
-                            },
-                            cluster.resident_state_bytes(handle).unwrap_or(0),
-                        )
-                    })
+                    cluster
+                        .deployment(handle)
+                        .map(|d| (d.spec(), cluster.resident_state_bytes(handle).unwrap_or(0)))
                 };
                 let replica = &mut replicas[slot];
                 replica.fenced = true;
@@ -2283,11 +2232,7 @@ impl<'a> PartitionSim<'a> {
                             }
                             let ready = links.reserve(node, new_handle.node, now, cycles);
                             sim.available_at = ready;
-                            let new_slot = replicas.len();
-                            dispatch_index.insert(new_slot, sim.model, new_handle.node, new_handle);
-                            replicas.push(sim);
-                            state.live_replicas += 1;
-                            state.peak_replicas = state.peak_replicas.max(state.live_replicas);
+                            let new_slot = Self::add_replica(replicas, dispatch_index, state, sim);
                             events.push(ready, EV_RESUME, new_slot);
                             chaos.stats.replicas_restored += 1;
                             let restore = ready.saturating_sub(fault_at);
@@ -2508,12 +2453,8 @@ impl<'a> PartitionSim<'a> {
                 Ok(handle) => {
                     let deployment = *cluster.deployment(handle).expect("just deployed"); // simlint::allow(P1, reason = "deployment recorded by the deploy call one line up")
                     let replica = cache.replica_sim(cluster, &deployment, now);
-                    let slot = replicas.len();
-                    dispatch_index.insert(slot, replica.model, replica.handle.node, replica.handle);
-                    replicas.push(replica);
+                    Self::add_replica(replicas, dispatch_index, state, replica);
                     state.control.scale_ups += 1;
-                    state.live_replicas += 1;
-                    state.peak_replicas = state.peak_replicas.max(state.live_replicas);
                 }
                 Err(_) => state.control.scale_up_rejected += 1,
             },
@@ -2542,58 +2483,42 @@ impl<'a> PartitionSim<'a> {
                 let Some(index) = dispatch_index.slot_of(handle) else {
                     return;
                 };
-                // Cross-partition destinations demote pre-copy to a cold
-                // drain-and-move, exactly like the scheduled-migration path.
-                let export = shard.is_some() && cluster.node(to).is_none();
-                match mode {
-                    MigrationMode::Cold => Self::request_migration(
-                        cluster,
-                        replicas,
-                        dispatch_index,
-                        index,
-                        to,
-                        now,
-                        cost_model,
-                        records,
-                        events,
-                        links,
-                        state,
-                        shard,
-                        sink,
-                    ),
-                    MigrationMode::PreCopy if export => Self::request_migration(
-                        cluster,
-                        replicas,
-                        dispatch_index,
-                        index,
-                        to,
-                        now,
-                        cost_model,
-                        records,
-                        events,
-                        links,
-                        state,
-                        shard,
-                        sink,
-                    ),
-                    MigrationMode::PreCopy => Self::begin_precopy(
-                        cluster, replicas, index, to, now, cost_model, events, links, state, sink,
-                    ),
-                }
+                Self::start_migration(
+                    cluster,
+                    replicas,
+                    dispatch_index,
+                    index,
+                    to,
+                    mode,
+                    now,
+                    cost_model,
+                    records,
+                    events,
+                    links,
+                    state,
+                    shard,
+                    sink,
+                );
                 dispatch_index.touch(index);
             }
         }
     }
 
-    /// Triggers a cold migration of `replicas[index]` to `to`: a busy replica
-    /// drains its in-flight batch first, an idle one migrates immediately.
+    /// Starts moving `replicas[index]` to `to`, for a scheduled migration and
+    /// a control-plane one alike. A pre-copy streams the state while the
+    /// replica keeps serving. A cold move drains a busy replica's in-flight
+    /// batch first; an idle one migrates immediately. Under the sharded
+    /// runner a destination owned by another partition demotes a pre-copy to
+    /// a cold drain-and-move: the copy loop needs destination state the
+    /// source partition cannot see.
     #[allow(clippy::too_many_arguments)]
-    fn request_migration<S: ObsSink + ?Sized>(
+    fn start_migration<S: ObsSink + ?Sized>(
         cluster: &mut NpuCluster,
         replicas: &mut [ReplicaSim],
         dispatch_index: &mut ReplicaIndex,
         index: usize,
         to: NodeId,
+        mode: MigrationMode,
         now: u64,
         cost_model: &MigrationCostModel,
         records: &mut Vec<MigrationRecord>,
@@ -2613,7 +2538,12 @@ impl<'a> PartitionSim<'a> {
         {
             return;
         }
-        if replicas[index].in_service.is_some() {
+        let export = shard.is_some() && cluster.node(to).is_none();
+        if mode == MigrationMode::PreCopy && !export {
+            Self::begin_precopy(
+                cluster, replicas, index, to, now, cost_model, events, links, state, sink,
+            );
+        } else if replicas[index].in_service.is_some() {
             // Drain first; the completion event finishes the job.
             replicas[index].pending_migration = Some((to, now));
         } else {
@@ -2636,10 +2566,10 @@ impl<'a> PartitionSim<'a> {
         }
     }
 
-    /// Starts a live pre-copy migration of `replicas[index]` to `to`: round 0
-    /// streams the full resident state over the (possibly contended) link
-    /// while the replica keeps serving; the copy-round event continues the
-    /// loop.
+    /// Starts a live pre-copy migration of `replicas[index]` to `to` (past
+    /// [`start_migration`](Self::start_migration)'s guards): round 0 streams
+    /// the full resident state over the (possibly contended) link while the
+    /// replica keeps serving; the copy-round event continues the loop.
     #[allow(clippy::too_many_arguments)]
     fn begin_precopy<S: ObsSink + ?Sized>(
         cluster: &mut NpuCluster,
@@ -2654,13 +2584,6 @@ impl<'a> PartitionSim<'a> {
         sink: &mut S,
     ) {
         let replica = &mut replicas[index];
-        if replica.handle.node == to
-            || replica.pending_migration.is_some()
-            || replica.precopy.is_some()
-            || replica.draining
-        {
-            return;
-        }
         let state_bytes = cluster.resident_state_bytes(replica.handle);
         if state_bytes.is_none() || cluster.node(to).is_none() {
             // Unknown destination or stale placement: refused, like the cold
@@ -2893,7 +2816,7 @@ impl<'a> PartitionSim<'a> {
         // fill again).
         if replica.queue.len() < state.max_batch && !replica.draining {
             if let Some(wait) = state.max_batch_wait {
-                let oldest = replica.queue.oldest_arrival().expect("non-empty queue"); // simlint::allow(P1, reason = "a migrating replica's source node holds its deployment")
+                let oldest = replica.queue.oldest_arrival().expect("non-empty queue"); // simlint::allow(P1, reason = "the is_empty() check above returned on an empty queue")
                 let due = oldest.saturating_add(wait);
                 if now < due {
                     if replica.batch_timeout_at.is_none() {
@@ -3083,15 +3006,7 @@ impl<'a> PartitionSim<'a> {
             state.control.migrations_rejected += 1;
             return;
         };
-        let spec = DeploySpec {
-            model: deployment.model,
-            mes: deployment.config.num_mes_per_core,
-            ves: deployment.config.num_ves_per_core,
-            sram_bytes: Some(deployment.config.sram_size_per_core),
-            hbm_bytes: Some(deployment.config.mem_size_per_core),
-            priority: deployment.priority,
-            mode: deployment.mode,
-        };
+        let spec = deployment.spec();
         let state_bytes = cluster.resident_state_bytes(handle).unwrap_or(0);
         let frequency = cluster
             .node(handle.node)
@@ -3143,6 +3058,7 @@ impl<'a> PartitionSim<'a> {
         );
         shard.exports.push(MigrationEnvelope {
             from_node: handle.node,
+            from_slot: index,
             to_node: to,
             spec,
             queue,
@@ -3189,12 +3105,12 @@ impl<'a> PartitionSim<'a> {
         for request in envelope.queue {
             sim.enqueue(request);
         }
-        let slot = self.replicas.len();
-        self.dispatch_index
-            .insert(slot, sim.model, handle.node, handle);
-        self.replicas.push(sim);
-        self.state.live_replicas += 1;
-        self.state.peak_replicas = self.state.peak_replicas.max(self.state.live_replicas);
+        let slot = Self::add_replica(
+            &mut self.replicas,
+            &mut self.dispatch_index,
+            &mut self.state,
+            sim,
+        );
         self.events.push(resume_at, EV_RESUME, slot);
         if !envelope.bounced {
             let mut record = envelope.record;
@@ -3226,11 +3142,17 @@ impl<'a> PartitionSim<'a> {
         }
     }
 
-    /// Counts a destination-side import rejection (the bounce back to the
-    /// source still happens; only the statistic lands here, on the partition
-    /// that refused).
-    pub(crate) fn note_migration_rejected(&mut self) {
+    /// Counts a destination-side import rejection on the partition that
+    /// refused it, and reports it to that partition's sink like a sequential
+    /// refused migration (the bounce back to the source still happens).
+    pub(crate) fn note_migration_rejected<S: ObsSink + ?Sized>(
+        &mut self,
+        now: u64,
+        from_slot: usize,
+        sink: &mut S,
+    ) {
         self.state.control.migrations_rejected += 1;
+        sink.on_migration_rejected(now, from_slot);
     }
 
     /// Adopts a replica the coordinator just deployed on this partition's
@@ -3248,13 +3170,13 @@ impl<'a> PartitionSim<'a> {
             .deployment(handle)
             .expect("coordinator deployed this handle"); // simlint::allow(P1, reason = "the coordinator deployed this handle on this partition's cluster one barrier step earlier")
         let replica = self.cache.replica_sim(cluster, &deployment, now);
-        let slot = self.replicas.len();
-        self.dispatch_index
-            .insert(slot, replica.model, handle.node, handle);
-        self.replicas.push(replica);
+        Self::add_replica(
+            &mut self.replicas,
+            &mut self.dispatch_index,
+            &mut self.state,
+            replica,
+        );
         self.state.control.scale_ups += 1;
-        self.state.live_replicas += 1;
-        self.state.peak_replicas = self.state.peak_replicas.max(self.state.live_replicas);
     }
 
     /// Counts a fleet-wide scale-up the coordinator could not place anywhere.
@@ -3328,20 +3250,7 @@ impl<'a> PartitionSim<'a> {
             now,
             &mut self.state,
         );
-        if sink.active() {
-            let mut counters = FleetCounters::default();
-            for replica in self.replicas.iter().filter(|r| r.live()) {
-                counters.queued += replica.queue.len() as u64;
-                counters.in_flight += replica.in_flight() as u64;
-                counters.live_replicas += 1;
-                if replica.precopy.is_some() || replica.pending_migration.is_some() {
-                    counters.migrations_in_flight += 1;
-                }
-                counters.resident_bytes +=
-                    cluster.resident_state_bytes(replica.handle).unwrap_or(0);
-            }
-            sink.on_tick(now, &self.frame, &counters);
-        }
+        Self::observe_tick(sink, cluster, &self.replicas, now, &self.frame);
     }
 
     /// The frame produced by the last [`barrier_tick`](Self::barrier_tick).

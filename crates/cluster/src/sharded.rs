@@ -551,7 +551,7 @@ fn deliver<S: ObsSink>(
     else {
         return;
     };
-    sims[target].note_migration_rejected();
+    sims[target].note_migration_rejected(now, envelope.from_slot, &mut sinks[target]);
     if envelope.bounced {
         let source = owners.get(&envelope.from_node).copied().unwrap_or(0);
         sims[source].abandon_envelope(*envelope, now, &mut sinks[source]);

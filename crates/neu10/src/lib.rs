@@ -62,9 +62,8 @@ pub use metrics::{
     MetricsWindow, QuantileSketch,
 };
 pub use runtime::{
-    calibrate_service_time, AssignmentSample, ClusterNodeSpec, ClusterRunResult, ClusterSim,
-    CollocationResult, CollocationSim, OperatorDuration, ServiceTimeDistribution, SimOptions,
-    TenantResult, TenantSpec,
+    calibrate_service_time, AssignmentSample, CollocationResult, CollocationSim, OperatorDuration,
+    ServiceTimeDistribution, SimOptions, TenantResult, TenantSpec,
 };
 pub use scheduler::{EngineAssignment, SharingPolicy, TenantSnapshot, VnpuContext};
 pub use vnpu::{Vnpu, VnpuConfig, VnpuId, VnpuState};

@@ -759,140 +759,6 @@ pub fn calibrate_service_time(
     ServiceTimeDistribution::from_samples(&samples)
 }
 
-/// The tenants assigned to one physical node (board) of a cluster run.
-#[derive(Debug, Clone)]
-pub struct ClusterNodeSpec {
-    /// The node's board configuration.
-    pub config: NpuConfig,
-    /// The tenants collocated on the node.
-    pub tenants: Vec<TenantSpec>,
-}
-
-impl ClusterNodeSpec {
-    /// A node with the given board configuration and tenant set.
-    pub fn new(config: NpuConfig, tenants: Vec<TenantSpec>) -> Self {
-        ClusterNodeSpec { config, tenants }
-    }
-}
-
-/// The merged outcome of a cluster run: one [`CollocationResult`] per node
-/// plus fleet-level aggregates.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ClusterRunResult {
-    /// The policy that was simulated on every node.
-    pub policy: SharingPolicy,
-    /// Per-node results, in node order (nodes with no tenants produce an
-    /// empty result).
-    pub nodes: Vec<CollocationResult>,
-    /// The fleet makespan: the slowest node's makespan.
-    pub makespan: Cycles,
-    /// Requests completed across all nodes.
-    pub completed_requests: usize,
-    /// Latency summary over every request on every node.
-    pub latency: LatencySummary,
-}
-
-impl ClusterRunResult {
-    /// Iterates over every tenant result in (node, tenant) order.
-    pub fn tenant_results(&self) -> impl Iterator<Item = &TenantResult> {
-        self.nodes.iter().flat_map(|n| n.tenants.iter())
-    }
-
-    /// Aggregate fleet throughput in requests per second, using the fleet
-    /// makespan as the time base.
-    pub fn aggregate_throughput_rps(&self, config: &NpuConfig) -> f64 {
-        crate::metrics::throughput_rps(self.completed_requests, self.makespan, config.frequency)
-    }
-
-    /// Mean ME utilization across nodes that ran work.
-    pub fn mean_me_utilization(&self) -> f64 {
-        let busy: Vec<f64> = self
-            .nodes
-            .iter()
-            .filter(|n| !n.tenants.is_empty())
-            .map(|n| n.me_utilization)
-            .collect();
-        if busy.is_empty() {
-            0.0
-        } else {
-            busy.iter().sum::<f64>() / busy.len() as f64
-        }
-    }
-}
-
-/// Multi-node entry point: composes one [`CollocationSim`] per node and
-/// merges their results into fleet-level aggregates.
-///
-/// The nodes are independent boards (no inter-board work sharing at this
-/// layer — the `cluster` crate's placement and routing decide which tenants
-/// land where before this simulator runs), so each node is simulated in
-/// isolation and the fleet makespan is the slowest node's makespan.
-pub struct ClusterSim {
-    options: SimOptions,
-    nodes: Vec<ClusterNodeSpec>,
-}
-
-impl ClusterSim {
-    /// Builds a cluster simulator from per-node tenant assignments.
-    pub fn new(options: SimOptions, nodes: Vec<ClusterNodeSpec>) -> Self {
-        ClusterSim { options, nodes }
-    }
-
-    /// Number of nodes in the cluster.
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Runs every node to completion and merges the results.
-    pub fn run(self) -> ClusterRunResult {
-        let policy = self.options.policy;
-        let nodes: Vec<CollocationResult> = self
-            .nodes
-            .into_iter()
-            .map(|node| {
-                if node.tenants.is_empty() {
-                    CollocationResult {
-                        policy,
-                        makespan: Cycles::ZERO,
-                        tenants: Vec::new(),
-                        me_utilization: 0.0,
-                        ve_utilization: 0.0,
-                        assignment_timeline: Vec::new(),
-                    }
-                } else {
-                    CollocationSim::new(&node.config, self.options, node.tenants).run()
-                }
-            })
-            .collect();
-
-        let makespan = nodes
-            .iter()
-            .map(|n| n.makespan)
-            .max()
-            .unwrap_or(Cycles::ZERO);
-        let completed_requests = nodes
-            .iter()
-            .flat_map(|n| n.tenants.iter())
-            .map(|t| t.completed_requests)
-            .sum();
-        let mut all_latencies: Vec<u64> = nodes
-            .iter()
-            .flat_map(|n| n.tenants.iter())
-            .flat_map(|t| t.request_latencies.iter().copied())
-            .collect();
-        all_latencies.sort_unstable();
-        let latency = LatencySummary::from_samples(&all_latencies);
-
-        ClusterRunResult {
-            policy,
-            nodes,
-            makespan,
-            completed_requests,
-            latency,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1065,65 +931,6 @@ mod tests {
             assert_eq!(sample.mes.len(), 2);
             assert!(sample.mes.iter().sum::<usize>() <= 4);
         }
-    }
-
-    #[test]
-    fn cluster_sim_merges_node_results() {
-        let cfg = config();
-        let node = |ids: &[u32]| {
-            ClusterNodeSpec::new(
-                cfg.clone(),
-                ids.iter()
-                    .map(|id| TenantSpec::evaluation(*id, ModelId::Mnist, 2))
-                    .collect(),
-            )
-        };
-        let cluster = ClusterSim::new(
-            SimOptions::new(SharingPolicy::Neu10),
-            vec![
-                node(&[0, 1]),
-                node(&[2]),
-                ClusterNodeSpec::new(cfg.clone(), vec![]),
-            ],
-        );
-        assert_eq!(cluster.node_count(), 3);
-        let result = cluster.run();
-        assert_eq!(result.nodes.len(), 3);
-        assert_eq!(result.completed_requests, 3 * 2);
-        assert_eq!(result.latency.count, 6);
-        assert_eq!(
-            result.makespan,
-            result.nodes.iter().map(|n| n.makespan).max().unwrap()
-        );
-        assert!(result.aggregate_throughput_rps(&cfg) > 0.0);
-        assert!(result.mean_me_utilization() > 0.0);
-        assert_eq!(result.tenant_results().count(), 3);
-    }
-
-    #[test]
-    fn more_nodes_raise_aggregate_throughput() {
-        let cfg = config();
-        let tenants_for = |node: usize| {
-            vec![
-                TenantSpec::evaluation(2 * node as u32, ModelId::Mnist, 3),
-                TenantSpec::evaluation(2 * node as u32 + 1, ModelId::Ncf, 3),
-            ]
-        };
-        let run = |nodes: usize| {
-            ClusterSim::new(
-                SimOptions::new(SharingPolicy::Neu10),
-                (0..nodes)
-                    .map(|n| ClusterNodeSpec::new(cfg.clone(), tenants_for(n)))
-                    .collect(),
-            )
-            .run()
-        };
-        let one = run(1);
-        let four = run(4);
-        // Identical per-node work: the makespan stays flat while the
-        // completed request count scales with the node count.
-        assert_eq!(four.completed_requests, 4 * one.completed_requests);
-        assert!(four.aggregate_throughput_rps(&cfg) > 3.0 * one.aggregate_throughput_rps(&cfg));
     }
 
     #[test]

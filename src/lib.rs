@@ -63,9 +63,9 @@ pub mod prelude {
     };
     pub use hypervisor::{GuestVm, Host};
     pub use neu10::{
-        allocation_sweep, split_eus, ClusterNodeSpec, ClusterSim, CollocationResult,
-        CollocationSim, LatencySummary, MappingMode, SharingPolicy, SimOptions, TenantSpec,
-        VnpuAllocator, VnpuConfig, VnpuId, VnpuManager,
+        allocation_sweep, split_eus, CollocationResult, CollocationSim, LatencySummary,
+        MappingMode, SharingPolicy, SimOptions, TenantSpec, VnpuAllocator, VnpuConfig, VnpuId,
+        VnpuManager,
     };
     pub use neuisa::{Compiler, CompilerOptions, OperatorKind, TensorOperator};
     pub use npu_sim::{Cycles, InterconnectConfig, NpuBoard, NpuConfig};

@@ -18,9 +18,9 @@
 
 use cluster::{
     AdmissionControl, ClusterServingSim, ControlAction, ControlPlane, DeploySpec, DispatchPolicy,
-    FaultKind, FaultSchedule, MetricsRegistry, NodeId, NpuCluster, PlacementPolicy, RecoveryPolicy,
-    ServingOptions, ServingReport, ShardOptions, StochasticService, TelemetryFrame, TraceConfig,
-    TraceRecorder,
+    FaultKind, FaultSchedule, Metric, MetricsRegistry, NodeId, NpuCluster, PlacementPolicy,
+    RecoveryPolicy, ServingOptions, ServingReport, ShardOptions, StochasticService, TelemetryFrame,
+    TraceConfig, TraceRecorder,
 };
 use npu_sim::{Cycles, NpuConfig};
 use workloads::{ClusterTrace, ModelId, PriorityClass, QosSpec};
@@ -250,6 +250,48 @@ fn merged_observability_is_identical_across_thread_counts() {
     assert!(
         report_1.stats.completed > 0 && !metrics_1.is_empty(),
         "the observed scenario genuinely serves and records"
+    );
+}
+
+/// A cross-partition move the destination board cannot host bounces back to
+/// its source. The refusal counts as a rejected migration in the report and
+/// reaches the refusing partition's sink, so the merged registry agrees with
+/// the report, as it does on the sequential path.
+#[test]
+fn refused_cross_partition_import_reaches_the_sinks() {
+    let service = cluster::estimated_service_cycles(ModelId::Mnist, 2, 2, &config());
+    let mut fleet = NpuCluster::homogeneous(2, &config());
+    let mover = fleet
+        .deploy_pinned(DeploySpec::replica(ModelId::Mnist, 2, 2), NodeId(0))
+        .expect("capacity for the moving replica");
+    fleet
+        .deploy_pinned(DeploySpec::replica(ModelId::Ncf, 4, 4), NodeId(1))
+        .expect("a whole-board replica fills board 1");
+    let trace = ClusterTrace::poisson(&[(ModelId::Mnist, service), (ModelId::Ncf, service)], 40, 5);
+    let options = ServingOptions::new(DispatchPolicy::LeastLoaded).with_migration(
+        Cycles(service * 3),
+        mover,
+        NodeId(1),
+    );
+    let mut recorders: Vec<TraceRecorder> = Vec::new();
+    let report = ClusterServingSim::new(options).run_sharded_observed(
+        &mut fleet,
+        &trace,
+        ShardOptions::new(2),
+        &mut recorders,
+    );
+    let mut merged = MetricsRegistry::new();
+    for recorder in &recorders {
+        merged.merge(recorder.metrics());
+    }
+    assert!(
+        report.control.migrations_rejected > 0,
+        "board 1 must refuse the import"
+    );
+    assert_eq!(
+        merged.counter(Metric::MigrationRejected),
+        report.control.migrations_rejected as u64,
+        "every refused import reaches a sink"
     );
 }
 
