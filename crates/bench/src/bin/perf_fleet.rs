@@ -43,6 +43,13 @@
 //! don't trip on scheduler noise), and when CI provides
 //! `$GITHUB_STEP_SUMMARY` the before/after table is rendered there.
 //!
+//! The same baseline check also **fails the run when a row simulated
+//! something different**: its `offered`, `completed`, `rejected`,
+//! `sim_events`, `events_processed`, `batches`, `peak_replicas`,
+//! `p99_cycles` and `makespan_cycles` must equal the baseline row's exactly.
+//! Those counts depend on the scenario alone, never on the host, so this
+//! gate has no noise: a speed-up that changed the simulation fails it.
+//!
 //! Every scenario is additionally re-run with a head-sampled
 //! [`TraceRecorder`] attached; the observed report is asserted identical to
 //! the unobserved one, and the tracing overhead lands in the JSON as
@@ -598,6 +605,20 @@ fn scale_row_name(partitions: usize) -> &'static str {
     }
 }
 
+/// The JSON fields of a row that depend on the scenario alone: the baseline
+/// check fails any row whose values differ from the baseline row's.
+const SIMULATION_FIELDS: [&str; 9] = [
+    "offered",
+    "completed",
+    "rejected",
+    "sim_events",
+    "events_processed",
+    "batches",
+    "peak_replicas",
+    "p99_cycles",
+    "makespan_cycles",
+];
+
 /// Pulls `"key":value` out of one baseline JSON line without a JSON library
 /// (the harness writes one scenario object per line, so this is exact for
 /// its own output).
@@ -616,6 +637,9 @@ struct BaselineRow {
     wall_ms: f64,
     baseline_timeseries_wall_ms: Option<f64>,
     timeseries_wall_ms: Option<f64>,
+    /// The simulation counts that differ from the baseline row, as
+    /// `field baseline→current`; `None` when the baseline has no such row.
+    count_mismatches: Option<Vec<String>>,
 }
 
 impl BaselineRow {
@@ -660,8 +684,26 @@ impl BaselineRow {
         }
     }
 
+    /// Whether the row simulated something other than the baseline row.
+    fn simulation_differs(&self) -> bool {
+        self.count_mismatches
+            .as_ref()
+            .is_some_and(|mismatches| !mismatches.is_empty())
+    }
+
+    /// The equality gate's cell of the step-summary table.
+    fn same_simulation(&self) -> String {
+        match &self.count_mismatches {
+            None => "—".into(),
+            Some(mismatches) if mismatches.is_empty() => "yes".into(),
+            Some(mismatches) => format!("no: {}", mismatches.join(", ")),
+        }
+    }
+
     fn status(&self) -> &'static str {
-        if self.exceeds(3.0) {
+        if self.simulation_differs() {
+            "FAIL (counts)"
+        } else if self.exceeds(3.0) {
             "FAIL (>3x)"
         } else if self.exceeds_obs_budget() {
             "FAIL (obs >2%)"
@@ -677,9 +719,10 @@ impl BaselineRow {
     }
 }
 
-/// Compares wall times against the checked-in baseline. A >2× regression
-/// warns; a >3× regression (past the 50 ms floor) **fails the run** — the CI
-/// perf job is a gate, not a suggestion. Returns the comparison rows and
+/// Compares each row against the checked-in baseline. Any simulation count
+/// that differs from the baseline row **fails the run**. On wall time, a >2×
+/// regression warns and a >3× regression (past the 50 ms floor) fails — the
+/// CI perf job is a gate, not a suggestion. Returns the comparison rows and
 /// whether the gate tripped.
 fn check_baseline(baseline_path: &str, measurements: &[Measurement]) -> (Vec<BaselineRow>, bool) {
     let baseline = std::fs::read_to_string(baseline_path).unwrap_or_else(|_| {
@@ -689,23 +732,51 @@ fn check_baseline(baseline_path: &str, measurements: &[Measurement]) -> (Vec<Bas
     let mut rows = Vec::new();
     let mut gate_tripped = false;
     for measurement in measurements {
-        let baseline_wall = baseline
+        let baseline_line = baseline
             .lines()
-            .find(|line| extract_field(line, "name").as_deref() == Some(measurement.name))
-            .and_then(|line| extract_field(line, "wall_ms"))
-            .and_then(|value| value.parse::<f64>().ok());
-        let baseline_timeseries_wall = baseline
-            .lines()
-            .find(|line| extract_field(line, "name").as_deref() == Some(measurement.name))
-            .and_then(|line| extract_field(line, "timeseries_wall_ms"))
-            .and_then(|value| value.parse::<f64>().ok());
+            .find(|line| extract_field(line, "name").as_deref() == Some(measurement.name));
+        let baseline_f64 = |key: &str| {
+            baseline_line
+                .and_then(|line| extract_field(line, key))
+                .and_then(|value| value.parse::<f64>().ok())
+        };
+        let current_line = measurement.json_line();
+        let count_mismatches = baseline_line.map(|line| {
+            SIMULATION_FIELDS
+                .into_iter()
+                .filter_map(|key| {
+                    let before = extract_field(line, key);
+                    let current = extract_field(&current_line, key);
+                    (before != current).then(|| {
+                        format!(
+                            "{key} {}→{}",
+                            before.as_deref().unwrap_or("absent"),
+                            current.as_deref().unwrap_or("absent"),
+                        )
+                    })
+                })
+                .collect::<Vec<String>>()
+        });
         let row = BaselineRow {
             name: measurement.name,
-            baseline_wall_ms: baseline_wall,
+            baseline_wall_ms: baseline_f64("wall_ms"),
             wall_ms: measurement.wall_ms,
-            baseline_timeseries_wall_ms: baseline_timeseries_wall,
+            baseline_timeseries_wall_ms: baseline_f64("timeseries_wall_ms"),
             timeseries_wall_ms: measurement.timeseries_wall_ms,
+            count_mismatches,
         };
+        if row.simulation_differs() {
+            gate_tripped = true;
+            println!(
+                "::error::perf_fleet: scenario {} simulated something other than the \
+                 baseline ({}) — failing the perf gate",
+                row.name,
+                row.count_mismatches
+                    .as_deref()
+                    .unwrap_or_default()
+                    .join(", "),
+            );
+        }
         if row.exceeds_timeseries_budget() {
             gate_tripped = true;
             println!(
@@ -762,12 +833,12 @@ fn write_step_summary(rows: &[BaselineRow], measurements: &[Measurement]) {
     };
     let mut table = String::from(
         "## Serving perf smoke (`perf_fleet`)\n\n\
-         | scenario | baseline wall_ms | current wall_ms | ratio | status |\n\
-         |---|---:|---:|---:|---|\n",
+         | scenario | baseline wall_ms | current wall_ms | ratio | same simulation | status |\n\
+         |---|---:|---:|---:|---|---|\n",
     );
     for row in rows {
         table.push_str(&format!(
-            "| {} | {} | {:.1} | {} | {} |\n",
+            "| {} | {} | {:.1} | {} | {} | {} |\n",
             row.name,
             row.baseline_wall_ms
                 .map(|b| format!("{b:.1}"))
@@ -776,14 +847,17 @@ fn write_step_summary(rows: &[BaselineRow], measurements: &[Measurement]) {
             row.ratio()
                 .map(|r| format!("{r:.2}x"))
                 .unwrap_or_else(|| "—".into()),
+            row.same_simulation(),
             row.status(),
         ));
     }
-    table.push_str(
-        "\nGates: fail on >3x wall-time regression (50 ms floor), on obs-disabled wall \
-         time >2% over baseline (250 ms floor), or on the time-series re-run >2% over \
-         its baseline (250 ms floor); warn on >2x.\n",
-    );
+    table.push_str(&format!(
+        "\nGates: fail when any simulation count ({}) differs from the baseline row, on \
+         >3x wall-time regression (50 ms floor), on obs-disabled wall time >2% over \
+         baseline (250 ms floor), or on the time-series re-run >2% over its baseline \
+         (250 ms floor); warn on >2x.\n",
+        SIMULATION_FIELDS.join(", "),
+    ));
     let sharded: Vec<&Measurement> = measurements.iter().filter(|m| m.partitions > 1).collect();
     if !sharded.is_empty() {
         table.push_str(
@@ -975,7 +1049,7 @@ fn main() {
         let (rows, gate_tripped) = check_baseline(&baseline, &measurements);
         write_step_summary(&rows, &measurements);
         if gate_tripped {
-            eprintln!("perf gate: wall-time regression >3x against {baseline}");
+            eprintln!("perf gate: tripped against {baseline} (see the ::error:: lines)");
             std::process::exit(1);
         }
     }

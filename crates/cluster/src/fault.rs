@@ -33,6 +33,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use workloads::ModelId;
 
+use crate::model_table::ModelTable;
 use crate::placement::PlacementPolicy;
 use crate::NodeId;
 
@@ -510,8 +511,11 @@ pub(crate) struct ChaosState {
     pub(crate) missed: BTreeMap<NodeId, u32>,
     /// First uncleared heartbeat-suppressing fault per node (detect latency).
     pub(crate) fault_since: BTreeMap<NodeId, u64>,
-    /// The accumulating availability accounting.
+    /// The accumulating availability accounting, less its per-model map.
     pub(crate) stats: AvailabilityStats,
+    /// Per-model admitted/completed/lost, touched on every request; folded
+    /// into [`AvailabilityStats::per_model`] once, by [`Self::into_stats`].
+    per_model: ModelTable<ModelAvailability>,
 }
 
 impl ChaosState {
@@ -529,6 +533,7 @@ impl ChaosState {
             missed: BTreeMap::new(),
             fault_since: BTreeMap::new(),
             stats: AvailabilityStats::default(),
+            per_model: ModelTable::default(),
         }
     }
 
@@ -613,18 +618,28 @@ impl ChaosState {
 
     /// Counts one admitted request for per-model availability.
     pub(crate) fn note_admitted(&mut self, model: ModelId) {
-        self.stats.per_model.entry(model).or_default().admitted += 1;
+        self.per_model.entry(model).admitted += 1;
     }
 
     /// Counts one completed request for per-model availability.
     pub(crate) fn note_completed(&mut self, model: ModelId) {
-        self.stats.per_model.entry(model).or_default().completed += 1;
+        self.per_model.entry(model).completed += 1;
     }
 
     /// Counts one lost request, attributed to a fault, for `model`.
     pub(crate) fn note_lost(&mut self, model: ModelId) {
         self.stats.lost += 1;
-        self.stats.per_model.entry(model).or_default().lost += 1;
+        self.per_model.entry(model).lost += 1;
+    }
+
+    /// Ends the run's chaos accounting: the availability stats with the
+    /// per-model table folded into their map (a model appears iff one of its
+    /// requests was noted).
+    pub(crate) fn into_stats(self) -> AvailabilityStats {
+        AvailabilityStats {
+            per_model: self.per_model.into_entries().collect(),
+            ..self.stats
+        }
     }
 }
 

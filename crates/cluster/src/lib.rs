@@ -75,6 +75,7 @@ pub mod cluster;
 pub mod fault;
 pub mod inventory;
 pub mod migration;
+mod model_table;
 pub mod node;
 pub mod obs;
 mod par;

@@ -67,6 +67,7 @@ use workloads::{ClusterTrace, ModelId, PriorityClass, RequestArrival};
 use crate::cluster::{DeploySpec, DeployedVnpu, NpuCluster, VnpuHandle};
 use crate::fault::{AvailabilityStats, ChaosState, FaultKind, FaultSchedule, RecoveryPolicy};
 use crate::migration::{MigrationCostModel, MigrationMode, MigrationRecord, MigrationStats};
+use crate::model_table::ModelTable;
 use crate::obs::{
     AlertLog, AlertTransition, FleetCounters, NoopSink, ObsSink, RejectReason, SloConfig, SloEngine,
 };
@@ -564,8 +565,8 @@ struct ReplicaSim {
     /// Shared with every replica of the same (model, allocation, board)
     /// shape through the [`CalibrationCache`].
     batch_cycles: Arc<[u64]>,
-    /// Calibrated service-time coefficient of variation (0 = deterministic).
-    cv: f64,
+    /// Calibrated service-time dispersion (`None` = deterministic).
+    dispersion: Option<Lognormal>,
     queue: ReplicaQueue,
     /// The batch in service with its (start, finish) times.
     in_service: Option<(Vec<QueuedRequest>, u64, u64)>,
@@ -651,7 +652,9 @@ struct ServeState {
     sampling: bool,
     /// Start of the current telemetry window.
     window_start: u64,
-    windows: BTreeMap<ModelId, ModelWindow>,
+    /// Per-model window accumulators; a slot exists iff the model was touched
+    /// since the run began (the frame carries a model entry for each).
+    windows: ModelTable<ModelWindow>,
     control: ControlStats,
     /// Replica-time already banked by released replicas.
     replica_cycles: u64,
@@ -680,7 +683,7 @@ struct ServeState {
 impl ServeState {
     fn window_of(&mut self, model: ModelId) -> Option<&mut ModelWindow> {
         if self.sampling {
-            Some(self.windows.entry(model).or_default())
+            Some(self.windows.entry(model))
         } else {
             None
         }
@@ -705,35 +708,49 @@ const EV_ALERT: u8 = 6;
 /// the traffic must not keep the run alive on its own.
 const EV_FAULT: u8 = 7;
 
+/// Bits of a packed event key that hold the event's index.
+const EVENT_INDEX_BITS: u32 = 56;
+
 /// The serving event heap, with a running count of non-sample events so the
 /// telemetry tick's "is there still work in flight?" question is O(1) instead
 /// of a whole-heap scan per sample. Sample and alert ticks are the periodic
 /// observers — they must never count as work, or they would keep a finished
 /// run (and each other) alive forever.
+///
+/// Each key packs `(at, kind, index)` into one `u128` — `at` in the high 64
+/// bits, `kind` in the next 8, `index` in the low 56 — so one integer
+/// comparison orders events exactly as the tuple does.
 #[derive(Debug, Default)]
 struct EventQueue {
-    heap: BinaryHeap<Reverse<(u64, u8, usize)>>,
+    heap: BinaryHeap<Reverse<u128>>,
     non_sample: usize,
 }
 
 impl EventQueue {
     fn push(&mut self, at: u64, kind: u8, index: usize) {
+        assert!(
+            (index as u64) < 1 << EVENT_INDEX_BITS,
+            "event index {index} does not fit the packed key"
+        );
         if kind < EV_SAMPLE {
             self.non_sample += 1;
         }
-        self.heap.push(Reverse((at, kind, index)));
+        let key = (u128::from(at) << 64) | (u128::from(kind) << EVENT_INDEX_BITS) | index as u128;
+        self.heap.push(Reverse(key));
     }
 
     fn pop(&mut self) -> Option<(u64, u8, usize)> {
-        let Reverse((at, kind, index)) = self.heap.pop()?;
+        let Reverse(key) = self.heap.pop()?;
+        let kind = (key >> EVENT_INDEX_BITS) as u8;
         if kind < EV_SAMPLE {
             self.non_sample -= 1;
         }
-        Some((at, kind, index))
+        let index = key as u64 & ((1 << EVENT_INDEX_BITS) - 1);
+        Some(((key >> 64) as u64, kind, index as usize))
     }
 
     fn next_time(&self) -> Option<u64> {
-        self.heap.peek().map(|Reverse((at, _, _))| *at)
+        self.heap.peek().map(|Reverse(key)| (key >> 64) as u64)
     }
 
     /// Whether any completion / resume / timeout / migration event is still
@@ -796,6 +813,15 @@ fn chaos_transfer(state: &ServeState, a: NodeId, b: NodeId, now: u64, cycles: u6
     }
 }
 
+/// Adds `count` completions to `node`'s slot of a `NodeId`-indexed table,
+/// growing the table to cover the node on first touch.
+fn add_node_completed(counts: &mut Vec<usize>, node: usize, count: usize) {
+    if node >= counts.len() {
+        counts.resize(node + 1, 0);
+    }
+    counts[node] += count;
+}
+
 /// The fluid service-time estimate of one `batch_requests`-request batch on a
 /// `mes`×`ves` replica: the model is compiled at
 /// `batch_requests × evaluation_batch_size` and each operator runs at the
@@ -845,18 +871,38 @@ pub fn estimated_service_cycles(model: ModelId, mes: usize, ves: usize, npu: &Np
     estimated_batch_service_cycles(model, 1, mes, ves, npu)
 }
 
-/// A lognormal multiplier with mean 1 and the given coefficient of
-/// variation, drawn via Box–Muller from the seeded generator.
-fn lognormal_factor(rng: &mut StdRng, cv: f64) -> f64 {
-    if cv <= 0.0 || !cv.is_finite() {
-        return 1.0;
+/// The lognormal service-time dispersion of one calibrated replica shape:
+/// mean 1, with `σ² = ln(1 + cv²)` and `σ` computed once per calibration, so
+/// a draw takes no logarithm or root of the cv.
+#[derive(Debug, Clone, Copy)]
+struct Lognormal {
+    sigma_sq: f64,
+    sigma: f64,
+}
+
+impl Lognormal {
+    /// The dispersion of coefficient of variation `cv`; `None` for a
+    /// degenerate one (zero, negative or non-finite), whose replicas serve
+    /// deterministically and draw nothing from the generator.
+    fn from_cv(cv: f64) -> Option<Self> {
+        if cv <= 0.0 || !cv.is_finite() {
+            return None;
+        }
+        let sigma_sq = (1.0 + cv * cv).ln();
+        Some(Lognormal {
+            sigma_sq,
+            sigma: sigma_sq.sqrt(),
+        })
     }
-    let sigma_sq = (1.0 + cv * cv).ln();
-    let sigma = sigma_sq.sqrt();
+}
+
+/// A lognormal multiplier of the given dispersion, drawn via Box–Muller
+/// from the seeded generator.
+fn lognormal_factor(rng: &mut StdRng, dispersion: Lognormal) -> f64 {
     let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
     let u2: f64 = rng.gen_range(0.0..1.0);
     let z = (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos();
-    (-0.5 * sigma_sq + sigma * z).exp()
+    (-0.5 * dispersion.sigma_sq + dispersion.sigma * z).exp()
 }
 
 /// The per-(model, allocation, board) service calibration: batch service
@@ -864,7 +910,7 @@ fn lognormal_factor(rng: &mut StdRng, cv: f64) -> f64 {
 /// plus the stochastic dispersion when enabled.
 struct CalibrationEntry {
     batch_cycles: Arc<[u64]>,
-    cv: f64,
+    dispersion: Option<Lognormal>,
 }
 
 /// The key of one calibration: the replica shape, with the board identified
@@ -910,7 +956,7 @@ impl CalibrationCache {
         mes: usize,
         ves: usize,
         npu: &NpuConfig,
-    ) -> (Arc<[u64]>, f64) {
+    ) -> (Arc<[u64]>, Option<Lognormal>) {
         let key = (model, mes, ves, npu.cache_key());
         let max_batch = self.max_batch;
         let stochastic = self.stochastic;
@@ -918,31 +964,27 @@ impl CalibrationCache {
             let batch_cycles: Arc<[u64]> = (1..=max_batch)
                 .map(|k| estimated_batch_service_cycles(model, k, mes, ves, npu))
                 .collect();
-            let cv = match stochastic {
-                Some(stochastic) => {
-                    let cv = stochastic.cv_override.unwrap_or_else(|| {
-                        calibrate_service_time(
-                            npu,
-                            model,
-                            mes,
-                            ves,
-                            model.evaluation_batch_size(),
-                            None,
-                            stochastic.calibration_requests,
-                        )
-                        .cv
-                    });
-                    if cv.is_finite() {
-                        cv.max(0.0)
-                    } else {
-                        0.0
-                    }
-                }
-                None => 0.0,
-            };
-            CalibrationEntry { batch_cycles, cv }
+            // A negative or non-finite calibrated cv serves deterministically.
+            let dispersion = stochastic.and_then(|stochastic| {
+                Lognormal::from_cv(stochastic.cv_override.unwrap_or_else(|| {
+                    calibrate_service_time(
+                        npu,
+                        model,
+                        mes,
+                        ves,
+                        model.evaluation_batch_size(),
+                        None,
+                        stochastic.calibration_requests,
+                    )
+                    .cv
+                }))
+            });
+            CalibrationEntry {
+                batch_cycles,
+                dispersion,
+            }
         });
-        (Arc::clone(&entry.batch_cycles), entry.cv)
+        (Arc::clone(&entry.batch_cycles), entry.dispersion)
     }
 
     /// Builds the simulator-side state of one deployed replica.
@@ -955,7 +997,7 @@ impl CalibrationCache {
         let node = cluster
             .node(deployment.handle.node)
             .expect("deployment node exists"); // simlint::allow(P1, reason = "replica construction follows a successful deploy on that node")
-        let (batch_cycles, cv) = self.calibrate(
+        let (batch_cycles, dispersion) = self.calibrate(
             deployment.model,
             deployment.config.num_mes_per_core,
             deployment.config.num_ves_per_core,
@@ -965,7 +1007,7 @@ impl CalibrationCache {
             handle: deployment.handle,
             model: deployment.model,
             batch_cycles,
-            cv,
+            dispersion,
             queue: ReplicaQueue::new(self.edf),
             in_service: None,
             available_at: now,
@@ -1135,8 +1177,10 @@ pub(crate) struct PartitionOutcome {
     pub(crate) dispatch: DispatchPolicy,
     pub(crate) router_stats: RouterStats,
     pub(crate) latencies: QuantileSketch,
-    pub(crate) per_model: BTreeMap<ModelId, QuantileSketch>,
-    pub(crate) per_node_completed: BTreeMap<NodeId, usize>,
+    pub(crate) per_model: ModelTable<QuantileSketch>,
+    /// Completed requests per node, indexed by `NodeId`; a node served
+    /// anything iff its count is non-zero (every batch holds a request).
+    pub(crate) per_node_completed: Vec<usize>,
     pub(crate) deadline: DeadlineStats,
     pub(crate) batches: usize,
     pub(crate) migration_records: Vec<MigrationRecord>,
@@ -1161,11 +1205,11 @@ impl PartitionOutcome {
         self.router_stats.rejected_overload += other.router_stats.rejected_overload;
         self.router_stats.completed += other.router_stats.completed;
         self.latencies.merge(&other.latencies);
-        for (model, sketch) in other.per_model {
-            self.per_model.entry(model).or_default().merge(&sketch);
+        for (model, sketch) in other.per_model.into_entries() {
+            self.per_model.entry(model).merge(&sketch);
         }
-        for (node, count) in other.per_node_completed {
-            *self.per_node_completed.entry(node).or_default() += count;
+        for (node, count) in other.per_node_completed.into_iter().enumerate() {
+            add_node_completed(&mut self.per_node_completed, node, count);
         }
         self.deadline.with_deadline += other.deadline.with_deadline;
         self.deadline.met += other.deadline.met;
@@ -1206,10 +1250,16 @@ impl PartitionOutcome {
             latency: self.latencies.summary_sorted(),
             per_model: self
                 .per_model
-                .into_iter()
+                .into_entries()
                 .map(|(model, sketch)| (model, sketch.summary()))
                 .collect(),
-            per_node_completed: self.per_node_completed,
+            per_node_completed: self
+                .per_node_completed
+                .into_iter()
+                .enumerate()
+                .filter(|&(_, count)| count > 0)
+                .map(|(node, count)| (NodeId(node as u32), count))
+                .collect(),
             deadline: self.deadline,
             batches: self.batches,
             migration_stats: MigrationStats::from_records(&self.migration_records),
@@ -1298,8 +1348,8 @@ pub(crate) struct PartitionSim<'a> {
     makespan: u64,
     perf: PerfStats,
     latencies: QuantileSketch,
-    per_model: BTreeMap<ModelId, QuantileSketch>,
-    per_node_completed: BTreeMap<NodeId, usize>,
+    per_model: ModelTable<QuantileSketch>,
+    per_node_completed: Vec<usize>,
     migration_records: Vec<MigrationRecord>,
     views: Vec<ReplicaView>,
     /// `Some` only under the sharded runner; `None` keeps every shard-aware
@@ -1366,7 +1416,7 @@ impl<'a> PartitionSim<'a> {
             batches: 0,
             sampling: sample_interval.is_some(),
             window_start: 0,
-            windows: BTreeMap::new(),
+            windows: ModelTable::default(),
             control: ControlStats::default(),
             replica_cycles: 0,
             batch_pool: Vec::new(),
@@ -1442,8 +1492,8 @@ impl<'a> PartitionSim<'a> {
             makespan: 0,
             perf: PerfStats::default(),
             latencies,
-            per_model: BTreeMap::new(),
-            per_node_completed: BTreeMap::new(),
+            per_model: ModelTable::default(),
+            per_node_completed: Vec::new(),
             migration_records: Vec::new(),
             // Candidate-view scratch for the debug-build dispatch oracle.
             views: Vec::new(),
@@ -1551,7 +1601,7 @@ impl<'a> PartitionSim<'a> {
                         for request in &batch {
                             let latency = now.saturating_sub(request.arrived);
                             latencies.record(latency);
-                            per_model.entry(request.model).or_default().record(latency);
+                            per_model.entry(request.model).record(latency);
                             if let Some(window) = state.window_of(request.model) {
                                 window.metrics.record_latency(latency);
                             }
@@ -1587,7 +1637,11 @@ impl<'a> PartitionSim<'a> {
                                 deadline_met,
                             );
                         }
-                        *per_node_completed.entry(replica.handle.node).or_default() += batch.len();
+                        add_node_completed(
+                            per_node_completed,
+                            replica.handle.node.0 as usize,
+                            batch.len(),
+                        );
                         // A live pre-copy in flight: the served batch wrote
                         // its share of resident state, re-dirtying pages the
                         // rounds must stream again.
@@ -2039,7 +2093,7 @@ impl<'a> PartitionSim<'a> {
             .state
             .chaos
             .take()
-            .map(|chaos| chaos.stats)
+            .map(ChaosState::into_stats)
             .unwrap_or_default();
         PartitionOutcome {
             dispatch: self.options.dispatch,
@@ -2271,13 +2325,8 @@ impl<'a> PartitionSim<'a> {
                 if state.drop_expired && request.deadline.is_some_and(|d| d < now) {
                     chaos.stats.expired_in_failover += 1;
                     state.deadline.record_dropped();
-                    if state.sampling {
-                        state
-                            .windows
-                            .entry(request.model)
-                            .or_default()
-                            .metrics
-                            .record_dropped();
+                    if let Some(window) = state.window_of(request.model) {
+                        window.metrics.record_dropped();
                     }
                     if let Some(engine) = &mut state.slo {
                         engine.observe_expired(now, request.model, request.priority);
@@ -2407,8 +2456,8 @@ impl<'a> PartitionSim<'a> {
         for (model, window_acc) in state.windows.iter_mut() {
             let entry = frame
                 .models
-                .entry(*model)
-                .or_insert_with(|| ModelSample::empty(*model));
+                .entry(model)
+                .or_insert_with(|| ModelSample::empty(model));
             entry.arrivals = window_acc.arrivals;
             entry.rejected = window_acc.rejected;
             let (latency, deadline) = window_acc.metrics.flush();
@@ -2421,7 +2470,7 @@ impl<'a> PartitionSim<'a> {
         // never any window traffic) so the frame matches a fresh build.
         stale.clear();
         stale.extend(frame.models.keys().copied().filter(|model| {
-            !state.windows.contains_key(model)
+            !state.windows.contains(*model)
                 && !frame.replicas.iter().any(|sample| sample.model == *model)
         }));
         for model in stale.drain(..) {
@@ -2784,11 +2833,7 @@ impl<'a> PartitionSim<'a> {
                 Some(d) if d < now => {
                     deadline.record_dropped();
                     if sampling {
-                        windows
-                            .entry(queued.model)
-                            .or_default()
-                            .metrics
-                            .record_dropped();
+                        windows.entry(queued.model).metrics.record_dropped();
                     }
                     // An expiry is an unmet request: it burns the error
                     // budget of every covering SLO.
@@ -2832,9 +2877,9 @@ impl<'a> PartitionSim<'a> {
         let mut batch = state.batch_pool.pop().unwrap_or_default();
         replica.queue.drain_into(size, &mut batch);
         let base = replica.batch_cycles[size - 1];
-        let factor = match &mut state.rng {
-            Some(rng) => lognormal_factor(rng, replica.cv),
-            None => 1.0,
+        let factor = match (&mut state.rng, replica.dispersion) {
+            (Some(rng), Some(dispersion)) => lognormal_factor(rng, dispersion),
+            _ => 1.0,
         };
         let mut service = ((base as f64 * factor) as u64).max(1);
         // A straggler window inflates every batch *started* on the board.

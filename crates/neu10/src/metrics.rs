@@ -150,9 +150,14 @@ impl QuantileSketch {
     pub const DEFAULT_ALPHA: f64 = 0.01;
 
     /// Builds a sketch with an explicit exact-mode cap and relative-error
-    /// bound `alpha` (clamped to `[1e-4, 0.5]`).
+    /// bound `alpha` (clamped to `[1e-4, 0.5]`; a NaN `alpha` takes
+    /// [`Self::DEFAULT_ALPHA`]).
     pub fn with_config(exact_cap: usize, alpha: f64) -> Self {
-        let alpha = alpha.clamp(1e-4, 0.5);
+        let alpha = if alpha.is_nan() {
+            Self::DEFAULT_ALPHA
+        } else {
+            alpha.clamp(1e-4, 0.5)
+        };
         let gamma = (1.0 + alpha) / (1.0 - alpha);
         QuantileSketch {
             exact_cap: exact_cap.max(1),
@@ -684,6 +689,29 @@ mod tests {
         assert!(!a.is_exact());
         assert_eq!(a.count(), 106);
         assert_eq!(a.max(), 300);
+    }
+
+    #[test]
+    fn nan_alpha_takes_the_default() {
+        let mut sketch = QuantileSketch::with_config(4, f64::NAN);
+        assert_eq!(sketch.alpha(), QuantileSketch::DEFAULT_ALPHA);
+        for v in 10..=10_000u64 {
+            sketch.record(v);
+        }
+        // Nearest rank over 9 991 samples: p50 is rank 4 996, p99 rank 9 892.
+        for (p, exact) in [(50.0, 5_005u64), (99.0, 9_901)] {
+            let estimate = sketch.percentile(p);
+            assert!(
+                (estimate as f64 - exact as f64).abs() <= 0.01 * exact as f64 + 1.0,
+                "p{p}: {estimate} vs exact {exact}"
+            );
+        }
+        // Infinite bounds already clamped; they still do.
+        assert_eq!(QuantileSketch::with_config(4, f64::INFINITY).alpha(), 0.5);
+        assert_eq!(
+            QuantileSketch::with_config(4, f64::NEG_INFINITY).alpha(),
+            1e-4
+        );
     }
 
     mod sketch_properties {

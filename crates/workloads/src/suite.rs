@@ -368,6 +368,19 @@ mod tests {
         assert!(catalog.iter().any(|m| m.abbrev == "LLaMA"));
     }
 
+    /// The fleet layer indexes dense tables by `ModelId as usize` (dispatch
+    /// load trees, shard-plan residue tables, per-model accumulators) and
+    /// reads them back in slot order as `ModelId` order. Both hold only while
+    /// `all()` lists every model in declaration order.
+    #[test]
+    fn all_is_the_dense_model_index() {
+        let all = ModelId::all();
+        assert!(all.windows(2).all(|pair| pair[0] < pair[1]));
+        for (index, model) in all.into_iter().enumerate() {
+            assert_eq!(model as usize, index, "{model}");
+        }
+    }
+
     #[test]
     fn nine_collocation_pairs_in_three_contention_bands() {
         let pairs = collocation_pairs();

@@ -183,11 +183,13 @@ fn thread_count_never_changes_the_report() {
 
 /// Conservation across partition boundaries: every trace arrival is offered
 /// exactly once fleet-wide, and no admitted request vanishes — even with
-/// crashes, failover and a cross-partition migration in flight.
+/// crashes, failover and a cross-partition migration in flight. The report's
+/// per-model and per-node tables, folded from per-partition accumulators,
+/// agree with each other and with the router's totals.
 #[test]
 fn partitioning_conserves_requests() {
     let total_arrivals = wide_trace(4242, 240).arrivals().len();
-    for partitions in [2, 4, 8] {
+    for partitions in [1, 2, 4, 8] {
         let report = run_sharded(4242, true, ShardOptions::new(partitions));
         assert_eq!(
             report.stats.offered, total_arrivals,
@@ -197,6 +199,32 @@ fn partitioning_conserves_requests() {
             report.stats.admitted,
             report.stats.completed + report.deadline.dropped + report.availability.lost as usize,
             "partitions {partitions}: admitted = completed + dropped + lost"
+        );
+        let per_model_completed: usize = report.per_model.values().map(|m| m.count).sum();
+        let per_node_completed: usize = report.per_node_completed.values().sum();
+        assert_eq!(
+            (per_model_completed, per_node_completed),
+            (report.stats.completed, report.stats.completed),
+            "partitions {partitions}: Σ per-model = completed = Σ per-node"
+        );
+        assert!(!report.per_model.is_empty(), "partitions {partitions}");
+        for (model, latency) in &report.per_model {
+            let availability = report.availability.per_model.get(model);
+            assert_eq!(
+                Some(latency.count as u64),
+                availability.map(|a| a.completed),
+                "partitions {partitions}: {model} latency samples = availability completions"
+            );
+        }
+        let admitted: u64 = report
+            .availability
+            .per_model
+            .values()
+            .map(|a| a.admitted)
+            .sum();
+        assert_eq!(
+            admitted as usize, report.stats.admitted,
+            "partitions {partitions}: Σ per-model admitted = admitted"
         );
     }
 }
