@@ -279,11 +279,15 @@ impl NpuCluster {
         )
     }
 
-    /// Replicas of `model` resident on `node`.
+    /// Replicas of `model` resident on `node`: a range over its handles.
     pub fn replicas_on(&self, node: NodeId, model: ModelId) -> usize {
+        let on_node = |vnpu| VnpuHandle {
+            node,
+            vnpu: VnpuId(vnpu),
+        };
         self.deployments
-            .values()
-            .filter(|d| d.handle.node == node && d.model == model)
+            .range(on_node(0)..=on_node(u32::MAX))
+            .filter(|(_, d)| d.model == model)
             .count()
     }
 
@@ -711,6 +715,44 @@ mod tests {
         assert!(fleet.deployment(handle).is_none(), "old handle is stale");
         assert_eq!(fleet.node(handle.node).unwrap().manager().vnpu_count(), 0);
         assert_eq!(fleet.node(other).unwrap().manager().vnpu_count(), 1);
+    }
+
+    #[test]
+    fn replicas_on_counts_only_the_nodes_own_deployments() {
+        let mut fleet = NpuCluster::homogeneous(6, &NpuConfig::tpu_v4_like());
+        let mut handles = Vec::new();
+        for (i, model) in [ModelId::Mnist, ModelId::Bert, ModelId::Mnist]
+            .into_iter()
+            .cycle()
+            .take(14)
+            .enumerate()
+        {
+            let policy = if i % 2 == 0 {
+                PlacementPolicy::BestFit
+            } else {
+                PlacementPolicy::WorstFit
+            };
+            handles.push(
+                fleet
+                    .deploy(DeploySpec::replica(model, 1, 1), policy)
+                    .unwrap(),
+            );
+        }
+        let moved = handles[3];
+        let to = NodeId((moved.node.0 + 1) % 6);
+        let cost = MigrationCostModel::default();
+        fleet.migrate(moved, to, &cost, None).unwrap();
+        fleet.undeploy(handles[5]).unwrap();
+        for node in fleet.nodes().iter().map(|node| node.id()) {
+            for model in [ModelId::Mnist, ModelId::Bert, ModelId::Dlrm] {
+                let scanned = fleet
+                    .deployments()
+                    .filter(|d| d.handle.node == node && d.model == model)
+                    .count();
+                assert_eq!(fleet.replicas_on(node, model), scanned, "{node} {model:?}");
+            }
+        }
+        assert_eq!(fleet.total_vnpus(), 13);
     }
 
     #[test]

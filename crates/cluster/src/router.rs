@@ -15,14 +15,19 @@
 //! keyed by the exact total order the policy minimizes — `(outstanding,
 //! slot)` for least-loaded and earliest-deadline dispatch,
 //! `(Reverse(node_replicas), outstanding, slot)` for locality-affine
-//! dispatch. Every tree node holds two minima: one over the candidates that
-//! are available and below the admission limit, one over all candidates
-//! below the limit. The model also counts its available candidates, full
-//! ones included. A pick reads the root: the first minimum while that count
-//! is non-zero, the second otherwise, and an overload rejection when the
-//! chosen minimum is empty. That is decision-for-decision what
+//! dispatch. Every tree node is one `u128`, the least packed key below it.
+//! From the top bit down, a key holds 1 bit set when the candidate is
+//! unavailable ("dark"), 31 bits of (2³¹ − 1) − `node_replicas` (0 unless
+//! locality-affine), 64 bits of outstanding work and 32 bits of slot.
+//! A full candidate keys as `u128::MAX`, so the root is the least candidate
+//! with queue room, and every available one sorts ahead of every dark one.
+//! A pick dispatches to the root's slot unless the root is `u128::MAX`, or
+//! is dark while the model has an available candidate (full ones count);
+//! then it rejects for overload. That is decision-for-decision what
 //! [`Router::dispatch`] computes by scanning [`ReplicaView`]s. Round-robin
-//! keeps its cursor scan, over the same indexed per-slot loads.
+//! keeps its cursor scan, over the same indexed per-slot loads. The layout
+//! bounds two values, checked where they grow: every slot stays below
+//! 2³² − 1, and a model's routable replicas on one node below 2³¹.
 //!
 //! The trees are exactly as fresh as the loads reported to them. The owner
 //! keeps this contract:
@@ -74,99 +79,75 @@ impl SlotLoad {
     };
 }
 
-/// The total order a least-key pick minimizes: the locality signal first
-/// (more replicas of the model on the node wins; constant unless the index
-/// serves [`DispatchPolicy::LocalityAffine`]), then outstanding work, then
-/// the slot, which is unique, so no two keys tie.
+/// Exclusive bounds of a slot and of one model's routable replicas on a
+/// node: the packed key holds 32 and 31 bits of them, and leaves slot
+/// `u32::MAX` to [`LoadKey::NONE`]. Outstanding work takes 64 bits.
+const SLOT_LIMIT: usize = u32::MAX as usize;
+const NODE_REPLICAS_LIMIT: usize = 1 << 31;
+const _: () = assert!(usize::BITS <= 64);
+
+/// The total order a least-key pick minimizes, packed into one `u128` as
+/// the [module docs](self) lay out: availability, then the locality signal
+/// (more replicas of the model on the node wins), then outstanding work,
+/// then the slot, which is unique, so no two keys tie.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-struct LoadKey {
-    locality: Reverse<usize>,
-    outstanding: usize,
-    slot: usize,
-}
+struct LoadKey(u128);
 
 impl LoadKey {
-    /// Greater than every real key (no real slot is `usize::MAX`): the
+    /// The key of a full candidate, greater than every real key: the
     /// minimum of an empty set.
-    const NONE: LoadKey = LoadKey {
-        locality: Reverse(0),
-        outstanding: usize::MAX,
-        slot: usize::MAX,
-    };
-}
+    const NONE: LoadKey = LoadKey(u128::MAX);
+    const DARK: u128 = 1 << 127;
 
-/// The two minima every load-tree node holds over its leaves.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Minima {
-    /// Least key among available candidates with queue room.
-    clean: LoadKey,
-    /// Least key among candidates with queue room, available or not.
-    open: LoadKey,
-}
-
-impl Minima {
-    const NONE: Minima = Minima {
-        clean: LoadKey::NONE,
-        open: LoadKey::NONE,
-    };
-
-    fn leaf(key: LoadKey, load: SlotLoad) -> Minima {
-        if load.full {
-            return Minima::NONE;
-        }
-        Minima {
-            clean: if load.available { key } else { LoadKey::NONE },
-            open: key,
-        }
+    fn is_dark(self) -> bool {
+        self.0 & LoadKey::DARK != 0
     }
 
-    fn merge(self, other: Minima) -> Minima {
-        Minima {
-            clean: self.clean.min(other.clean),
-            open: self.open.min(other.open),
-        }
+    fn slot(self) -> usize {
+        self.0 as u32 as usize
     }
 }
 
 /// A tournament tree over one model's candidates: `nodes[1]` is the root
 /// and leaf `i` sits at `nodes[width + i]`, where `width` is the candidate
-/// count rounded up to a power of two. Vacant leaves hold [`Minima::NONE`].
+/// count rounded up to a power of two. Every node holds the least key of its
+/// leaves; vacant leaves hold [`LoadKey::NONE`].
 #[derive(Debug, Default)]
 struct LoadTree {
-    nodes: Vec<Minima>,
+    nodes: Vec<LoadKey>,
 }
 
 impl LoadTree {
     /// Rebuilds the tree over `leaves` in O(width).
-    fn rebuild(&mut self, leaves: impl ExactSizeIterator<Item = Minima>) {
+    fn rebuild(&mut self, leaves: impl ExactSizeIterator<Item = LoadKey>) {
         let width = leaves.len().next_power_of_two();
         self.nodes.clear();
-        self.nodes.resize(2 * width, Minima::NONE);
+        self.nodes.resize(2 * width, LoadKey::NONE);
         for (position, leaf) in leaves.enumerate() {
             self.nodes[width + position] = leaf;
         }
         for node in (1..width).rev() {
-            self.nodes[node] = self.nodes[2 * node].merge(self.nodes[2 * node + 1]);
+            self.nodes[node] = self.nodes[2 * node].min(self.nodes[2 * node + 1]);
         }
     }
 
     /// Re-keys one leaf in O(log width), stopping at the first ancestor
-    /// whose minima do not change.
-    fn set(&mut self, position: usize, leaf: Minima) {
+    /// whose minimum does not change.
+    fn set(&mut self, position: usize, leaf: LoadKey) {
         let mut node = self.nodes.len() / 2 + position;
         self.nodes[node] = leaf;
         while node > 1 {
             node /= 2;
-            let merged = self.nodes[2 * node].merge(self.nodes[2 * node + 1]);
-            if self.nodes[node] == merged {
+            let least = self.nodes[2 * node].min(self.nodes[2 * node + 1]);
+            if self.nodes[node] == least {
                 break;
             }
-            self.nodes[node] = merged;
+            self.nodes[node] = least;
         }
     }
 
-    fn root(&self) -> Minima {
-        self.nodes.get(1).copied().unwrap_or(Minima::NONE)
+    fn root(&self) -> LoadKey {
+        self.nodes.get(1).copied().unwrap_or(LoadKey::NONE)
     }
 }
 
@@ -252,7 +233,13 @@ impl ReplicaIndex {
     /// in increasing order (the serving simulator's replica table only ever
     /// grows), which keeps every candidate list sorted without searching.
     /// The new slot starts touched: the next refresh reads its real load.
+    ///
+    /// # Panics
+    ///
+    /// If `slot` is 2³² − 1 or more, or if `model` would reach 2³¹
+    /// routable replicas on `node`: the packed load keys hold neither.
     pub fn insert(&mut self, slot: usize, model: ModelId, node: NodeId, handle: VnpuHandle) {
+        assert!(slot < SLOT_LIMIT, "slot {slot} overflows the load key");
         let entry = SlotEntry {
             model,
             node,
@@ -269,7 +256,7 @@ impl ReplicaIndex {
         );
         index.candidates.push(slot);
         let leaf = index.candidates.len() - 1;
-        *count_mut(&mut index.node_counts, node) += 1;
+        take_node_count(&mut index.node_counts, node);
         self.mark_stale(model);
         self.slots[slot] = SlotEntry {
             leaf: Some(leaf),
@@ -298,6 +285,11 @@ impl ReplicaIndex {
     /// Re-keys a replica whose migration moved it to a new node. Routable
     /// replicas move their locality count with them; a draining replica was
     /// already out of the routable sets and only re-keys its handle.
+    ///
+    /// # Panics
+    ///
+    /// If a routable replica would bring `model` to 2³¹ routable replicas
+    /// on the new node: the packed load keys cannot hold that count.
     pub fn relocate(
         &mut self,
         old_handle: VnpuHandle,
@@ -314,7 +306,7 @@ impl ReplicaIndex {
         }
         if routable {
             self.release_node_count(model, old_handle.node);
-            *count_mut(&mut self.model_mut(model).node_counts, new_handle.node) += 1;
+            take_node_count(&mut self.model_mut(model).node_counts, new_handle.node);
             if self.locality {
                 self.mark_stale(model);
             }
@@ -423,7 +415,7 @@ impl ReplicaIndex {
             index.available =
                 index.available + usize::from(load.available) - usize::from(previous.available);
             let key = load_key(locality, &index.node_counts, slot, entry.node, load);
-            index.tree.set(position, Minima::leaf(key, load));
+            index.tree.set(position, key);
         }
         for model in stale.drain(..) {
             let ModelIndex {
@@ -442,8 +434,7 @@ impl ReplicaIndex {
             }
             tree.rebuild(candidates.iter().map(|&slot| {
                 let entry = &slots[slot];
-                let key = load_key(locality, node_counts, slot, entry.node, entry.load);
-                Minima::leaf(key, entry.load)
+                load_key(locality, node_counts, slot, entry.node, entry.load)
             }));
         }
     }
@@ -464,15 +455,10 @@ impl ReplicaIndex {
             return DispatchDecision::RejectNoReplica;
         };
         let root = index.tree.root();
-        let best = if index.available > 0 {
-            root.clean
-        } else {
-            root.open
-        };
-        if best == LoadKey::NONE {
+        if root == LoadKey::NONE || (index.available > 0 && root.is_dark()) {
             DispatchDecision::RejectOverload
         } else {
-            DispatchDecision::Dispatch(best.slot)
+            DispatchDecision::Dispatch(root.slot())
         }
     }
 
@@ -511,7 +497,8 @@ impl ReplicaIndex {
     }
 }
 
-/// The load-tree key of `slot` on `node`.
+/// The load-tree key of `slot` on `node` under `load`; the locality signal
+/// is constant unless the index serves [`DispatchPolicy::LocalityAffine`].
 fn load_key(
     locality: bool,
     node_counts: &[usize],
@@ -519,25 +506,31 @@ fn load_key(
     node: NodeId,
     load: SlotLoad,
 ) -> LoadKey {
+    if load.full {
+        return LoadKey::NONE;
+    }
     let node_replicas = if locality {
         node_counts.get(node.0 as usize).copied().unwrap_or(0)
     } else {
         0
     };
-    LoadKey {
-        locality: Reverse(node_replicas),
-        outstanding: load.outstanding,
-        slot,
-    }
+    let dark = if load.available { 0 } else { LoadKey::DARK };
+    let affinity = (NODE_REPLICAS_LIMIT - 1 - node_replicas) as u128;
+    LoadKey(dark | affinity << 96 | (load.outstanding as u128) << 32 | slot as u128)
 }
 
-/// The count of `node` in a per-node vector, growing it on first use.
-fn count_mut(counts: &mut Vec<usize>, node: NodeId) -> &mut usize {
+/// Counts one more replica on `node` in a per-node vector, growing it on
+/// first use.
+fn take_node_count(counts: &mut Vec<usize>, node: NodeId) {
     let position = node.0 as usize;
     if counts.len() <= position {
         counts.resize(position + 1, 0);
     }
-    &mut counts[position]
+    counts[position] += 1;
+    assert!(
+        counts[position] < NODE_REPLICAS_LIMIT,
+        "{node} overflows the load key"
+    );
 }
 
 /// The slot cell of `handle`, growing the per-node vectors on first use.
@@ -1100,6 +1093,75 @@ mod tests {
             |decision| decision == DispatchDecision::RejectOverload,
             "a full available replica next to a dark one with room must shed",
         );
+    }
+
+    #[test]
+    fn packed_keys_keep_the_tuple_order() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        // Every full candidate ties at the top; the rest order by
+        // (dark, Reverse(node_replicas), outstanding, slot).
+        let reference = |&(node_replicas, slot, load): &(usize, usize, SlotLoad)| {
+            let room = !load.full;
+            let key = (
+                !load.available,
+                Reverse(node_replicas),
+                load.outstanding,
+                slot,
+            );
+            (load.full, room.then_some(key))
+        };
+        let mut rng = StdRng::seed_from_u64(19);
+        let mut draw = |low: usize, high: usize| match rng.gen_range(0..8u32) {
+            0 => low,
+            1 => high,
+            _ => rng.gen_range(low..low + 4),
+        };
+        let mut leaves: Vec<(usize, usize, SlotLoad)> = (0..400)
+            .map(|_| {
+                let node_replicas = draw(0, NODE_REPLICAS_LIMIT - 1);
+                let slot = draw(0, SLOT_LIMIT - 1);
+                let load = SlotLoad {
+                    outstanding: draw(0, usize::MAX),
+                    full: draw(0, 1) == 1,
+                    available: draw(0, 1) == 0,
+                };
+                (node_replicas, slot, load)
+            })
+            .collect();
+        for node_replicas in [0, NODE_REPLICAS_LIMIT - 1] {
+            for slot in [0, SLOT_LIMIT - 1] {
+                for outstanding in [0, usize::MAX] {
+                    for available in [true, false] {
+                        let load = SlotLoad {
+                            outstanding,
+                            full: false,
+                            available,
+                        };
+                        leaves.push((node_replicas, slot, load));
+                    }
+                }
+            }
+        }
+        let packed = |&(node_replicas, slot, load): &(usize, usize, SlotLoad)| {
+            load_key(true, &[node_replicas], slot, NodeId(0), load)
+        };
+        for a in &leaves {
+            let key = packed(a);
+            if !a.2.full {
+                assert!(key < LoadKey::NONE, "{a:?} must sort below NONE");
+                assert_eq!(key.slot(), a.1, "{a:?}: the slot must round-trip");
+                assert_eq!(key.is_dark(), !a.2.available, "{a:?}: dark bit");
+            }
+            for b in &leaves {
+                assert_eq!(
+                    key.cmp(&packed(b)),
+                    reference(a).cmp(&reference(b)),
+                    "{a:?} vs {b:?}"
+                );
+            }
+        }
     }
 
     #[test]

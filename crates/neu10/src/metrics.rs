@@ -238,13 +238,17 @@ impl QuantileSketch {
             }
             self.spill_to_buckets();
         }
-        self.bucket_record(value);
+        self.bucket_record(value, 1);
     }
 
     /// Folds another sketch into this one. If either side has switched to
     /// sketch mode (or the union overflows the exact cap) the merged result
     /// is in sketch mode; two small exact sketches merge exactly, with
     /// `other`'s samples appended after `self`'s.
+    ///
+    /// Buckets of equal `α` add index by index. When the two `α` differ,
+    /// each of `other`'s buckets is re-recorded at its midpoint, so a merged
+    /// quantile is within `(1+α_self)(1+α_other) − 1` of exact.
     pub fn merge(&mut self, other: &QuantileSketch) {
         if other.count == 0 {
             return;
@@ -265,7 +269,14 @@ impl QuantileSketch {
         }
         if other.is_exact() {
             for &value in &other.exact {
-                self.bucket_record(value);
+                self.bucket_record(value, 1);
+            }
+        } else if other.alpha != self.alpha {
+            self.zero_count += other.zero_count;
+            for (index, &n) in other.buckets.iter().enumerate() {
+                if n > 0 {
+                    self.bucket_record(other.bucket_value(index), n);
+                }
             }
         } else {
             self.zero_count += other.zero_count;
@@ -369,20 +380,21 @@ impl QuantileSketch {
         // sample lands in the zero bucket.
         self.buckets.resize(1, 0);
         for value in retained {
-            self.bucket_record(value);
+            self.bucket_record(value, 1);
         }
     }
 
-    fn bucket_record(&mut self, value: u64) {
+    /// Counts `n` samples of `value` in its bucket.
+    fn bucket_record(&mut self, value: u64, n: u64) {
         if value == 0 {
-            self.zero_count += 1;
+            self.zero_count += n;
             return;
         }
         let index = ((value as f64).ln() / self.ln_gamma).ceil().max(0.0) as usize;
         if index >= self.buckets.len() {
             self.buckets.resize(index + 1, 0);
         }
-        self.buckets[index] += 1;
+        self.buckets[index] += n;
     }
 
     /// The midpoint of bucket `index`, `2γ^i/(γ+1)`, clamped to the exact
@@ -689,6 +701,30 @@ mod tests {
         assert!(!a.is_exact());
         assert_eq!(a.count(), 106);
         assert_eq!(a.max(), 300);
+    }
+
+    #[test]
+    fn sketch_merge_across_alphas_keeps_both_bounds() {
+        // Regression: buckets used to add index by index, though bucket i
+        // means γ^i of each sketch's own γ.
+        let small: Vec<u64> = (1_000..=2_000).collect();
+        let large: Vec<u64> = (1_000..=2_000).map(|v| v * 1_000).collect();
+        let mut merged = QuantileSketch::with_config(4, 0.01);
+        let mut coarse = QuantileSketch::with_config(4, 0.2);
+        small.iter().for_each(|&v| merged.record(v));
+        large.iter().for_each(|&v| coarse.record(v));
+        merged.merge(&coarse);
+        assert_eq!(merged.count(), 2_002);
+        let all = [small, large].concat();
+        let bound = (1.0 + 0.01) * (1.0 + 0.2) - 1.0;
+        for p in [1.0, 25.0, 50.0, 60.0, 75.0, 90.0, 99.0] {
+            let exact = percentile(&all, p);
+            let estimate = merged.percentile(p);
+            assert!(
+                (estimate as f64 - exact as f64).abs() <= bound * exact as f64 + 1.0,
+                "p{p}: {estimate} vs exact {exact}"
+            );
+        }
     }
 
     #[test]
