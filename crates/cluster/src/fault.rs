@@ -155,8 +155,9 @@ impl FaultSchedule {
     }
 
     /// Draws a schedule from `profile` over `[0, horizon)` across `nodes`
-    /// boards, seeded. Injection times land in the middle 80% of the horizon
-    /// so faults hit a warmed-up fleet rather than an empty one.
+    /// boards, seeded. Injection times land in `[horizon/10, horizon)`, past
+    /// the first tenth of the horizon, so faults hit a warmed-up fleet
+    /// rather than an empty one.
     pub fn generate(seed: u64, horizon: u64, nodes: u32, profile: &FaultProfile) -> Self {
         let mut rng = StdRng::seed_from_u64(seed);
         let nodes = nodes.max(1);

@@ -81,6 +81,7 @@ pub mod obs;
 mod par;
 pub mod placement;
 pub mod router;
+mod sampler;
 pub mod serving;
 mod sharded;
 pub mod telemetry;

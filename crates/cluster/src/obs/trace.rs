@@ -7,6 +7,7 @@ use crate::migration::{MigrationMode, MigrationRecord};
 use crate::obs::{
     AlertKind, AlertTransition, FleetCounters, Metric, MetricsRegistry, ObsSink, RejectReason,
 };
+use crate::sampler::splitmix64;
 use crate::telemetry::{ControlAction, TelemetryFrame};
 use crate::NodeId;
 
@@ -168,14 +169,6 @@ impl ControlKind {
             ControlKind::Migrate => "migrate",
         }
     }
-}
-
-/// SplitMix64: the deterministic, stateless sampling hash.
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// The structured trace recorder: an [`ObsSink`] that collects span records

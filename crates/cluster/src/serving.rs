@@ -22,16 +22,20 @@
 //! whose coefficient of variation is calibrated from
 //! [`neu10::CollocationSim`] per-request latencies
 //! ([`neu10::calibrate_service_time`]), so fleet tail latencies reflect
-//! multi-tenant service-time noise rather than queueing alone. Runs are
-//! reproducible: the same seed yields an identical [`ServingReport`].
+//! multi-tenant service-time noise rather than queueing alone. Each replica
+//! draws one factor per batch from its own counter-based stream, keyed by the
+//! seed and the replica's identity, through a shared lognormal quantile
+//! table. Runs are reproducible: the same seed yields an identical
+//! [`ServingReport`].
 //!
 //! Migrations can be scheduled mid-run in either [`MigrationMode`]. A **cold**
 //! migration drains its in-flight batch, goes dark for the full transfer +
 //! remap window, and resumes on the destination node — with the whole
 //! downtime charged to the latency of the requests queued behind it. A
-//! **live pre-copy** migration keeps the source replica serving (and
-//! dispatchable) while copy-round events stream its resident state over the
-//! interconnect — round 0 the full working set, each further round the pages
+//! **live pre-copy** migration keeps the source replica serving its queue
+//! while copy-round events stream its resident state over the interconnect,
+//! and dispatch steers new requests to any clean replica of the model
+//! meanwhile — round 0 copies the full working set, each further round the pages
 //! the served requests re-dirtied, priced by the cost model's
 //! [`crate::migration::DirtyRateModel`]. Concurrent transfers over the same
 //! board-to-board link serialize (bandwidth contention is charged against
@@ -60,8 +64,6 @@ use neu10::{
     TenantWorkload,
 };
 use npu_sim::{Cycles, DirtySet, NpuConfig, NpuConfigKey};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use workloads::{ClusterTrace, ModelId, PriorityClass, RequestArrival};
 
 use crate::cluster::{DeploySpec, DeployedVnpu, NpuCluster, VnpuHandle};
@@ -75,6 +77,7 @@ use crate::router::{
     AdmissionControl, DispatchDecision, DispatchPolicy, ReplicaIndex, ReplicaView, Router,
     RouterStats, SlotLoad,
 };
+use crate::sampler::{Lognormal, ServiceStream};
 use crate::sharded::ShardPlan;
 use crate::telemetry::{
     ControlAction, ControlPlane, ControlStats, ModelSample, NoopControl, ReplicaSample,
@@ -98,7 +101,8 @@ pub struct ScheduledMigration {
 /// Seeded service-time dispersion settings.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StochasticService {
-    /// RNG seed; runs with the same seed produce identical reports.
+    /// Seed of every replica's service-time stream; runs with the same seed
+    /// produce identical reports.
     pub seed: u64,
     /// Requests per tenant in the [`neu10::CollocationSim`] calibration run
     /// that measures the dispersion.
@@ -167,15 +171,6 @@ pub struct ServingOptions {
     /// Failure detection + failover policy; `None` injects faults without
     /// recovering from them (the chaos baseline).
     pub recovery: Option<RecoveryPolicy>,
-    /// Steer new requests away from replicas whose live migration is in
-    /// flight (stop-and-copy imminent) while any clean replica exists.
-    pub migration_aware_dispatch: bool,
-    /// Re-dispatch failover orphans in earliest-deadline-first order
-    /// (priority class, then deadline, then admission sequence) instead of
-    /// admission order, so the tightest-deadline orphans reach surviving
-    /// replicas first. Off by default: the order changes queue contents
-    /// after a failover, and locked golden runs predate it.
-    pub failover_edf: bool,
 }
 
 impl ServingOptions {
@@ -194,8 +189,6 @@ impl ServingOptions {
             slo: None,
             faults: None,
             recovery: None,
-            migration_aware_dispatch: false,
-            failover_edf: false,
         }
     }
 
@@ -291,25 +284,6 @@ impl ServingOptions {
     /// without it no frame is ever missed and nothing is detected.
     pub fn with_recovery(mut self, recovery: RecoveryPolicy) -> Self {
         self.recovery = Some(recovery);
-        self
-    }
-
-    /// Steers new requests away from replicas with a live migration in
-    /// flight (their stop-and-copy dark window is imminent) while any clean
-    /// replica exists — the same soft-avoid mechanism failover uses to drain
-    /// dying boards. Off by default: avoidance changes dispatch decisions,
-    /// and locked golden runs predate it.
-    pub fn with_migration_aware_dispatch(mut self) -> Self {
-        self.migration_aware_dispatch = true;
-        self
-    }
-
-    /// Re-dispatches failover orphans earliest-deadline-first: higher
-    /// priority classes first, then the nearest deadline, then admission
-    /// order. Cuts orphan deadline misses when a dead board strands a mixed
-    /// queue. Off by default: locked golden runs predate it.
-    pub fn with_failover_edf(mut self) -> Self {
-        self.failover_edf = true;
         self
     }
 }
@@ -565,8 +539,11 @@ struct ReplicaSim {
     /// Shared with every replica of the same (model, allocation, board)
     /// shape through the [`CalibrationCache`].
     batch_cycles: Arc<[u64]>,
-    /// Calibrated service-time dispersion (`None` = deterministic).
-    dispersion: Option<Lognormal>,
+    /// Calibrated service-time dispersion (`None` = deterministic), shared
+    /// by every replica of the same σ.
+    dispersion: Option<Arc<Lognormal>>,
+    /// The replica's own service-time stream; it moves with the replica.
+    stream: ServiceStream,
     queue: ReplicaQueue,
     /// The batch in service with its (start, finish) times.
     in_service: Option<(Vec<QueuedRequest>, u64, u64)>,
@@ -595,12 +572,12 @@ struct ReplicaSim {
 impl ReplicaSim {
     /// Whether new work may land here now: the one availability predicate
     /// of arrival dispatch and failover re-dispatch alike. A replica is out
-    /// while dark or draining toward a stop-and-copy and — under
-    /// migration-aware dispatch — while its pre-copy is in flight.
-    fn dispatchable(&self, now: u64, avoid_migrating: bool) -> bool {
-        now >= self.available_at
-            && self.pending_migration.is_none()
-            && !(avoid_migrating && self.precopy.is_some())
+    /// while dark, while draining toward a stop-and-copy and while its live
+    /// pre-copy is in flight: its stop-and-copy dark window is imminent, so
+    /// new requests steer to any clean replica — the same soft-avoid
+    /// mechanism failover uses to drain dying boards.
+    fn dispatchable(&self, now: u64) -> bool {
+        now >= self.available_at && self.pending_migration.is_none() && self.precopy.is_none()
     }
 
     /// The replica's load as the dispatch index keys it.
@@ -608,7 +585,7 @@ impl ReplicaSim {
         SlotLoad {
             outstanding: self.queue.len() + self.in_flight(),
             full: self.queue.len() >= state.max_queue_depth,
-            available: self.dispatchable(now, state.avoid_migrating),
+            available: self.dispatchable(now),
         }
     }
 
@@ -645,7 +622,6 @@ struct ServeState {
     max_batch: usize,
     max_batch_wait: Option<u64>,
     drop_expired: bool,
-    rng: Option<StdRng>,
     deadline: DeadlineStats,
     batches: usize,
     /// Whether the telemetry bus is on (per-model windows accumulate).
@@ -674,8 +650,6 @@ struct ServeState {
     /// Chaos bookkeeping; `None` unless [`ServingOptions::with_faults`]
     /// scheduled faults. The fault-free hot path pays one discriminant check.
     chaos: Option<ChaosState>,
-    /// [`ServingOptions::migration_aware_dispatch`].
-    avoid_migrating: bool,
     /// The admission limit: a replica with this many queued requests is full.
     max_queue_depth: usize,
 }
@@ -871,46 +845,12 @@ pub fn estimated_service_cycles(model: ModelId, mes: usize, ves: usize, npu: &Np
     estimated_batch_service_cycles(model, 1, mes, ves, npu)
 }
 
-/// The lognormal service-time dispersion of one calibrated replica shape:
-/// mean 1, with `σ² = ln(1 + cv²)` and `σ` computed once per calibration, so
-/// a draw takes no logarithm or root of the cv.
-#[derive(Debug, Clone, Copy)]
-struct Lognormal {
-    sigma_sq: f64,
-    sigma: f64,
-}
-
-impl Lognormal {
-    /// The dispersion of coefficient of variation `cv`; `None` for a
-    /// degenerate one (zero, negative or non-finite), whose replicas serve
-    /// deterministically and draw nothing from the generator.
-    fn from_cv(cv: f64) -> Option<Self> {
-        if cv <= 0.0 || !cv.is_finite() {
-            return None;
-        }
-        let sigma_sq = (1.0 + cv * cv).ln();
-        Some(Lognormal {
-            sigma_sq,
-            sigma: sigma_sq.sqrt(),
-        })
-    }
-}
-
-/// A lognormal multiplier of the given dispersion, drawn via Box–Muller
-/// from the seeded generator.
-fn lognormal_factor(rng: &mut StdRng, dispersion: Lognormal) -> f64 {
-    let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
-    let u2: f64 = rng.gen_range(0.0..1.0);
-    let z = (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos();
-    (-0.5 * dispersion.sigma_sq + dispersion.sigma * z).exp()
-}
-
 /// The per-(model, allocation, board) service calibration: batch service
 /// times for every batch size up to `max_batch` (shared, never re-cloned),
 /// plus the stochastic dispersion when enabled.
 struct CalibrationEntry {
     batch_cycles: Arc<[u64]>,
-    dispersion: Option<Lognormal>,
+    dispersion: Option<Arc<Lognormal>>,
 }
 
 /// The key of one calibration: the replica shape, with the board identified
@@ -956,7 +896,7 @@ impl CalibrationCache {
         mes: usize,
         ves: usize,
         npu: &NpuConfig,
-    ) -> (Arc<[u64]>, Option<Lognormal>) {
+    ) -> (Arc<[u64]>, Option<Arc<Lognormal>>) {
         let key = (model, mes, ves, npu.cache_key());
         let max_batch = self.max_batch;
         let stochastic = self.stochastic;
@@ -984,7 +924,7 @@ impl CalibrationCache {
                 dispersion,
             }
         });
-        (Arc::clone(&entry.batch_cycles), entry.dispersion)
+        (Arc::clone(&entry.batch_cycles), entry.dispersion.clone())
     }
 
     /// Builds the simulator-side state of one deployed replica.
@@ -1008,6 +948,11 @@ impl CalibrationCache {
             model: deployment.model,
             batch_cycles,
             dispersion,
+            stream: ServiceStream::new(
+                self.stochastic.map_or(0, |stochastic| stochastic.seed),
+                deployment.handle,
+                now,
+            ),
             queue: ReplicaQueue::new(self.edf),
             in_service: None,
             available_at: now,
@@ -1289,6 +1234,9 @@ pub(crate) struct MigrationEnvelope {
     pub(crate) to_node: NodeId,
     pub(crate) spec: DeploySpec,
     queue: Vec<QueuedRequest>,
+    /// The replica's service-time stream, key and counter: it resumes on
+    /// the destination exactly where it stopped.
+    stream: ServiceStream,
     pub(crate) ready_at: u64,
     record: MigrationRecord,
     /// True once the destination rejected the import and the envelope was
@@ -1320,7 +1268,9 @@ impl ShardContext {
 }
 
 /// One partition of the serving event loop: a set of boards with its own
-/// event heap, replica table, router, RNG and accumulators.
+/// event heap, replica table, router and accumulators. Service-time draws
+/// come from each replica's own stream, so they do not depend on the
+/// partition.
 ///
 /// The sequential `run*` entry points drive a single partition owning the
 /// whole cluster to completion in one unbounded round; the sharded runner
@@ -1411,7 +1361,6 @@ impl<'a> PartitionSim<'a> {
             max_batch,
             max_batch_wait: options.max_batch_wait,
             drop_expired: options.drop_expired,
-            rng: options.stochastic.map(|s| StdRng::seed_from_u64(s.seed)),
             deadline: DeadlineStats::default(),
             batches: 0,
             sampling: sample_interval.is_some(),
@@ -1428,7 +1377,6 @@ impl<'a> PartitionSim<'a> {
                 .faults
                 .as_ref()
                 .map(|schedule| ChaosState::new(schedule, options.recovery)),
-            avoid_migrating: options.migration_aware_dispatch,
             max_queue_depth: options.admission.max_queue_depth,
         };
         let mut events = EventQueue::default();
@@ -1810,7 +1758,6 @@ impl<'a> PartitionSim<'a> {
                             views,
                             now,
                             &options.cost_model,
-                            options.failover_edf,
                             events,
                             links,
                             state,
@@ -1987,7 +1934,7 @@ impl<'a> PartitionSim<'a> {
                         node: replica.handle.node,
                         queue_len: replica.queue.len(),
                         in_flight: replica.in_flight(),
-                        unavailable: !replica.dispatchable(now, state.avoid_migrating),
+                        unavailable: !replica.dispatchable(now),
                         node_replicas: 0,
                     });
                 }
@@ -2163,7 +2110,6 @@ impl<'a> PartitionSim<'a> {
         views: &mut Vec<ReplicaView>,
         now: u64,
         cost_model: &MigrationCostModel,
-        failover_edf: bool,
         events: &mut EventQueue,
         links: &mut LinkSchedule,
         state: &mut ServeState,
@@ -2308,17 +2254,13 @@ impl<'a> PartitionSim<'a> {
                 }
             }
 
-            // Re-dispatch the orphans in admission order — or, with
-            // `failover_edf`, earliest-deadline-first so the tightest
-            // deadlines reach surviving capacity ahead of best-effort
-            // backlog. A request past its deadline is dropped with the
-            // normal expiry accounting; one no surviving replica can take is
-            // lost — with a fault attribution, never silently.
-            if failover_edf {
-                orphans.sort_by_key(|(_, request)| request.edf_key());
-            } else {
-                orphans.sort_by_key(|(_, request)| request.sequence);
-            }
+            // Re-dispatch the orphans earliest-deadline-first (priority
+            // class, then deadline, then admission sequence), so the
+            // tightest deadlines reach surviving capacity ahead of
+            // best-effort backlog. A request past its deadline is dropped
+            // with the normal expiry accounting; one no surviving replica
+            // can take is lost — with a fault attribution, never silently.
+            orphans.sort_by_key(|(_, request)| request.edf_key());
             chaos.stats.orphaned += orphans.len() as u64;
             let mut redispatched_here = 0u64;
             for (dead_slot, request) in orphans {
@@ -2877,9 +2819,9 @@ impl<'a> PartitionSim<'a> {
         let mut batch = state.batch_pool.pop().unwrap_or_default();
         replica.queue.drain_into(size, &mut batch);
         let base = replica.batch_cycles[size - 1];
-        let factor = match (&mut state.rng, replica.dispersion) {
-            (Some(rng), Some(dispersion)) => lognormal_factor(rng, dispersion),
-            _ => 1.0,
+        let factor = match &replica.dispersion {
+            Some(dispersion) => dispersion.sample(replica.stream.next_word()),
+            None => 1.0,
         };
         let mut service = ((base as f64 * factor) as u64).max(1);
         // A straggler window inflates every batch *started* on the board.
@@ -3107,6 +3049,7 @@ impl<'a> PartitionSim<'a> {
             to_node: to,
             spec,
             queue,
+            stream: replica.stream,
             ready_at,
             record,
             bounced: false,
@@ -3147,6 +3090,7 @@ impl<'a> PartitionSim<'a> {
         let mut sim = self.cache.replica_sim(cluster, &deployment, barrier);
         let resume_at = envelope.ready_at.max(barrier);
         sim.available_at = resume_at;
+        sim.stream = envelope.stream;
         for request in envelope.queue {
             sim.enqueue(request);
         }
@@ -3282,7 +3226,6 @@ impl<'a> PartitionSim<'a> {
             &mut self.views,
             now,
             &self.options.cost_model,
-            self.options.failover_edf,
             &mut self.events,
             &mut self.links,
             &mut self.state,
@@ -4209,11 +4152,11 @@ mod tests {
     fn migration_aware_dispatch_cuts_dark_window_misses() {
         // A live migration streams ~17 GB over a fast link while background
         // deadline traffic trickles in; a burst lands just before the
-        // stop-and-copy pause (~371k cycles in). The unaware router keeps
-        // packing the replica that is about to go dark, stranding part of
-        // the burst in its queue through the pause; the aware router steers
-        // the whole burst to the untouched replica, which drains it within
-        // the deadline slack.
+        // stop-and-copy pause (~371k cycles in). A router that kept packing
+        // the replica about to go dark stranded 3 of the 34 requests in its
+        // queue through the pause; dispatch steers the whole burst to the
+        // untouched replica instead, which drains it within the deadline
+        // slack.
         use npu_sim::InterconnectConfig;
         let service = estimated_service_cycles(ModelId::Mnist, 2, 2, &NpuConfig::single_core());
         let cost = MigrationCostModel {
@@ -4229,7 +4172,7 @@ mod tests {
                 ..PreCopyConfig::default()
             },
         };
-        let run = |aware: bool| {
+        let report = {
             let mut fleet = NpuCluster::homogeneous(3, &NpuConfig::single_core());
             let spec = DeploySpec::replica(ModelId::Mnist, 2, 2);
             let a = fleet.deploy(spec, PlacementPolicy::WorstFit).unwrap();
@@ -4256,31 +4199,171 @@ mod tests {
                 arrivals.sort_by_key(|arrival| arrival.at);
                 arrivals
             });
-            let mut options = ServingOptions::new(DispatchPolicy::RoundRobin)
+            let options = ServingOptions::new(DispatchPolicy::RoundRobin)
                 .with_live_migration(Cycles(service), a, spare)
                 .with_cost_model(cost.clone());
-            if aware {
-                options = options.with_migration_aware_dispatch();
-            }
             ClusterServingSim::new(options).run(&mut fleet, &trace)
         };
-        let plain = run(false);
-        let aware = run(true);
-        assert_eq!(plain.migrations.len(), 1);
-        assert_eq!(aware.migrations.len(), 1);
-        assert_eq!(plain.stats.completed, plain.stats.admitted);
-        assert_eq!(aware.stats.completed, aware.stats.admitted);
-        let misses = |r: &ServingReport| r.deadline.missed + r.deadline.dropped;
-        assert!(
-            misses(&plain) > 0,
-            "the unaware router must strand part of the burst in the dark window"
+        assert_eq!(report.migrations.len(), 1);
+        assert_eq!(report.stats.admitted, 34);
+        assert_eq!(report.stats.completed, 34);
+        assert_eq!(
+            report.deadline,
+            DeadlineStats {
+                with_deadline: 34,
+                met: 34,
+                missed: 0,
+                dropped: 0,
+            },
+            "steering away from the migrating replica must keep every deadline"
         );
+    }
+
+    /// Service-time stream identity (a): on a board that releases one
+    /// replica and then deploys another, every replica the run created
+    /// draws from its own key, and no two share a (first handle, deploy
+    /// cycle) identity.
+    #[test]
+    fn every_replica_of_a_run_draws_from_a_distinct_stream() {
+        let service = estimated_service_cycles(ModelId::Mnist, 2, 2, &NpuConfig::single_core());
+        let (mut fleet, handles) = fleet_with_replicas(1, 2);
+        let scale_up = || ControlAction::ScaleUp {
+            spec: DeploySpec::replica(ModelId::Mnist, 2, 2),
+            placement: PlacementPolicy::WorstFit,
+        };
+        let mut script = Script {
+            at: vec![
+                (1, vec![ControlAction::ScaleDown { handle: handles[1] }]),
+                (4, vec![scale_up()]),
+                (6, vec![ControlAction::ScaleDown { handle: handles[0] }]),
+                (9, vec![scale_up()]),
+            ],
+            tick: 0,
+        };
+        let options = ServingOptions::new(DispatchPolicy::LeastLoaded)
+            .with_telemetry(service * 2)
+            .with_stochastic(StochasticService::seeded(9).with_cv(0.3));
+        let trace = burst_trace(40, service);
+        let mut partition = PartitionSim::new(options, &mut fleet, trace.arrivals());
+        partition.step_until(u64::MAX, &mut fleet, &mut script, &mut NoopSink);
+        let replicas = &partition.replicas;
+        assert_eq!(replicas.len(), 4, "two initial replicas and two scale-ups");
+        assert_eq!(partition.state.control.released, 2);
+        assert!(replicas.iter().all(|r| r.handle.node == NodeId(0)));
+        let keys: BTreeSet<u64> = replicas.iter().map(|r| r.stream.key()).collect();
+        assert_eq!(keys.len(), replicas.len(), "a stream key per replica");
+        let identities: BTreeSet<(VnpuHandle, u64)> = replicas
+            .iter()
+            .map(|r| (r.handle, r.activated_at))
+            .collect();
+        assert_eq!(identities.len(), replicas.len());
         assert!(
-            misses(&aware) < misses(&plain),
-            "steering away from the migrating replica must cut deadline misses ({} vs {})",
-            misses(&aware),
-            misses(&plain)
+            replicas.iter().all(|r| r.stream.drawn() > 0),
+            "every replica served"
         );
+    }
+
+    /// Records each batch's service span for the stream-continuity test.
+    #[derive(Default)]
+    struct ServiceSpans(Vec<(u64, u64, NodeId)>);
+
+    impl ObsSink for ServiceSpans {
+        fn active(&self) -> bool {
+            true
+        }
+
+        fn on_service_batch(
+            &mut self,
+            start: u64,
+            finish: u64,
+            _: ModelId,
+            node: NodeId,
+            _: usize,
+            _: usize,
+        ) {
+            self.0.push((start, finish, node));
+        }
+    }
+
+    /// Service-time stream identity (b): a replica moved by a cold
+    /// migration, a live pre-copy and a cross-partition envelope keeps its
+    /// key and counter, so its n-th batch anywhere draws counter n of the
+    /// stream it was first deployed with.
+    #[test]
+    fn a_migrating_replica_keeps_its_stream_key_and_counter() {
+        let npu = NpuConfig::single_core();
+        let service = estimated_service_cycles(ModelId::Mnist, 2, 2, &npu);
+        let (seed, cv) = (21, 0.3);
+        let node = |id| NodeId(id);
+        let at = |vnpu, on| VnpuHandle {
+            node: node(on),
+            vnpu: neu10::VnpuId(vnpu),
+        };
+        // A fast fabric: each move completes within a few service times.
+        let fabric = MigrationCostModel::default()
+            .with_interconnect(npu_sim::InterconnectConfig::tpu_v4_ici().with_bandwidth(1.0e15));
+        let options = ServingOptions::new(DispatchPolicy::LeastLoaded)
+            .with_stochastic(StochasticService::seeded(seed).with_cv(cv))
+            .with_cost_model(fabric)
+            // Cold 0 → 1, then pre-copy 1 → 0 (board 0 hands out id 1), then
+            // 0 → 2, which crosses into the second partition of a 2-way split.
+            .with_migration(Cycles(service * 10), at(0, 0), node(1))
+            .with_live_migration(Cycles(service * 30), at(0, 1), node(0))
+            .with_migration(Cycles(service * 60), at(1, 0), node(2));
+        let trace = burst_trace(120, service * 3 / 4);
+        let table = Lognormal::from_cv(cv).expect("positive cv");
+        let expected = |count: usize| -> Vec<u64> {
+            let mut stream = ServiceStream::new(seed, at(0, 0), 0);
+            (0..count)
+                .map(|_| ((service as f64 * table.sample(stream.next_word())) as u64).max(1))
+                .collect()
+        };
+        let check = |report: &ServingReport, mut spans: Vec<(u64, u64, NodeId)>, moves: usize| {
+            assert_eq!(report.migrations.len(), moves, "{:?}", report.migrations);
+            spans.sort_unstable();
+            let nodes: BTreeSet<NodeId> = spans.iter().map(|span| span.2).collect();
+            assert_eq!(
+                nodes.len(),
+                moves.min(2) + 1,
+                "the replica served on every board"
+            );
+            let served: Vec<u64> = spans
+                .iter()
+                .map(|(start, finish, _)| finish - start)
+                .collect();
+            assert_eq!(served, expected(served.len()), "batch n draws counter n");
+        };
+
+        // Sequential: the cold and the pre-copy move.
+        let mut fleet = NpuCluster::homogeneous(4, &npu);
+        fleet
+            .deploy_pinned(DeploySpec::replica(ModelId::Mnist, 2, 2), node(0))
+            .unwrap();
+        let mut spans = ServiceSpans::default();
+        let report =
+            ClusterServingSim::new(options.clone()).run_observed(&mut fleet, &trace, &mut spans);
+        check(&report, spans.0, 3);
+        assert_eq!(report.migrations[1].mode, MigrationMode::PreCopy);
+
+        // Sharded over two partitions: the last move travels as an envelope.
+        let mut fleet = NpuCluster::homogeneous(4, &npu);
+        fleet
+            .deploy_pinned(DeploySpec::replica(ModelId::Mnist, 2, 2), node(0))
+            .unwrap();
+        let mut sinks: Vec<ServiceSpans> = Vec::new();
+        let report = ClusterServingSim::new(options).run_sharded_observed(
+            &mut fleet,
+            &trace,
+            crate::ShardOptions::new(2),
+            &mut sinks,
+        );
+        assert_eq!(sinks.len(), 2);
+        check(
+            &report,
+            sinks.into_iter().flat_map(|sink| sink.0).collect(),
+            3,
+        );
+        assert_eq!(report.migrations[2].to, node(2));
     }
 
     #[test]
@@ -4334,7 +4417,6 @@ mod tests {
         let options = ServingOptions::new(DispatchPolicy::LeastLoaded)
             .with_live_migration(Cycles(service), b, spare)
             .with_cost_model(cost)
-            .with_migration_aware_dispatch()
             .with_faults(faults)
             .with_telemetry(service * 5)
             .with_recovery(RecoveryPolicy::new(2));

@@ -334,8 +334,8 @@ fn drive<S: ObsSink + Send + Default>(
     migration_times.dedup();
 
     // Per-partition options: each partition keeps the scheduled migrations
-    // and faults of the boards it owns, and (for stochastic service) a seed
-    // derived from its index — partition 0 keeps the base seed.
+    // and faults of the boards it owns. The seed is shared: every replica
+    // draws from its own stream, so no partition index reaches a draw.
     let per_partition_options: Vec<ServingOptions> = (0..partitions)
         .map(|index| {
             let mut opts = options.clone();
@@ -354,13 +354,6 @@ fn drive<S: ObsSink + Send + Default>(
                         acc.with_fault(event.at, event.kind)
                     })
             });
-            if index > 0 {
-                if let Some(stochastic) = &mut opts.stochastic {
-                    stochastic.seed = stochastic
-                        .seed
-                        .wrapping_add((index as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-                }
-            }
             opts
         })
         .collect();

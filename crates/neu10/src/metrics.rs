@@ -1,7 +1,10 @@
 //! Latency / throughput / utilization metrics used by the evaluation
 //! harnesses.
 
+use std::sync::Arc;
+
 use npu_sim::{Cycles, Frequency};
+use workloads::Memo;
 
 /// Returns the `p`-th percentile (0–100) of `values` using the nearest-rank
 /// definition: the smallest sample whose ordinal rank is at least
@@ -114,11 +117,18 @@ impl LatencySummary {
 /// a relative error of `α` of the exact nearest-rank answer (±1 cycle of
 /// integer rounding). Count, min, max and the mean (via a running sum) stay
 /// exact in both modes.
+///
+/// A value's bucket is `⌈ln v / ln γ⌉`, but a record computes no logarithm:
+/// it looks the bucket up in a boundary table built once per `α` per
+/// process. Debug builds check every lookup against the formula.
 #[derive(Debug, Clone)]
 pub struct QuantileSketch {
     exact_cap: usize,
     alpha: f64,
     ln_gamma: f64,
+    /// The shared boundary table of `alpha`, fetched on the switch to
+    /// sketch mode.
+    bounds: Option<Arc<BucketBounds>>,
     /// Retained raw samples while in exact mode; drained into `buckets` on
     /// the record that crosses `exact_cap`.
     exact: Vec<u64>,
@@ -162,7 +172,8 @@ impl QuantileSketch {
         QuantileSketch {
             exact_cap: exact_cap.max(1),
             alpha,
-            ln_gamma: gamma.ln(),
+            ln_gamma: gamma.ln(), // simlint::allow(D4, reason = "once per sketch; records use the boundary table")
+            bounds: None,
             exact: Vec::new(),
             buckets: Vec::new(),
             zero_count: 0,
@@ -390,7 +401,16 @@ impl QuantileSketch {
             self.zero_count += n;
             return;
         }
-        let index = ((value as f64).ln() / self.ln_gamma).ceil().max(0.0) as usize;
+        let (alpha, ln_gamma) = (self.alpha, self.ln_gamma);
+        let index = self
+            .bounds
+            .get_or_insert_with(|| BucketBounds::shared(alpha, ln_gamma))
+            .index(value);
+        debug_assert_eq!(
+            index,
+            formula_index(value, ln_gamma),
+            "boundary table diverged from the formula at {value}"
+        );
         if index >= self.buckets.len() {
             self.buckets.resize(index + 1, 0);
         }
@@ -404,6 +424,155 @@ impl QuantileSketch {
         let mid = 2.0 * gamma.powi(index as i32) / (gamma + 1.0);
         (mid.round() as u64).clamp(self.min, self.max)
     }
+}
+
+/// The log bucket of a positive value, `⌈ln v / ln γ⌉`: the definition the
+/// boundary table reproduces.
+fn formula_index(value: u64, ln_gamma: f64) -> usize {
+    ((value as f64).ln() / ln_gamma).ceil().max(0.0) as usize // simlint::allow(D4, reason = "the reference formula: table builds and debug checks only")
+}
+
+/// The bucket boundaries of one `α`: where [`formula_index`] steps, found
+/// once, so a record finds its bucket with integer operations only.
+///
+/// `upper[i]` is the largest value in bucket `i`. The integers are cut into
+/// cells by their binary exponent and the `cell_bits` mantissa bits below
+/// the leading one; a cell is never wider than one bucket step, so it spans
+/// at most two buckets, and `first` holds the bucket of each cell's smallest
+/// integer. A lookup is then one table read and one boundary comparison.
+struct BucketBounds {
+    upper: Box<[u64]>,
+    cell_bits: u32,
+    first: Box<[u32]>,
+}
+
+impl std::fmt::Debug for BucketBounds {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("BucketBounds")
+            .field("buckets", &self.upper.len())
+            .field("cell_bits", &self.cell_bits)
+            .finish_non_exhaustive()
+    }
+}
+
+/// The process-wide boundary tables, keyed by `α`'s bits.
+static BOUNDS: Memo<u64, BucketBounds> = Memo::new();
+
+impl BucketBounds {
+    /// The shared table of `alpha`, whose `ln γ` is `ln_gamma`.
+    fn shared(alpha: f64, ln_gamma: f64) -> Arc<Self> {
+        BOUNDS.get_or_insert_with(alpha.to_bits(), || {
+            BucketBounds::build((1.0 + alpha) / (1.0 - alpha), ln_gamma)
+        })
+    }
+
+    fn build(gamma: f64, ln_gamma: f64) -> Self {
+        let index = |value: u64| formula_index(value, ln_gamma);
+        let last = index(u64::MAX);
+        let mut upper = Vec::with_capacity(last + 1);
+        for bucket in 1..=last {
+            // The smallest value of `bucket` lies next to γ^(bucket−1).
+            let seed = ((bucket - 1) as f64 * ln_gamma).exp() as u64; // simlint::allow(D4, reason = "boundary table build, once per α per process")
+            upper.push(first_at_least(bucket, seed, index) - 1);
+        }
+        upper.push(u64::MAX);
+        // The widest cell must not exceed one bucket step.
+        let mut cell_bits = 0;
+        while 1.0 / f64::from(1u32 << cell_bits) > gamma - 1.0 {
+            cell_bits += 1;
+        }
+        loop {
+            let mut table = BucketBounds {
+                upper: upper.into_boxed_slice(),
+                cell_bits,
+                first: Box::default(),
+            };
+            let cells = 64usize << cell_bits;
+            let mut first = vec![0u32; cells];
+            let mut spans_one_step = true;
+            for (cell, slot) in first.iter_mut().enumerate() {
+                let Some((low, high)) = table.cell_range(cell) else {
+                    continue;
+                };
+                let bucket = table.upper.partition_point(|&upper| upper < low);
+                *slot = bucket as u32;
+                spans_one_step &= bucket + 1 >= table.upper.partition_point(|&upper| upper < high);
+            }
+            if spans_one_step {
+                table.first = first.into_boxed_slice();
+                return table;
+            }
+            upper = table.upper.into_vec();
+            cell_bits += 1;
+        }
+    }
+
+    /// The smallest and largest integer in `cell`, if it holds any.
+    fn cell_range(&self, cell: usize) -> Option<(u64, u64)> {
+        let bits = self.cell_bits;
+        let exponent = (cell >> bits) as u32;
+        let mantissa = (1u64 << bits) | (cell as u64 & ((1 << bits) - 1));
+        if exponent >= bits {
+            let low = mantissa << (exponent - bits);
+            Some((low, low + ((1u64 << (exponent - bits)) - 1)))
+        } else {
+            let shift = bits - exponent;
+            (mantissa.trailing_zeros() >= shift).then(|| (mantissa >> shift, mantissa >> shift))
+        }
+    }
+
+    /// The bucket of a positive value.
+    fn index(&self, value: u64) -> usize {
+        let bits = self.cell_bits;
+        let exponent = 63 - value.leading_zeros();
+        let mantissa = if exponent >= bits {
+            value >> (exponent - bits)
+        } else {
+            value << (bits - exponent)
+        };
+        let cell = ((exponent as usize) << bits) | (mantissa as usize & ((1 << bits) - 1));
+        let bucket = self.first[cell] as usize;
+        bucket + usize::from(value > self.upper[bucket])
+    }
+}
+
+/// The smallest value whose [`formula_index`] reaches `bucket`, searched
+/// outward from `seed` and then by bisection. Bisection copes with large
+/// values, where many neighbouring integers convert to one `f64`.
+fn first_at_least(bucket: usize, seed: u64, index: impl Fn(u64) -> usize) -> u64 {
+    let probe = seed.max(1);
+    let mut step = 1u64;
+    // Invariant: index(low) < bucket <= index(high); index(1) = 0 < bucket.
+    let (mut low, mut high) = if index(probe) >= bucket {
+        let mut high = probe;
+        loop {
+            let low = high.saturating_sub(step).max(1);
+            if index(low) < bucket {
+                break (low, high);
+            }
+            high = low;
+            step = step.saturating_mul(2);
+        }
+    } else {
+        let mut low = probe;
+        loop {
+            let high = low.saturating_add(step);
+            if index(high) >= bucket {
+                break (low, high);
+            }
+            low = high;
+            step = step.saturating_mul(2);
+        }
+    };
+    while high - low > 1 {
+        let mid = low + (high - low) / 2;
+        if index(mid) >= bucket {
+            high = mid;
+        } else {
+            low = mid;
+        }
+    }
+    high
 }
 
 /// Deadline bookkeeping for a serving run: how many requests carried a
@@ -521,8 +690,8 @@ pub fn geometric_mean(ratios: &[f64]) -> f64 {
     if positive.is_empty() {
         return 1.0;
     }
-    let log_sum: f64 = positive.iter().map(|r| r.ln()).sum();
-    (log_sum / positive.len() as f64).exp()
+    let log_sum: f64 = positive.iter().map(|r| r.ln()).sum(); // simlint::allow(D4, reason = "harness summaries only; never on a serving path")
+    (log_sum / positive.len() as f64).exp() // simlint::allow(D4, reason = "harness summaries only; never on a serving path")
 }
 
 #[cfg(test)]
@@ -725,6 +894,50 @@ mod tests {
                 "p{p}: {estimate} vs exact {exact}"
             );
         }
+    }
+
+    #[test]
+    fn boundary_table_matches_the_formula() {
+        let mut rng = proptest::TestRng::from_name("boundary_table_matches_the_formula");
+        for alpha in [QuantileSketch::DEFAULT_ALPHA, 1e-3, 0.2, 0.5] {
+            let sketch = QuantileSketch::with_config(1, alpha);
+            let bounds = BucketBounds::shared(sketch.alpha, sketch.ln_gamma);
+            let check = |value: u64| {
+                assert_eq!(
+                    bounds.index(value),
+                    formula_index(value, sketch.ln_gamma),
+                    "α {alpha}, value {value}"
+                );
+            };
+            // Every boundary and its neighbours.
+            for &upper in bounds.upper.iter() {
+                for value in [upper.saturating_sub(1), upper, upper.saturating_add(1)] {
+                    check(value.max(1));
+                }
+            }
+            // Seeded values spread over every magnitude of u64.
+            for _ in 0..1_000_000 {
+                let shift = rng.next_u64() % 64;
+                check((rng.next_u64() >> shift).max(1));
+            }
+            check(1);
+            check(u64::MAX);
+        }
+    }
+
+    #[test]
+    fn sketch_mode_records_share_one_table_per_alpha() {
+        let mut a = QuantileSketch::with_config(2, 0.01);
+        let mut b = QuantileSketch::with_config(2, 0.01);
+        for value in [5, 50, 500, 5_000] {
+            a.record(value);
+            b.record(value * 3);
+        }
+        let (Some(ta), Some(tb)) = (&a.bounds, &b.bounds) else {
+            panic!("sketch mode fetches the boundary table");
+        };
+        assert!(Arc::ptr_eq(ta, tb), "one table per α per process");
+        assert!(QuantileSketch::with_config(2, 0.01).bounds.is_none());
     }
 
     #[test]

@@ -13,8 +13,8 @@
 
 use std::sync::Arc;
 
-use npu_sim::{Cycles, NpuConfig};
-use workloads::ModelId;
+use npu_sim::{Cycles, NpuConfig, NpuConfigKey};
+use workloads::{Memo, ModelId};
 
 use crate::metrics::LatencySummary;
 use crate::scheduler::assignment::{
@@ -713,6 +713,10 @@ impl ServiceTimeDistribution {
 /// produce. `interferer` defaults to [`ModelId::Ncf`] (a bandwidth-heavy
 /// recommender) — or [`ModelId::Mnist`] when the model under calibration *is*
 /// NCF — so the measurement is never a synchronized self-collocation.
+///
+/// The result is a pure function of the inputs, so it is memoized for the
+/// life of the process: every serving run and partition that calibrates the
+/// same shape shares one `CollocationSim` run.
 pub fn calibrate_service_time(
     config: &NpuConfig,
     model: ModelId,
@@ -722,18 +726,56 @@ pub fn calibrate_service_time(
     interferer: Option<ModelId>,
     requests: usize,
 ) -> ServiceTimeDistribution {
-    let noisy = interferer.unwrap_or(if model == ModelId::Ncf {
-        ModelId::Mnist
-    } else {
-        ModelId::Ncf
-    });
-    let requests = requests.max(2);
+    let key = CalibrationKey {
+        board: config.cache_key(),
+        model,
+        mes: mes.max(1),
+        ves: ves.max(1),
+        batch: batch.max(1),
+        interferer: interferer.unwrap_or(if model == ModelId::Ncf {
+            ModelId::Mnist
+        } else {
+            ModelId::Ncf
+        }),
+        requests: requests.max(2),
+    };
+    *CALIBRATIONS.get_or_insert_with(key, || calibrate_uncached(config, key))
+}
+
+/// Everything a calibration depends on, with the defaults and clamps of
+/// [`calibrate_service_time`] applied.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+struct CalibrationKey {
+    board: NpuConfigKey,
+    model: ModelId,
+    mes: usize,
+    ves: usize,
+    batch: u64,
+    interferer: ModelId,
+    requests: usize,
+}
+
+/// The process-wide calibration memo behind [`calibrate_service_time`].
+static CALIBRATIONS: Memo<CalibrationKey, ServiceTimeDistribution> = Memo::new();
+
+/// One calibration run: a `CollocationSim` of the target beside its
+/// interferer on `config`.
+fn calibrate_uncached(config: &NpuConfig, key: CalibrationKey) -> ServiceTimeDistribution {
+    let CalibrationKey {
+        model,
+        mes,
+        ves,
+        batch,
+        interferer: noisy,
+        requests,
+        ..
+    } = key;
     let target = TenantSpec {
         vnpu: VnpuId(0),
         model,
-        batch_size: batch.max(1),
-        allocated_mes: mes.max(1),
-        allocated_ves: ves.max(1),
+        batch_size: batch,
+        allocated_mes: mes,
+        allocated_ves: ves,
         priority: 1,
         target_requests: requests,
     };
@@ -741,8 +783,8 @@ pub fn calibrate_service_time(
         vnpu: VnpuId(1),
         model: noisy,
         batch_size: noisy.evaluation_batch_size(),
-        allocated_mes: mes.max(1),
-        allocated_ves: ves.max(1),
+        allocated_mes: mes,
+        allocated_ves: ves,
         priority: 1,
         target_requests: requests,
     };
@@ -957,6 +999,33 @@ mod tests {
         // Deterministic: same inputs, same distribution.
         let again = calibrate_service_time(&cfg, ModelId::Mnist, 2, 2, 32, None, 6);
         assert_eq!(calibrated, again);
+    }
+
+    #[test]
+    fn calibration_is_memoized_and_value_transparent() {
+        let cfg = config();
+        let first = calibrate_service_time(&cfg, ModelId::Dlrm, 1, 3, 8, None, 5);
+        let hits = CALIBRATIONS.hits();
+        let second = calibrate_service_time(&cfg, ModelId::Dlrm, 1, 3, 8, None, 5);
+        assert!(CALIBRATIONS.hits() > hits, "the second call is a memo hit");
+        assert_eq!(first, second);
+        // A fresh CollocationSim run of the same shape gives the same value.
+        let fresh = calibrate_uncached(
+            &cfg,
+            CalibrationKey {
+                board: cfg.cache_key(),
+                model: ModelId::Dlrm,
+                mes: 1,
+                ves: 3,
+                batch: 8,
+                interferer: ModelId::Ncf,
+                requests: 5,
+            },
+        );
+        assert_eq!(second, fresh, "the memo must be value-transparent");
+        // Every input is part of the key.
+        let other = calibrate_service_time(&cfg, ModelId::Dlrm, 1, 3, 8, Some(ModelId::Mnist), 5);
+        assert_ne!(other, second, "the interferer is part of the key");
     }
 
     #[test]

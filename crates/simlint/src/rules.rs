@@ -6,6 +6,7 @@
 //! | `D1` | no `HashMap`/`HashSet` in digest-affecting crates |
 //! | `D2` | no wall-clock (`Instant`/`SystemTime`) or `thread::sleep` outside `crates/bench` and `crates/shims` |
 //! | `D3` | no RNG construction without an explicit seed (`thread_rng`, `from_entropy`, `OsRng`, ...) |
+//! | `D4` | no libm transcendental calls (`ln`, `exp`, `cos`, `powf`, ...) in digest-affecting crates outside audited sites |
 //! | `P1` | no `unwrap()`/`expect()`/`panic!`/`todo!`/`unimplemented!` in library code |
 //! | `S1` | every non-shim library crate root carries `#![forbid(unsafe_code)]` |
 //! | `T1` | no host-concurrency primitives (`Mutex`/`RwLock`/`Condvar`/`mpsc`, `thread::scope`/`spawn`) in digest-affecting crates outside audited, pragma-documented sites |
@@ -41,6 +42,15 @@ pub const RULE_PRAGMA: &str = "PRAGMA";
 /// Crates whose iteration order can reach a `ServingReport`, golden digest
 /// or exported trace — the blast radius of rule `D1`.
 pub const DIGEST_CRATES: &[&str] = &["cluster", "neu10", "autopilot", "workloads", "npu-sim"];
+
+/// The float methods rule `D4` flags: each calls into the platform libm,
+/// whose results IEEE-754 does not pin to the last bit. `sqrt` is exact and
+/// stays allowed.
+const LIBM_METHODS: &[&str] = &[
+    "ln", "log", "log2", "log10", "ln_1p", "exp", "exp2", "exp_m1", "powf", "sin", "cos", "tan",
+    "sin_cos", "asin", "acos", "atan", "atan2", "sinh", "cosh", "tanh", "asinh", "acosh", "atanh",
+    "cbrt", "hypot",
+];
 
 /// Static description of one rule, served by `--explain`.
 #[derive(Debug, Clone, Copy)]
@@ -99,6 +109,30 @@ pub const RULES: &[RuleInfo] = &[
                   seed argument (StdRng::seed_from_u64(seed), splitmix64 stream\n\
                   splitting) so the simulation is a pure function of its inputs.\n\
                   Scope: every non-shim file, test code included.",
+    },
+    RuleInfo {
+        id: "D4",
+        summary: "no libm transcendental calls in digest-affecting crates outside audited sites",
+        explain:
+            "D4 — no libm transcendental calls in digest-affecting crates outside audited sites\n\
+                  \n\
+                  ln, exp, cos, powf and the other transcendental float methods call\n\
+                  the platform libm, whose results IEEE-754 does not pin to the last\n\
+                  bit, so every such call on a digest path ties the golden digests to\n\
+                  one libm. They are also the costliest arithmetic in the serving\n\
+                  loop: a call per service-time draw or per latency-sketch record\n\
+                  is exactly what the one-uniform lognormal table and the sketch's\n\
+                  boundary table removed. sqrt is exact in IEEE-754 and stays\n\
+                  allowed.\n\
+                  Flagged: `.name(...)` method calls and `f64::name` / `f32::name`\n\
+                  paths for ln, log, log2, log10, ln_1p, exp, exp2, exp_m1, powf,\n\
+                  the trig and hyperbolic functions, cbrt and hypot.\n\
+                  Scope: library code of the digest-affecting crates (cluster, neu10,\n\
+                  autopilot, workloads, npu-sim); #[cfg(test)] mods, tests/, benches/\n\
+                  and examples/ are exempt.\n\
+                  A call that runs once per table, calibration or arrival rather\n\
+                  than per draw or record stays behind\n\
+                  `// simlint::allow(D4, reason = \"...\")` saying how often it runs.",
     },
     RuleInfo {
         id: "P1",
@@ -342,6 +376,35 @@ pub fn lint_tokens(ctx: &FileContext, tokens: &[Token], pragmas: &Pragmas) -> Ve
                 );
             }
         }
+        // D4: `.ln(` style method calls and `f64::ln` style paths.
+        if digest_crate
+            && lib_kind
+            && !in_test[code[w].0]
+            && t.kind == TokenKind::Ident
+            && LIBM_METHODS.contains(&t.text.as_str())
+        {
+            let method = w >= 1
+                && code[w - 1].1.is_punct('.')
+                && w + 1 < code.len()
+                && code[w + 1].1.is_punct('(');
+            let path = w >= 3
+                && code[w - 1].1.is_punct(':')
+                && code[w - 2].1.is_punct(':')
+                && (code[w - 3].1.is_ident("f64") || code[w - 3].1.is_ident("f32"));
+            if method || path {
+                report(
+                    &mut findings,
+                    t.line,
+                    "D4",
+                    format!(
+                        "`{}` calls the platform libm in digest-affecting crate `{}` — \
+                         its result is not pinned to the last bit; precompute a table, \
+                         or document how rarely it runs with an allow pragma",
+                        t.text, ctx.crate_name
+                    ),
+                );
+            }
+        }
         // P1: `.unwrap(` / `.expect(` and `panic!` / `todo!` / `unimplemented!`.
         if lib_kind && ctx.kind != FileKind::Bin && !in_test[code[w].0] {
             let dot_call = w >= 1
@@ -572,6 +635,22 @@ mod tests {
         assert_eq!(lint("crates/workloads/src/x.rs", src).len(), 1);
         let seeded = "let mut rng = StdRng::seed_from_u64(7);\n";
         assert_eq!(lint("crates/workloads/src/x.rs", seeded).len(), 0);
+    }
+
+    #[test]
+    fn d4_flags_libm_calls_in_digest_library_code() {
+        let src = "fn f(x: f64) -> f64 { x.ln() + f64::exp(x) + x.sqrt() + x.powi(2) }\n";
+        let findings = lint("crates/neu10/src/x.rs", src);
+        assert_eq!(findings.len(), 2, "{findings:?}");
+        assert!(findings.iter().all(|f| f.rule == "D4"));
+        // Outside the digest crates, and in tests, the same source is fine.
+        assert!(lint("crates/bench/src/x.rs", src).is_empty());
+        assert!(lint("tests/t.rs", src).is_empty());
+        let in_test = "#[cfg(test)]\nmod tests {\n    fn g(x: f64) -> f64 { x.cos() }\n}\n";
+        assert!(lint("crates/cluster/src/x.rs", in_test).is_empty());
+        // A field or a non-call named like a libm function is not a call.
+        let not_calls = "fn f(s: S) -> u64 { s.ln + s.exp.len() }\n";
+        assert!(lint("crates/cluster/src/x.rs", not_calls).is_empty());
     }
 
     #[test]

@@ -75,6 +75,32 @@ fn d3_entropy_seeded_rngs() {
 }
 
 #[test]
+fn d4_libm_calls_in_digest_crates() {
+    assert_pair(
+        "D4",
+        "crates/cluster/src/fixture.rs",
+        include_str!("fixtures/d4_fail.rs"),
+        include_str!("fixtures/d4_pass.rs"),
+    );
+    assert_eq!(
+        lint_as(
+            "crates/cluster/src/fixture.rs",
+            include_str!("fixtures/d4_fail.rs")
+        )
+        .len(),
+        3,
+        "ln, cos and the f64::exp path are each a finding"
+    );
+    // Outside the digest-affecting crates, and in tests, libm is fine.
+    assert!(lint_as(
+        "crates/bench/src/fixture.rs",
+        include_str!("fixtures/d4_fail.rs")
+    )
+    .is_empty());
+    assert!(lint_as("tests/fixture.rs", include_str!("fixtures/d4_fail.rs")).is_empty());
+}
+
+#[test]
 fn p1_panics_in_library_code() {
     assert_pair(
         "P1",

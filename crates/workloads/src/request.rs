@@ -83,7 +83,7 @@ impl RequestStream {
                 (0..count)
                     .map(|_| {
                         let u: f64 = rng.gen_range(f64::EPSILON..1.0);
-                        now += -mean * u.ln();
+                        now += -mean * u.ln(); // simlint::allow(D4, reason = "one exponential gap per generated arrival")
                         Cycles(now as u64)
                     })
                     .collect()

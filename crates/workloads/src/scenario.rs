@@ -43,7 +43,7 @@ fn thinned_arrivals(
     let mut arrivals = Vec::new();
     loop {
         let u: f64 = rng.gen_range(f64::EPSILON..1.0);
-        now += -mean * u.ln();
+        now += -mean * u.ln(); // simlint::allow(D4, reason = "one exponential gap per generated arrival")
         if now >= horizon as f64 {
             return arrivals;
         }
@@ -125,6 +125,7 @@ impl DiurnalTrace {
     pub fn rate_multiplier(&self, t: u64) -> f64 {
         let trough = self.trough_to_peak;
         let phase = (t % self.period) as f64 / self.period as f64;
+        // simlint::allow(D4, reason = "one thinning test per candidate arrival")
         trough + (1.0 - trough) * (1.0 - (std::f64::consts::TAU * phase).cos()) / 2.0
     }
 
@@ -200,13 +201,13 @@ impl BurstyTrace {
         loop {
             // Off dwell, then on dwell.
             let u_off: f64 = rng.gen_range(f64::EPSILON..1.0);
-            now += -(self.mean_off as f64) * u_off.ln();
+            now += -(self.mean_off as f64) * u_off.ln(); // simlint::allow(D4, reason = "one exponential dwell per generated burst window")
             if now >= self.horizon as f64 {
                 return windows;
             }
             let start = now as u64;
             let u_on: f64 = rng.gen_range(f64::EPSILON..1.0);
-            now += -(self.mean_on as f64) * u_on.ln();
+            now += -(self.mean_on as f64) * u_on.ln(); // simlint::allow(D4, reason = "one exponential dwell per generated burst window")
             let end = (now as u64).min(self.horizon);
             windows.push((start, end));
             if now >= self.horizon as f64 {
