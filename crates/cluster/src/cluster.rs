@@ -257,16 +257,6 @@ impl NpuCluster {
         }
     }
 
-    /// Whether a board is currently fenced off from placement.
-    pub fn is_offline(&self, node: NodeId) -> bool {
-        self.offline.contains(&node)
-    }
-
-    /// Boards currently fenced off from placement, in id order.
-    pub fn offline_nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.offline.iter().copied()
-    }
-
     /// Bytes of SRAM + HBM state resident on a deployment — the volume a
     /// migration must move. `None` for stale handles.
     pub fn resident_state_bytes(&self, handle: VnpuHandle) -> Option<u64> {

@@ -350,10 +350,11 @@ impl ModelAvailability {
 /// What chaos did to the run and what recovery salvaged.
 ///
 /// Attached to every [`ServingReport`](crate::ServingReport); all-zero when
-/// no faults were injected. The conservation law the chaos property test
-/// pins: every admitted request **completes**, **expires with a recorded
-/// drop**, or is **counted in [`lost`](AvailabilityStats::lost) with a fault
-/// attribution** — there is no fourth bucket.
+/// no faults were injected, except [`lost`](AvailabilityStats::lost) after
+/// an abandoned cross-partition migration. The conservation law the chaos
+/// property test pins: every admitted request **completes**, **expires with
+/// a recorded drop**, or is **counted in [`lost`](AvailabilityStats::lost)
+/// with an attribution** — there is no fourth bucket.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct AvailabilityStats {
     /// Board crashes injected.
@@ -381,8 +382,11 @@ pub struct AvailabilityStats {
     /// Orphans already past their deadline at failover, dropped with the
     /// normal expiry accounting.
     pub expired_in_failover: u64,
-    /// Requests lost to a fault: orphans no surviving replica could accept,
-    /// plus requests still marooned on undetected dead boards at run end.
+    /// Requests lost: orphans no surviving replica could accept, requests
+    /// still marooned on undetected dead boards at run end, and the queue of
+    /// a cross-partition migration that both its destination and its source
+    /// refused. The last kind is counted whether or not the run injects
+    /// faults (`per_model` attributes it only in a run with faults).
     pub lost: u64,
     /// Total fault-to-declaration latency over all failovers, in cycles.
     pub detect_cycles_total: u64,

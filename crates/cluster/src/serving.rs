@@ -351,7 +351,9 @@ pub struct ServingReport {
     /// unless the run was configured with [`ServingOptions::with_slo`].
     pub alerts: AlertLog,
     /// Fault-injection and failover accounting; all-zero unless the run was
-    /// configured with [`ServingOptions::with_faults`].
+    /// configured with [`ServingOptions::with_faults`], except `lost`, which
+    /// also counts the queue of a cross-partition migration that a sharded
+    /// run had to abandon.
     pub availability: AvailabilityStats,
 }
 
@@ -652,6 +654,10 @@ struct ServeState {
     chaos: Option<ChaosState>,
     /// The admission limit: a replica with this many queued requests is full.
     max_queue_depth: usize,
+    /// Requests lost with a cross-partition migration that both its
+    /// destination and its source refused, in a run without chaos state (a
+    /// chaos run notes them in its ledger instead).
+    abandoned: u64,
 }
 
 impl ServeState {
@@ -759,31 +765,30 @@ impl LinkSchedule {
 
     /// Reserves the link for a `cycles`-long transfer starting no earlier
     /// than `now`; returns when the transfer completes (queueing behind any
-    /// transfer already on the link).
-    fn reserve(&mut self, a: NodeId, b: NodeId, now: u64, cycles: u64) -> u64 {
+    /// transfer already on the link). An open chaos link-degradation window
+    /// on the link inflates the transfer first. Pre-copy rounds,
+    /// stop-and-copy windows, cross-partition exports and failover restores
+    /// all price through here, so a degraded (or partitioned) link stresses
+    /// both migration and recovery. The caller passes the chaos state in:
+    /// the failover sweep holds it outside [`ServeState`] while it runs.
+    fn reserve(
+        &mut self,
+        chaos: Option<&ChaosState>,
+        a: NodeId,
+        b: NodeId,
+        now: u64,
+        cycles: u64,
+    ) -> u64 {
+        let factor = chaos.map_or(1.0, |chaos| chaos.link_factor(a, b, now));
+        let cycles = if factor > 1.0 {
+            ((cycles as f64 * factor) as u64).max(cycles)
+        } else {
+            cycles
+        };
         let slot = self.busy_until.entry(Self::key(a, b)).or_insert(0);
         let end = now.max(*slot) + cycles;
         *slot = end;
         end
-    }
-}
-
-/// Inflates a transfer's cycle count by any open chaos link-degradation
-/// window on the `(a, b)` link before the transfer is put on the link.
-/// Pre-copy rounds, stop-and-copy windows and failover state restores all
-/// price through here, so a degraded (or partitioned) link stresses both
-/// migration and recovery.
-fn chaos_transfer(state: &ServeState, a: NodeId, b: NodeId, now: u64, cycles: u64) -> u64 {
-    match &state.chaos {
-        Some(chaos) => {
-            let factor = chaos.link_factor(a, b, now);
-            if factor > 1.0 {
-                ((cycles as f64 * factor) as u64).max(cycles)
-            } else {
-                cycles
-            }
-        }
-        None => cycles,
     }
 }
 
@@ -1099,7 +1104,8 @@ impl ClusterServingSim {
         controller: &mut dyn ControlPlane,
         sink: &mut S,
     ) -> ServingReport {
-        let mut partition = PartitionSim::new(self.options.clone(), cluster, trace.arrivals());
+        let mut partition =
+            PartitionSim::new(self.options.clone(), cluster, trace.arrivals(), None);
         partition.step_until(u64::MAX, cluster, controller, sink);
         partition.finish(sink).into_report()
     }
@@ -1243,6 +1249,9 @@ pub(crate) struct MigrationEnvelope {
     /// re-targeted back at its source. A bounced envelope re-imports silently
     /// (the rejection was already counted); a second failure abandons it.
     pub(crate) bounced: bool,
+    /// A scale-down raced the move: the import drains the replica again, so
+    /// it serves its queue and releases, as after a local migration.
+    draining: bool,
 }
 
 /// Per-partition view of the sharded world: which partition this is, who owns
@@ -1309,28 +1318,11 @@ pub(crate) struct PartitionSim<'a> {
 
 impl<'a> PartitionSim<'a> {
     /// Builds a partition over `cluster`'s current deployments, arming the
-    /// scheduled migration, fault, telemetry and alert events.
+    /// scheduled migration, fault, telemetry and alert events. A partition
+    /// of a sharded run (`shard` is `Some`) never arms telemetry or alert
+    /// events: the coordinator drives sampling at the barrier so the control
+    /// plane sees the whole fleet, not one shard.
     pub(crate) fn new(
-        options: ServingOptions,
-        cluster: &mut NpuCluster,
-        arrivals: &'a [RequestArrival],
-    ) -> Self {
-        Self::build(options, cluster, arrivals, None)
-    }
-
-    /// Builds one partition of a sharded run. Telemetry and alert events are
-    /// never armed partition-side — the coordinator drives sampling at the
-    /// barrier so the control plane sees the whole fleet, not one shard.
-    pub(crate) fn new_sharded(
-        options: ServingOptions,
-        cluster: &mut NpuCluster,
-        arrivals: &'a [RequestArrival],
-        shard: ShardContext,
-    ) -> Self {
-        Self::build(options, cluster, arrivals, Some(shard))
-    }
-
-    fn build(
         options: ServingOptions,
         cluster: &mut NpuCluster,
         arrivals: &'a [RequestArrival],
@@ -1378,6 +1370,7 @@ impl<'a> PartitionSim<'a> {
                 .as_ref()
                 .map(|schedule| ChaosState::new(schedule, options.recovery)),
             max_queue_depth: options.admission.max_queue_depth,
+            abandoned: 0,
         };
         let mut events = EventQueue::default();
         for (index, migration) in options.migrations.iter().enumerate() {
@@ -1392,15 +1385,11 @@ impl<'a> PartitionSim<'a> {
         // recovery will eventually drain them; without recovery they would
         // sustain the telemetry bus forever and the run could never end.
         let recovery_armed = options.faults.is_some() && options.recovery.is_some();
-        // Sharded partitions never self-sample: the coordinator ticks
-        // telemetry at the barrier over the merged fleet instead.
+        let alert_interval = state.slo.as_ref().map(|engine| engine.tick());
         if shard.is_none() {
             if let Some(interval) = sample_interval {
                 events.push(interval, EV_SAMPLE, 0);
             }
-        }
-        let alert_interval = state.slo.as_ref().map(|engine| engine.tick());
-        if shard.is_none() {
             if let Some(tick) = alert_interval {
                 events.push(tick, EV_ALERT, 0);
             }
@@ -1461,49 +1450,15 @@ impl<'a> PartitionSim<'a> {
         controller: &mut dyn ControlPlane,
         sink: &mut S,
     ) {
-        let PartitionSim {
-            options,
-            cache,
-            replicas,
-            dispatch_index,
-            router,
-            state,
-            events,
-            links,
-            recovery_armed,
-            sample_interval,
-            alert_interval,
-            alert_scratch,
-            frame,
-            stale_models,
-            arrivals,
-            next_arrival,
-            makespan,
-            perf,
-            latencies,
-            per_model,
-            per_node_completed,
-            migration_records,
-            views,
-            shard,
-        } = self;
-        let arrivals: &[RequestArrival] = arrivals;
-        let recovery_armed = *recovery_armed;
-        let sample_interval = *sample_interval;
-        let alert_interval = *alert_interval;
         // Sharded runs share the trace slice. Each partition's arrival
         // cursor steps over the arrivals other partitions own — here under
         // the plan rebuilt at the last barrier, and again after every owned
         // arrival — so the loop below only ever sees its own.
-        if let Some(context) = shard.as_ref() {
-            context
-                .plan
-                .skip_unowned(context.index, arrivals, next_arrival, bound);
-        }
+        self.skip_unowned(bound);
 
         loop {
-            let event_time = events.next_time();
-            let arrival_time = arrivals.get(*next_arrival).map(|a| a.at.get());
+            let event_time = self.events.next_time();
+            let arrival_time = self.arrivals.get(self.next_arrival).map(|a| a.at.get());
             let take_event = match (event_time, arrival_time) {
                 (None, None) => break,
                 (Some(t), Some(at)) => t <= at,
@@ -1515,388 +1470,242 @@ impl<'a> PartitionSim<'a> {
                 Some(t) if t < bound => {}
                 _ => break,
             }
-
-            if take_event {
-                let (now, kind, index) = events.pop().expect("peeked above"); // simlint::allow(P1, reason = "pop follows the peek that chose the event branch")
-                perf.events += 1;
-                // Slot-scoped events may change their slot's load. Their
-                // handlers never pick a replica, so touching up front is as
-                // good as touching after.
-                if matches!(
-                    kind,
-                    EV_COMPLETION | EV_RESUME | EV_BATCH_TIMEOUT | EV_COPY_ROUND
-                ) {
-                    dispatch_index.touch(index);
-                }
-                match kind {
-                    EV_COMPLETION => {
-                        // A fenced board never reports: the batch stays
-                        // captured in `in_service` so failover (or the
-                        // end-of-run sweep) can account for every request.
-                        if replicas[index].fenced {
-                            continue;
-                        }
-                        // Only real work moves the makespan: completions here,
-                        // executed migrations via their resume event.
-                        *makespan = (*makespan).max(now);
-                        let replica = &mut replicas[index];
-                        let (mut batch, started, finish) = replica
-                            .in_service
-                            .take()
-                            .expect("completion without service"); // simlint::allow(P1, reason = "EV_COMPLETION is only scheduled while a batch is in service")
-                        debug_assert_eq!(finish, now);
-                        replica.window_busy += finish - started.max(state.window_start);
-                        for request in &batch {
-                            let latency = now.saturating_sub(request.arrived);
-                            latencies.record(latency);
-                            per_model.entry(request.model).record(latency);
-                            if let Some(window) = state.window_of(request.model) {
-                                window.metrics.record_latency(latency);
-                            }
-                            let mut deadline_met = None;
-                            if let Some(deadline) = request.deadline {
-                                let met = now <= deadline;
-                                deadline_met = Some(met);
-                                state.deadline.record_completion(met);
-                                if let Some(window) = state.window_of(request.model) {
-                                    window.metrics.record_deadline(met);
-                                }
-                            }
-                            router.record_completion();
-                            if let Some(chaos) = &mut state.chaos {
-                                chaos.note_completed(request.model);
-                            }
-                            if let Some(engine) = &mut state.slo {
-                                engine.observe_latency(
-                                    now,
-                                    request.model,
-                                    request.priority,
-                                    latency,
-                                );
-                            }
-                            sink.on_complete(
-                                now,
-                                request.sequence,
-                                request.model,
-                                request.priority,
-                                request.arrived,
-                                replica.handle.node,
-                                index,
-                                deadline_met,
-                            );
-                        }
-                        add_node_completed(
-                            per_node_completed,
-                            replica.handle.node.0 as usize,
-                            batch.len(),
-                        );
-                        // A live pre-copy in flight: the served batch wrote
-                        // its share of resident state, re-dirtying pages the
-                        // rounds must stream again.
-                        if let Some(precopy) = &mut replica.precopy {
-                            precopy
-                                .dirty
-                                .mark(batch.len() as u64 * precopy.dirty_bytes_per_request);
-                        }
-                        batch.clear();
-                        state.batch_pool.push(batch);
-                        if let Some((to, requested_at)) = replica.pending_migration.take() {
-                            let drain = now.saturating_sub(requested_at);
-                            Self::execute_migration(
-                                cluster,
-                                &mut replicas[index],
-                                dispatch_index,
-                                now,
-                                to,
-                                drain,
-                                &options.cost_model,
-                                migration_records,
-                                events,
-                                links,
-                                index,
-                                state,
-                                shard,
-                                sink,
-                            );
-                        } else {
-                            Self::start_next(&mut replicas[index], now, events, index, state, sink);
-                            Self::retire_if_drained(
-                                cluster,
-                                &mut replicas[index],
-                                dispatch_index,
-                                now,
-                                state,
-                            );
-                        }
-                    }
-                    EV_RESUME => {
-                        *makespan = (*makespan).max(now);
-                        Self::start_next(&mut replicas[index], now, events, index, state, sink);
-                        Self::retire_if_drained(
-                            cluster,
-                            &mut replicas[index],
-                            dispatch_index,
-                            now,
-                            state,
-                        );
-                    }
-                    EV_BATCH_TIMEOUT => {
-                        let replica = &mut replicas[index];
-                        // Stale timeouts (the batch filled, or the queue was
-                        // served/dropped meanwhile) are ignored; `start_next`
-                        // re-arms a fresh one when it holds again.
-                        if replica.batch_timeout_at == Some(now) {
-                            replica.batch_timeout_at = None;
-                            Self::start_next(replica, now, events, index, state, sink);
-                        }
-                    }
-                    EV_COPY_ROUND => {
-                        Self::copy_round(
-                            cluster,
-                            replicas,
-                            dispatch_index,
-                            index,
-                            now,
-                            &options.cost_model,
-                            migration_records,
-                            events,
-                            links,
-                            state,
-                            shard,
-                            sink,
-                        );
-                    }
-                    EV_MIGRATION => {
-                        let scheduled = options.migrations[index];
-                        let Some(target) = dispatch_index.slot_of(scheduled.handle) else {
-                            continue; // stale handle (already moved or undeployed)
-                        };
-                        dispatch_index.touch(target);
-                        Self::start_migration(
-                            cluster,
-                            replicas,
-                            dispatch_index,
-                            target,
-                            scheduled.to,
-                            scheduled.mode,
-                            now,
-                            &options.cost_model,
-                            migration_records,
-                            events,
-                            links,
-                            state,
-                            shard,
-                            sink,
-                        );
-                    }
-                    EV_FAULT => {
-                        let mut chaos = state
-                            .chaos
-                            .take()
-                            .expect("EV_FAULT scheduled without chaos state"); // simlint::allow(P1, reason = "EV_FAULT events are only pushed when a fault schedule configured the chaos state")
-                        let fault = chaos.schedule[index];
-                        chaos.apply(&fault);
-                        sink.on_fault(now, &fault);
-                        match fault.kind {
-                            FaultKind::BoardCrash { node } => {
-                                // Cordon the board: nothing (the autoscaler
-                                // included) may place onto it again. Replicas
-                                // are fenced, not retired — the router keeps
-                                // steering into the black hole until the
-                                // missed-frame detector declares the board
-                                // dead, which is exactly the availability
-                                // cost of detection latency.
-                                cluster.set_offline(node, true);
-                                chaos.cordoned.insert(node);
-                                for (slot, replica) in replicas.iter_mut().enumerate() {
-                                    if replica.live() && replica.handle.node == node {
-                                        replica.fenced = true;
-                                        replica.pending_migration = None;
-                                        replica.precopy = None;
-                                        replica.batch_timeout_at = None;
-                                        dispatch_index.touch(slot);
-                                    }
-                                }
-                            }
-                            FaultKind::BoardHang { node, for_cycles } => {
-                                // Cordon for the window so the control plane
-                                // cannot deploy into dead air; the sample-tick
-                                // sweep re-onlines the board once the hang
-                                // clears (unless the detector failed it over
-                                // first). Batches already on the device
-                                // complete; nothing new starts.
-                                cluster.set_offline(node, true);
-                                chaos.cordoned.insert(node);
-                                let resume_at = now.saturating_add(for_cycles);
-                                for (slot, replica) in replicas.iter_mut().enumerate() {
-                                    if replica.live()
-                                        && !replica.fenced
-                                        && replica.handle.node == node
-                                    {
-                                        replica.available_at = replica.available_at.max(resume_at);
-                                        events.push(resume_at, EV_RESUME, slot);
-                                        dispatch_index.touch(slot);
-                                    }
-                                }
-                            }
-                            // Window faults: `apply` opened the window; the
-                            // serving and transfer paths read it lazily.
-                            FaultKind::LinkDegrade { .. }
-                            | FaultKind::Straggler { .. }
-                            | FaultKind::TelemetryDropout { .. } => {}
-                        }
-                        state.chaos = Some(chaos);
-                    }
-                    EV_SAMPLE => {
-                        let interval = sample_interval.expect("sampling scheduled"); // simlint::allow(P1, reason = "EV_SAMPLE is only scheduled when sampling is configured")
-                        Self::chaos_tick(
-                            cluster,
-                            replicas,
-                            dispatch_index,
-                            cache,
-                            router,
-                            views,
-                            now,
-                            &options.cost_model,
-                            events,
-                            links,
-                            state,
-                            sink,
-                        );
-                        Self::sample_into(frame, stale_models, replicas, now, state);
-                        state.control.samples += 1;
-                        Self::observe_tick(sink, cluster, replicas, now, frame);
-                        let actions = controller.control(frame, cluster);
-                        for action in actions {
-                            Self::apply_action(
-                                cluster,
-                                replicas,
-                                dispatch_index,
-                                cache,
-                                action,
-                                now,
-                                &options.cost_model,
-                                migration_records,
-                                events,
-                                links,
-                                state,
-                                shard,
-                                sink,
-                            );
-                        }
-                        // Keep ticking only while there is (or can be) work:
-                        // the bus must not keep an otherwise-finished run
-                        // alive forever. The event counter answers "anything
-                        // still queued?" without scanning the heap.
-                        if Self::work_left(
-                            *next_arrival,
-                            arrivals,
-                            replicas,
-                            events,
-                            recovery_armed,
-                        ) {
-                            events.push(now + interval, EV_SAMPLE, 0);
-                        }
-                    }
-                    EV_ALERT => {
-                        alert_scratch.clear();
-                        if let Some(engine) = &mut state.slo {
-                            engine.evaluate(now, alert_scratch);
-                        }
-                        for alert in alert_scratch.iter() {
-                            state.alerts.push(*alert);
-                            sink.on_alert(now, alert);
-                            controller.on_alert(Cycles(now), alert);
-                        }
-                        // Same liveness rule as the telemetry bus: alert
-                        // ticks observe work, they must not sustain it.
-                        if let Some(tick) = alert_interval {
-                            if Self::work_left(
-                                *next_arrival,
-                                arrivals,
-                                replicas,
-                                events,
-                                recovery_armed,
-                            ) {
-                                events.push(now + tick, EV_ALERT, 0);
-                            }
-                        }
-                    }
-                    _ => unreachable!("unknown event kind"),
-                }
-                // Re-key the touched leaves at the edge itself, so the next
-                // pick finds its trees current.
-                dispatch_index.refresh(|slot| replicas[slot].load(now, state));
-            } else {
-                let arrival = arrivals[*next_arrival];
-                *next_arrival += 1;
-                // The cursor stopped here, below the bound, so this partition
-                // owns the arrival: arrival counters sum to the trace length
-                // across partitions.
-                if let Some(context) = shard.as_ref() {
-                    debug_assert_eq!(
-                        context.plan.owner(arrival.model, arrival.sequence),
-                        context.index
-                    );
-                    context
-                        .plan
-                        .skip_unowned(context.index, arrivals, next_arrival, bound);
-                }
-                perf.arrivals += 1;
-                let now = arrival.at.get();
-                sink.on_arrival(now, arrival.sequence, arrival.model);
-
-                let decision = Self::route(
-                    router,
-                    dispatch_index,
-                    replicas,
-                    views,
-                    state,
-                    arrival.model,
-                    now,
-                    true,
-                );
-                match decision {
-                    DispatchDecision::Dispatch(index) => {
-                        if let Some(window) = state.window_of(arrival.model) {
-                            window.arrivals += 1;
-                        }
-                        if let Some(chaos) = &mut state.chaos {
-                            chaos.note_admitted(arrival.model);
-                        }
-                        sink.on_dispatch(
-                            now,
-                            arrival.sequence,
-                            arrival.model,
-                            replicas[index].handle.node,
-                            index,
-                        );
-                        let request = QueuedRequest {
-                            model: arrival.model,
-                            arrived: now,
-                            deadline: arrival.deadline.map(|d| d.get()),
-                            priority: arrival.priority,
-                            sequence: arrival.sequence,
-                        };
-                        replicas[index].enqueue(request);
-                        Self::start_next(&mut replicas[index], now, events, index, state, sink);
-                        dispatch_index.touch(index);
-                    }
-                    decision @ (DispatchDecision::RejectNoReplica
-                    | DispatchDecision::RejectOverload) => {
-                        if let Some(window) = state.window_of(arrival.model) {
-                            window.rejected += 1;
-                        }
-                        let reason = if matches!(decision, DispatchDecision::RejectNoReplica) {
-                            RejectReason::NoReplica
-                        } else {
-                            RejectReason::Overload
-                        };
-                        sink.on_reject(now, arrival.sequence, arrival.model, reason);
-                    }
-                }
-                dispatch_index.refresh(|slot| replicas[slot].load(now, state));
+            if !take_event {
+                self.arrive(bound, sink);
+                continue;
             }
+
+            let (now, kind, index) = self.events.pop().expect("peeked above"); // simlint::allow(P1, reason = "pop follows the peek that chose the event branch")
+            self.perf.events += 1;
+            // Slot-scoped events may change their slot's load. Their
+            // handlers never pick a replica, so touching up front is as good
+            // as touching after.
+            if matches!(
+                kind,
+                EV_COMPLETION | EV_RESUME | EV_BATCH_TIMEOUT | EV_COPY_ROUND
+            ) {
+                self.dispatch_index.touch(index);
+            }
+            match kind {
+                // A fenced board never reports: the batch stays captured in
+                // `in_service` so failover (or the end-of-run sweep) can
+                // account for every request.
+                EV_COMPLETION if self.replicas[index].fenced => continue,
+                EV_COMPLETION => self.complete(cluster, index, now, sink),
+                EV_RESUME => {
+                    self.makespan = self.makespan.max(now);
+                    self.start_next(index, now, sink);
+                    self.retire_if_drained(cluster, index, now);
+                }
+                EV_BATCH_TIMEOUT => {
+                    // Stale timeouts (the batch filled, or the queue was
+                    // served/dropped meanwhile) are ignored; `start_next`
+                    // re-arms a fresh one when it holds again.
+                    if self.replicas[index].batch_timeout_at == Some(now) {
+                        self.replicas[index].batch_timeout_at = None;
+                        self.start_next(index, now, sink);
+                    }
+                }
+                EV_COPY_ROUND => self.copy_round(cluster, index, now, sink),
+                EV_MIGRATION => {
+                    let scheduled = self.options.migrations[index];
+                    let Some(target) = self.dispatch_index.slot_of(scheduled.handle) else {
+                        continue; // stale handle (already moved or undeployed)
+                    };
+                    self.dispatch_index.touch(target);
+                    self.start_migration(cluster, target, scheduled.to, scheduled.mode, now, sink);
+                }
+                EV_FAULT => self.inject_fault(cluster, index, now, sink),
+                EV_SAMPLE => {
+                    let interval = self.sample_interval.expect("sampling scheduled"); // simlint::allow(P1, reason = "EV_SAMPLE is only scheduled when sampling is configured")
+                    self.telemetry_tick(cluster, now, sink);
+                    self.state.control.samples += 1;
+                    for action in controller.control(&self.frame, cluster) {
+                        self.apply_action(cluster, action, now, sink);
+                    }
+                    // Keep ticking only while there is (or can be) work: the
+                    // bus must not keep an otherwise-finished run alive
+                    // forever.
+                    if self.work_left() {
+                        self.events.push(now + interval, EV_SAMPLE, 0);
+                    }
+                }
+                EV_ALERT => {
+                    self.alert_scratch.clear();
+                    if let Some(engine) = &mut self.state.slo {
+                        engine.evaluate(now, &mut self.alert_scratch);
+                    }
+                    for alert in &self.alert_scratch {
+                        self.state.alerts.push(*alert);
+                        sink.on_alert(now, alert);
+                        controller.on_alert(Cycles(now), alert);
+                    }
+                    // Same liveness rule as the telemetry bus: alert ticks
+                    // observe work, they must not sustain it.
+                    if let Some(tick) = self.alert_interval {
+                        if self.work_left() {
+                            self.events.push(now + tick, EV_ALERT, 0);
+                        }
+                    }
+                }
+                _ => unreachable!("unknown event kind"),
+            }
+            // Re-key the touched leaves at the edge itself, so the next pick
+            // finds its trees current.
+            self.refresh_loads(now);
+        }
+    }
+
+    /// Steps the arrival cursor over the arrivals other partitions own
+    /// (a no-op on the sequential path).
+    fn skip_unowned(&mut self, bound: u64) {
+        if let Some(context) = &self.shard {
+            context
+                .plan
+                .skip_unowned(context.index, self.arrivals, &mut self.next_arrival, bound);
+        }
+    }
+
+    /// Re-keys every slot touched since the last refresh at its load now.
+    fn refresh_loads(&mut self, now: u64) {
+        let (replicas, state) = (&self.replicas, &self.state);
+        self.dispatch_index
+            .refresh(|slot| replicas[slot].load(now, state));
+    }
+
+    /// Admits or rejects the trace arrival under the cursor.
+    fn arrive<S: ObsSink + ?Sized>(&mut self, bound: u64, sink: &mut S) {
+        let arrival = self.arrivals[self.next_arrival];
+        self.next_arrival += 1;
+        // The cursor stopped here, below the bound, so this partition owns
+        // the arrival: arrival counters sum to the trace length across
+        // partitions.
+        if let Some(context) = &self.shard {
+            debug_assert_eq!(
+                context.plan.owner(arrival.model, arrival.sequence),
+                context.index
+            );
+        }
+        self.skip_unowned(bound);
+        self.perf.arrivals += 1;
+        let now = arrival.at.get();
+        sink.on_arrival(now, arrival.sequence, arrival.model);
+
+        match self.route(arrival.model, now, true) {
+            DispatchDecision::Dispatch(index) => {
+                if let Some(window) = self.state.window_of(arrival.model) {
+                    window.arrivals += 1;
+                }
+                if let Some(chaos) = &mut self.state.chaos {
+                    chaos.note_admitted(arrival.model);
+                }
+                sink.on_dispatch(
+                    now,
+                    arrival.sequence,
+                    arrival.model,
+                    self.replicas[index].handle.node,
+                    index,
+                );
+                self.replicas[index].enqueue(QueuedRequest {
+                    model: arrival.model,
+                    arrived: now,
+                    deadline: arrival.deadline.map(|d| d.get()),
+                    priority: arrival.priority,
+                    sequence: arrival.sequence,
+                });
+                self.start_next(index, now, sink);
+                self.dispatch_index.touch(index);
+            }
+            decision @ (DispatchDecision::RejectNoReplica | DispatchDecision::RejectOverload) => {
+                if let Some(window) = self.state.window_of(arrival.model) {
+                    window.rejected += 1;
+                }
+                let reason = if matches!(decision, DispatchDecision::RejectNoReplica) {
+                    RejectReason::NoReplica
+                } else {
+                    RejectReason::Overload
+                };
+                sink.on_reject(now, arrival.sequence, arrival.model, reason);
+            }
+        }
+        self.refresh_loads(now);
+    }
+
+    /// Retires the batch `index` finished at `now`: records every member's
+    /// latency, then either executes a migration that waited for the drain
+    /// or starts the next batch.
+    fn complete<S: ObsSink + ?Sized>(
+        &mut self,
+        cluster: &mut NpuCluster,
+        index: usize,
+        now: u64,
+        sink: &mut S,
+    ) {
+        // Only real work moves the makespan: completions here, executed
+        // migrations via their resume event.
+        self.makespan = self.makespan.max(now);
+        let replica = &mut self.replicas[index];
+        let state = &mut self.state;
+        let (mut batch, started, finish) = replica
+            .in_service
+            .take()
+            .expect("completion without service"); // simlint::allow(P1, reason = "EV_COMPLETION is only scheduled while a batch is in service")
+        debug_assert_eq!(finish, now);
+        replica.window_busy += finish - started.max(state.window_start);
+        for request in &batch {
+            let latency = now.saturating_sub(request.arrived);
+            self.latencies.record(latency);
+            self.per_model.entry(request.model).record(latency);
+            if let Some(window) = state.window_of(request.model) {
+                window.metrics.record_latency(latency);
+            }
+            let mut deadline_met = None;
+            if let Some(deadline) = request.deadline {
+                let met = now <= deadline;
+                deadline_met = Some(met);
+                state.deadline.record_completion(met);
+                if let Some(window) = state.window_of(request.model) {
+                    window.metrics.record_deadline(met);
+                }
+            }
+            self.router.record_completion();
+            if let Some(chaos) = &mut state.chaos {
+                chaos.note_completed(request.model);
+            }
+            if let Some(engine) = &mut state.slo {
+                engine.observe_latency(now, request.model, request.priority, latency);
+            }
+            sink.on_complete(
+                now,
+                request.sequence,
+                request.model,
+                request.priority,
+                request.arrived,
+                replica.handle.node,
+                index,
+                deadline_met,
+            );
+        }
+        add_node_completed(
+            &mut self.per_node_completed,
+            replica.handle.node.0 as usize,
+            batch.len(),
+        );
+        // A live pre-copy in flight: the served batch wrote its share of
+        // resident state, re-dirtying pages the rounds must stream again.
+        if let Some(precopy) = &mut replica.precopy {
+            precopy
+                .dirty
+                .mark(batch.len() as u64 * precopy.dirty_bytes_per_request);
+        }
+        batch.clear();
+        state.batch_pool.push(batch);
+        if let Some((to, requested_at)) = replica.pending_migration.take() {
+            let drain = now.saturating_sub(requested_at);
+            self.execute_migration(cluster, index, to, drain, now, sink);
+        } else {
+            self.start_next(index, now, sink);
+            self.retire_if_drained(cluster, index, now);
         }
     }
 
@@ -1911,22 +1720,13 @@ impl<'a> PartitionSim<'a> {
     /// replica count taken over the same scan. Nothing the index maintains
     /// reaches the reference, so every tested pick checks the index's
     /// candidate sets, locality counts and trees against the fleet itself.
-    #[allow(clippy::too_many_arguments)]
-    fn route(
-        router: &mut Router,
-        dispatch_index: &mut ReplicaIndex,
-        replicas: &[ReplicaSim],
-        views: &mut Vec<ReplicaView>,
-        state: &ServeState,
-        model: ModelId,
-        now: u64,
-        admit: bool,
-    ) -> DispatchDecision {
-        dispatch_index.refresh(|slot| replicas[slot].load(now, state));
+    fn route(&mut self, model: ModelId, now: u64, admit: bool) -> DispatchDecision {
+        self.refresh_loads(now);
         let expected = if cfg!(debug_assertions) {
+            let views = &mut self.views;
             views.clear();
             let mut per_node: BTreeMap<NodeId, usize> = BTreeMap::new();
-            for (slot, replica) in replicas.iter().enumerate() {
+            for (slot, replica) in self.replicas.iter().enumerate() {
                 if replica.live() && !replica.draining && replica.model == model {
                     *per_node.entry(replica.handle.node).or_default() += 1;
                     views.push(ReplicaView {
@@ -1942,14 +1742,14 @@ impl<'a> PartitionSim<'a> {
             for view in views.iter_mut() {
                 view.node_replicas = per_node[&view.node];
             }
-            Some(router.peek(model, views))
+            Some(self.router.peek(model, views))
         } else {
             None
         };
         let decision = if admit {
-            router.dispatch_indexed(model, dispatch_index)
+            self.router.dispatch_indexed(model, &self.dispatch_index)
         } else {
-            router.redispatch(model, dispatch_index)
+            self.router.redispatch(model, &self.dispatch_index)
         };
         debug_assert!(
             expected.is_none_or(|expected| expected == decision),
@@ -1963,43 +1763,14 @@ impl<'a> PartitionSim<'a> {
     /// and counts it live, returning its slot. Every mid-run deployment
     /// enters here: scale-ups, failover re-placements and cross-partition
     /// imports.
-    fn add_replica(
-        replicas: &mut Vec<ReplicaSim>,
-        dispatch_index: &mut ReplicaIndex,
-        state: &mut ServeState,
-        replica: ReplicaSim,
-    ) -> usize {
-        let slot = replicas.len();
-        dispatch_index.insert(slot, replica.model, replica.handle.node, replica.handle);
-        replicas.push(replica);
-        state.live_replicas += 1;
-        state.peak_replicas = state.peak_replicas.max(state.live_replicas);
+    fn add_replica(&mut self, replica: ReplicaSim) -> usize {
+        let slot = self.replicas.len();
+        self.dispatch_index
+            .insert(slot, replica.model, replica.handle.node, replica.handle);
+        self.replicas.push(replica);
+        self.state.live_replicas += 1;
+        self.state.peak_replicas = self.state.peak_replicas.max(self.state.live_replicas);
         slot
-    }
-
-    /// Hands an active sink the settled telemetry tick: `frame` plus the
-    /// fleet-wide counter tracks, whose scan the disabled path never pays.
-    fn observe_tick<S: ObsSink + ?Sized>(
-        sink: &mut S,
-        cluster: &NpuCluster,
-        replicas: &[ReplicaSim],
-        now: u64,
-        frame: &TelemetryFrame,
-    ) {
-        if !sink.active() {
-            return;
-        }
-        let mut counters = FleetCounters::default();
-        for replica in replicas.iter().filter(|r| r.live()) {
-            counters.queued += replica.queue.len() as u64;
-            counters.in_flight += replica.in_flight() as u64;
-            counters.live_replicas += 1;
-            if replica.precopy.is_some() || replica.pending_migration.is_some() {
-                counters.migrations_in_flight += 1;
-            }
-            counters.resident_bytes += cluster.resident_state_bytes(replica.handle).unwrap_or(0);
-        }
-        sink.on_tick(now, frame, &counters);
     }
 
     /// Ends the run: sweeps requests still marooned on fenced boards, banks
@@ -2031,17 +1802,24 @@ impl<'a> PartitionSim<'a> {
         }
 
         // Bank the replica-time of everything still provisioned at the end.
+        let mut live = 0;
         for replica in self.replicas.iter().filter(|r| r.live()) {
             self.state.replica_cycles += makespan.saturating_sub(replica.activated_at);
+            live += 1;
         }
+        debug_assert_eq!(
+            self.state.live_replicas, live,
+            "the live-replica count must match the replica table at run end"
+        );
         self.perf.peak_replicas = self.state.peak_replicas;
 
-        let availability = self
+        let mut availability = self
             .state
             .chaos
             .take()
             .map(ChaosState::into_stats)
             .unwrap_or_default();
+        availability.lost += self.state.abandoned;
         PartitionOutcome {
             dispatch: self.options.dispatch,
             router_stats: self.router.stats(),
@@ -2064,27 +1842,142 @@ impl<'a> PartitionSim<'a> {
     /// replica with queued/in-service work or a pending drain-then-move, or
     /// any real (non-observer) event queued. Shared by the telemetry and
     /// alert ticks so neither periodic observer keeps a finished run alive.
-    fn work_left(
-        next_arrival: usize,
-        arrivals: &[RequestArrival],
-        replicas: &[ReplicaSim],
-        events: &EventQueue,
-        recovery_armed: bool,
-    ) -> bool {
-        next_arrival < arrivals.len()
-            || replicas.iter().any(|r| {
+    fn work_left(&self) -> bool {
+        self.next_arrival < self.arrivals.len()
+            || self.replicas.iter().any(|r| {
                 // Work marooned on a fenced board counts only while recovery
                 // will eventually drain it (detection needs the telemetry
                 // ticks this keeps alive); without recovery it would sustain
                 // the bus forever, so the run ends and the sweep counts the
                 // marooned requests as lost.
                 r.live()
-                    && (!r.fenced || recovery_armed)
+                    && (!r.fenced || self.recovery_armed)
                     && (r.in_service.is_some()
                         || !r.queue.is_empty()
                         || r.pending_migration.is_some())
             })
-            || events.has_non_sample()
+            || self.events.has_non_sample()
+    }
+
+    /// Applies fault `index` of the schedule at `now`.
+    fn inject_fault<S: ObsSink + ?Sized>(
+        &mut self,
+        cluster: &mut NpuCluster,
+        index: usize,
+        now: u64,
+        sink: &mut S,
+    ) {
+        let chaos = self
+            .state
+            .chaos
+            .as_mut()
+            .expect("EV_FAULT scheduled without chaos state"); // simlint::allow(P1, reason = "EV_FAULT events are only pushed when a fault schedule configured the chaos state")
+        let fault = chaos.schedule[index];
+        chaos.apply(&fault);
+        sink.on_fault(now, &fault);
+        match fault.kind {
+            FaultKind::BoardCrash { node } => {
+                // Cordon the board: nothing (the autoscaler included) may
+                // place onto it again. Replicas are fenced, not retired — the
+                // router keeps steering into the black hole until the
+                // missed-frame detector declares the board dead, which is
+                // exactly the availability cost of detection latency.
+                cluster.set_offline(node, true);
+                chaos.cordoned.insert(node);
+                for slot in 0..self.replicas.len() {
+                    if self.replicas[slot].live() && self.replicas[slot].handle.node == node {
+                        self.fence(slot);
+                    }
+                }
+            }
+            FaultKind::BoardHang { node, for_cycles } => {
+                // Cordon for the window so the control plane cannot deploy
+                // into dead air; the sample-tick sweep re-onlines the board
+                // once the hang clears (unless the detector failed it over
+                // first). Batches already on the device complete; nothing
+                // new starts.
+                cluster.set_offline(node, true);
+                chaos.cordoned.insert(node);
+                let resume_at = now.saturating_add(for_cycles);
+                for (slot, replica) in self.replicas.iter_mut().enumerate() {
+                    if replica.live() && !replica.fenced && replica.handle.node == node {
+                        replica.available_at = replica.available_at.max(resume_at);
+                        self.events.push(resume_at, EV_RESUME, slot);
+                        self.dispatch_index.touch(slot);
+                    }
+                }
+            }
+            // Window faults: `apply` opened the window; the serving and
+            // transfer paths read it lazily.
+            FaultKind::LinkDegrade { .. }
+            | FaultKind::Straggler { .. }
+            | FaultKind::TelemetryDropout { .. } => {}
+        }
+    }
+
+    /// Fences `index`: its board is (or is presumed) dead, so its in-service
+    /// batch never completes, and no migration or batch timeout of it
+    /// proceeds.
+    fn fence(&mut self, index: usize) {
+        let replica = &mut self.replicas[index];
+        replica.fenced = true;
+        replica.pending_migration = None;
+        replica.precopy = None;
+        replica.batch_timeout_at = None;
+        self.dispatch_index.touch(index);
+    }
+
+    /// Ends `index`'s life on this partition: evicts the slot from the
+    /// dispatch index, marks it retired, banks its replica-time and releases
+    /// its vNPU. Every retirement ends here: a drained scale-down, a
+    /// failover and a cross-partition export.
+    fn retire(&mut self, cluster: &mut NpuCluster, index: usize, now: u64) {
+        let replica = &mut self.replicas[index];
+        let handle = replica.handle;
+        self.dispatch_index
+            .evict(index, replica.model, handle.node, handle, !replica.draining);
+        replica.retired = true;
+        replica.batch_timeout_at = None;
+        replica.pending_migration = None;
+        self.state.replica_cycles += now.saturating_sub(replica.activated_at);
+        self.state.live_replicas -= 1;
+        let released = cluster.undeploy(handle).is_ok();
+        debug_assert!(released, "a retiring replica's deployment must exist");
+    }
+
+    /// One telemetry tick on this partition: failure detection and failover,
+    /// the frame, and the fleet-counter scan for an active sink. `EV_SAMPLE`
+    /// and the sharded coordinator's barrier both run it. The control plane
+    /// and the `samples` counter stay with the caller: a sharded run answers
+    /// one merged frame per tick, not one per partition.
+    pub(crate) fn telemetry_tick<S: ObsSink + ?Sized>(
+        &mut self,
+        cluster: &mut NpuCluster,
+        now: u64,
+        sink: &mut S,
+    ) {
+        self.chaos_tick(cluster, now, sink);
+        self.sample_into(now);
+        // The frame holds one sample per live replica.
+        debug_assert_eq!(
+            self.state.live_replicas,
+            self.frame.replicas.len(),
+            "the live-replica count must match the replica table at cycle {now}"
+        );
+        if !sink.active() {
+            return;
+        }
+        let mut counters = FleetCounters::default();
+        for replica in self.replicas.iter().filter(|r| r.live()) {
+            counters.queued += replica.queue.len() as u64;
+            counters.in_flight += replica.in_flight() as u64;
+            counters.live_replicas += 1;
+            if replica.precopy.is_some() || replica.pending_migration.is_some() {
+                counters.migrations_in_flight += 1;
+            }
+            counters.resident_bytes += cluster.resident_state_bytes(replica.handle).unwrap_or(0);
+        }
+        sink.on_tick(now, &self.frame, &counters);
     }
 
     /// The failure-detection and failover pass, run at every telemetry tick
@@ -2100,33 +1993,24 @@ impl<'a> PartitionSim<'a> {
     /// engine with the state restore priced over the (possibly degraded)
     /// interconnect. Finally, cordoned boards whose transient fault window
     /// has closed rejoin the placement engine as spare capacity.
-    #[allow(clippy::too_many_arguments)]
     fn chaos_tick<S: ObsSink + ?Sized>(
+        &mut self,
         cluster: &mut NpuCluster,
-        replicas: &mut Vec<ReplicaSim>,
-        dispatch_index: &mut ReplicaIndex,
-        cache: &mut CalibrationCache,
-        router: &mut Router,
-        views: &mut Vec<ReplicaView>,
         now: u64,
-        cost_model: &MigrationCostModel,
-        events: &mut EventQueue,
-        links: &mut LinkSchedule,
-        state: &mut ServeState,
         sink: &mut S,
     ) {
-        let Some(mut chaos) = state.chaos.take() else {
+        let Some(mut chaos) = self.state.chaos.take() else {
             return;
         };
         let Some(policy) = chaos.recovery else {
-            state.chaos = Some(chaos);
+            self.state.chaos = Some(chaos);
             return;
         };
 
         // Heartbeat accounting over the monitored boards. BTreeSet: the
         // declaration scan below must walk nodes in a deterministic order.
         let mut monitored: BTreeSet<NodeId> = BTreeSet::new();
-        for replica in replicas.iter().filter(|r| r.live()) {
+        for replica in self.replicas.iter().filter(|r| r.live()) {
             monitored.insert(replica.handle.node);
         }
         let mut dead: Vec<NodeId> = Vec::new();
@@ -2163,7 +2047,8 @@ impl<'a> PartitionSim<'a> {
             // Fence and retire every live replica on the dead board,
             // capturing its orphans and (for non-draining replicas) the
             // deployment shape to restore elsewhere.
-            let slots: Vec<usize> = replicas
+            let slots: Vec<usize> = self
+                .replicas
                 .iter()
                 .enumerate()
                 .filter(|(_, r)| r.live() && r.handle.node == node)
@@ -2172,86 +2057,65 @@ impl<'a> PartitionSim<'a> {
             let mut orphans: Vec<(usize, QueuedRequest)> = Vec::new();
             let mut failed_here = 0u64;
             for slot in slots {
-                let (handle, was_draining) = {
-                    let r = &replicas[slot];
-                    (r.handle, r.draining)
-                };
-                let restore_spec = if was_draining {
+                let handle = self.replicas[slot].handle;
+                let restore_spec = if self.replicas[slot].draining {
                     None
                 } else {
                     cluster
                         .deployment(handle)
                         .map(|d| (d.spec(), cluster.resident_state_bytes(handle).unwrap_or(0)))
                 };
-                let replica = &mut replicas[slot];
-                replica.fenced = true;
-                replica.pending_migration = None;
-                replica.precopy = None;
-                replica.batch_timeout_at = None;
+                self.fence(slot);
+                let replica = &mut self.replicas[slot];
                 if let Some((mut batch, _, _)) = replica.in_service.take() {
                     orphans.extend(batch.iter().map(|&request| (slot, request)));
                     batch.clear();
-                    state.batch_pool.push(batch);
+                    self.state.batch_pool.push(batch);
                 }
                 let queued = replica.queue.len();
                 let mut drained: Vec<QueuedRequest> = Vec::with_capacity(queued);
                 replica.queue.drain_into(queued, &mut drained);
                 orphans.extend(drained.into_iter().map(|request| (slot, request)));
-                dispatch_index.evict(slot, replica.model, node, handle, !replica.draining);
-                replica.retired = true;
-                state.replica_cycles += now.saturating_sub(replica.activated_at);
-                state.live_replicas -= 1;
+                self.retire(cluster, slot, now);
                 failed_here += 1;
                 chaos.stats.replicas_failed += 1;
-                let undeployed = cluster.undeploy(handle);
-                debug_assert!(
-                    undeployed.is_ok(),
-                    "a live replica's deployment must exist at failover"
-                );
 
                 // Re-place the replica on a surviving board, pricing the
                 // state restore over the interconnect (degraded links slow
                 // recovery too).
-                if let Some((spec, state_bytes)) = restore_spec {
-                    match cluster.deploy(spec, policy.placement) {
-                        Ok(new_handle) => {
-                            let deployment = *cluster
-                                .deployment(new_handle)
-                                .expect("deploy just returned this handle"); // simlint::allow(P1, reason = "deployment record is created by the successful deploy above")
-                            let mut sim = cache.replica_sim(cluster, &deployment, now);
-                            let frequency = cluster
-                                .node(new_handle.node)
-                                .expect("deploy placed on an existing node") // simlint::allow(P1, reason = "deploy only places on nodes of the cluster")
-                                .npu_config()
-                                .frequency;
-                            let mut cycles =
-                                cost_model.transfer_cycles(state_bytes, frequency).get();
-                            let factor = chaos.link_factor(node, new_handle.node, now);
-                            if factor > 1.0 {
-                                cycles = ((cycles as f64 * factor) as u64).max(cycles);
-                            }
-                            let ready = links.reserve(node, new_handle.node, now, cycles);
-                            sim.available_at = ready;
-                            let new_slot = Self::add_replica(replicas, dispatch_index, state, sim);
-                            events.push(ready, EV_RESUME, new_slot);
-                            chaos.stats.replicas_restored += 1;
-                            let restore = ready.saturating_sub(fault_at);
-                            chaos.stats.restore_cycles_total += restore;
-                            chaos.stats.restore_cycles_max =
-                                chaos.stats.restore_cycles_max.max(restore);
-                            sink.on_replica_restored(
-                                now,
-                                new_handle.node,
-                                new_slot,
-                                ready.saturating_sub(now),
-                            );
-                        }
-                        Err(_) => {
-                            chaos.stats.restore_rejected += 1;
-                            sink.on_restore_rejected(now, node);
-                        }
-                    }
-                }
+                let Some((spec, state_bytes)) = restore_spec else {
+                    continue;
+                };
+                let Ok(new_handle) = cluster.deploy(spec, policy.placement) else {
+                    chaos.stats.restore_rejected += 1;
+                    sink.on_restore_rejected(now, node);
+                    continue;
+                };
+                let deployment = *cluster
+                    .deployment(new_handle)
+                    .expect("deploy just returned this handle"); // simlint::allow(P1, reason = "deployment record is created by the successful deploy above")
+                let mut sim = self.cache.replica_sim(cluster, &deployment, now);
+                let frequency = cluster
+                    .node(new_handle.node)
+                    .expect("deploy placed on an existing node") // simlint::allow(P1, reason = "deploy only places on nodes of the cluster")
+                    .npu_config()
+                    .frequency;
+                let cycles = self
+                    .options
+                    .cost_model
+                    .transfer_cycles(state_bytes, frequency)
+                    .get();
+                let ready = self
+                    .links
+                    .reserve(Some(&chaos), node, new_handle.node, now, cycles);
+                sim.available_at = ready;
+                let new_slot = self.add_replica(sim);
+                self.events.push(ready, EV_RESUME, new_slot);
+                chaos.stats.replicas_restored += 1;
+                let restore = ready.saturating_sub(fault_at);
+                chaos.stats.restore_cycles_total += restore;
+                chaos.stats.restore_cycles_max = chaos.stats.restore_cycles_max.max(restore);
+                sink.on_replica_restored(now, new_handle.node, new_slot, ready.saturating_sub(now));
             }
 
             // Re-dispatch the orphans earliest-deadline-first (priority
@@ -2264,6 +2128,7 @@ impl<'a> PartitionSim<'a> {
             chaos.stats.orphaned += orphans.len() as u64;
             let mut redispatched_here = 0u64;
             for (dead_slot, request) in orphans {
+                let state = &mut self.state;
                 if state.drop_expired && request.deadline.is_some_and(|d| d < now) {
                     chaos.stats.expired_in_failover += 1;
                     state.deadline.record_dropped();
@@ -2283,27 +2148,17 @@ impl<'a> PartitionSim<'a> {
                     );
                     continue;
                 }
-                let decision = Self::route(
-                    router,
-                    dispatch_index,
-                    replicas,
-                    views,
-                    state,
-                    request.model,
-                    now,
-                    false,
-                );
-                match decision {
+                match self.route(request.model, now, false) {
                     DispatchDecision::Dispatch(slot) => {
                         redispatched_here += 1;
                         chaos.stats.redispatched += 1;
-                        replicas[slot].enqueue(request);
-                        dispatch_index.touch(slot);
+                        self.replicas[slot].enqueue(request);
+                        self.dispatch_index.touch(slot);
                         touched.insert(slot);
                     }
                     DispatchDecision::RejectNoReplica | DispatchDecision::RejectOverload => {
                         chaos.note_lost(request.model);
-                        if let Some(engine) = &mut state.slo {
+                        if let Some(engine) = &mut self.state.slo {
                             engine.observe_expired(now, request.model, request.priority);
                         }
                         sink.on_lost(now, request.sequence, request.model, node);
@@ -2331,33 +2186,28 @@ impl<'a> PartitionSim<'a> {
             chaos.fault_since.remove(&node);
         }
 
-        state.chaos = Some(chaos);
+        self.state.chaos = Some(chaos);
         for slot in touched {
-            Self::start_next(&mut replicas[slot], now, events, slot, state, sink);
-            dispatch_index.touch(slot);
+            self.start_next(slot, now, sink);
+            self.dispatch_index.touch(slot);
         }
     }
 
-    /// Closes the current telemetry window and rebuilds `frame` in place for
-    /// the control plane.
+    /// Closes the current telemetry window and rebuilds the frame in place
+    /// for the control plane.
     ///
     /// The frame's replica vector and model map are per-run scratch: the
     /// vector is cleared and refilled (its capacity persists) and the map's
     /// entries are reset in place, with new models inserted and vanished
-    /// models swept via the reused `stale` buffer — so a steady-state tick
-    /// over a stable fleet allocates nothing. The frame contents are
+    /// models swept via the reused stale-model buffer — so a steady-state
+    /// tick over a stable fleet allocates nothing. The frame contents are
     /// bit-identical to a from-scratch build.
-    fn sample_into(
-        frame: &mut TelemetryFrame,
-        stale: &mut Vec<ModelId>,
-        replicas: &mut [ReplicaSim],
-        now: u64,
-        state: &mut ServeState,
-    ) {
+    fn sample_into(&mut self, now: u64) {
+        let (frame, state) = (&mut self.frame, &mut self.state);
         frame.at = Cycles(now);
         frame.window = Cycles(now.saturating_sub(state.window_start));
         frame.replicas.clear();
-        for replica in replicas.iter_mut().filter(|r| r.live()) {
+        for replica in self.replicas.iter_mut().filter(|r| r.live()) {
             if let Some((_, started, _)) = &replica.in_service {
                 replica.window_busy += now - (*started).max(state.window_start);
             }
@@ -2410,6 +2260,7 @@ impl<'a> PartitionSim<'a> {
         }
         // Sweep models that vanished since the last tick (no live replica,
         // never any window traffic) so the frame matches a fresh build.
+        let stale = &mut self.stale_models;
         stale.clear();
         stale.extend(frame.models.keys().copied().filter(|model| {
             !state.windows.contains(*model)
@@ -2421,78 +2272,76 @@ impl<'a> PartitionSim<'a> {
         state.window_start = now;
     }
 
-    /// Applies one control-plane action inside the event loop.
-    #[allow(clippy::too_many_arguments)]
-    fn apply_action<S: ObsSink + ?Sized>(
+    /// Applies one control-plane action inside the event loop. The sharded
+    /// coordinator routes scale-downs and migrations to the owning
+    /// partition's call; it places scale-ups fleet-wide itself and hands the
+    /// outcome to [`scale_up`](Self::scale_up).
+    pub(crate) fn apply_action<S: ObsSink + ?Sized>(
+        &mut self,
         cluster: &mut NpuCluster,
-        replicas: &mut Vec<ReplicaSim>,
-        dispatch_index: &mut ReplicaIndex,
-        cache: &mut CalibrationCache,
         action: ControlAction,
         now: u64,
-        cost_model: &MigrationCostModel,
-        records: &mut Vec<MigrationRecord>,
-        events: &mut EventQueue,
-        links: &mut LinkSchedule,
-        state: &mut ServeState,
-        shard: &mut Option<ShardContext>,
         sink: &mut S,
     ) {
         sink.on_control(now, &action);
         match action {
-            ControlAction::ScaleUp { spec, placement } => match cluster.deploy(spec, placement) {
-                Ok(handle) => {
-                    let deployment = *cluster.deployment(handle).expect("just deployed"); // simlint::allow(P1, reason = "deployment recorded by the deploy call one line up")
-                    let replica = cache.replica_sim(cluster, &deployment, now);
-                    Self::add_replica(replicas, dispatch_index, state, replica);
-                    state.control.scale_ups += 1;
-                }
-                Err(_) => state.control.scale_up_rejected += 1,
-            },
+            ControlAction::ScaleUp { spec, placement } => {
+                let deployed = cluster.deploy(spec, placement).ok();
+                self.scale_up(cluster, deployed, now);
+            }
             ControlAction::ScaleDown { handle } => {
-                let Some(index) = dispatch_index.slot_of(handle) else {
+                let Some(index) = self.dispatch_index.slot_of(handle) else {
                     return; // stale handle (already moved or released)
                 };
-                if replicas[index].draining {
+                if self.replicas[index].draining {
                     return;
                 }
-                replicas[index].draining = true;
-                // A scale-down trumps a live migration in flight: the vNPU is
-                // being released, so streaming its state anywhere is wasted
-                // work. The orphaned copy-round event is ignored by its
-                // staleness guard.
-                replicas[index].precopy = None;
-                dispatch_index.begin_drain(index, replicas[index].model, handle.node);
-                state.control.scale_downs += 1;
+                self.begin_drain(index);
+                self.state.control.scale_downs += 1;
                 // A held partial batch flushes immediately: a draining
                 // replica never waits for a batch that cannot form.
-                Self::start_next(&mut replicas[index], now, events, index, state, sink);
-                Self::retire_if_drained(cluster, &mut replicas[index], dispatch_index, now, state);
+                self.start_next(index, now, sink);
+                self.retire_if_drained(cluster, index, now);
             }
             ControlAction::Migrate { handle, to, mode } => {
-                state.control.migrations_requested += 1;
-                let Some(index) = dispatch_index.slot_of(handle) else {
+                self.state.control.migrations_requested += 1;
+                let Some(index) = self.dispatch_index.slot_of(handle) else {
                     return;
                 };
-                Self::start_migration(
-                    cluster,
-                    replicas,
-                    dispatch_index,
-                    index,
-                    to,
-                    mode,
-                    now,
-                    cost_model,
-                    records,
-                    events,
-                    links,
-                    state,
-                    shard,
-                    sink,
-                );
-                dispatch_index.touch(index);
+                self.start_migration(cluster, index, to, mode, now, sink);
+                self.dispatch_index.touch(index);
             }
         }
+    }
+
+    /// Counts a scale-up's outcome: adopts the replica the placement engine
+    /// deployed on `cluster` as `deployed`, or counts the refusal.
+    pub(crate) fn scale_up(
+        &mut self,
+        cluster: &NpuCluster,
+        deployed: Option<VnpuHandle>,
+        now: u64,
+    ) {
+        let Some(handle) = deployed else {
+            self.state.control.scale_up_rejected += 1;
+            return;
+        };
+        let deployment = *cluster.deployment(handle).expect("just deployed"); // simlint::allow(P1, reason = "the caller passes the handle its successful deploy on this cluster returned")
+        let replica = self.cache.replica_sim(cluster, &deployment, now);
+        self.add_replica(replica);
+        self.state.control.scale_ups += 1;
+    }
+
+    /// Takes `index` out of the routable sets for a drain-then-release. A
+    /// scale-down trumps a live migration in flight: the vNPU is being
+    /// released, so streaming its state anywhere is wasted work. The
+    /// orphaned copy-round event is ignored by its staleness guard.
+    fn begin_drain(&mut self, index: usize) {
+        let replica = &mut self.replicas[index];
+        replica.draining = true;
+        replica.precopy = None;
+        self.dispatch_index
+            .begin_drain(index, replica.model, replica.handle.node);
     }
 
     /// Starts moving `replicas[index]` to `to`, for a scheduled migration and
@@ -2502,58 +2351,34 @@ impl<'a> PartitionSim<'a> {
     /// runner a destination owned by another partition demotes a pre-copy to
     /// a cold drain-and-move: the copy loop needs destination state the
     /// source partition cannot see.
-    #[allow(clippy::too_many_arguments)]
     fn start_migration<S: ObsSink + ?Sized>(
+        &mut self,
         cluster: &mut NpuCluster,
-        replicas: &mut [ReplicaSim],
-        dispatch_index: &mut ReplicaIndex,
         index: usize,
         to: NodeId,
         mode: MigrationMode,
         now: u64,
-        cost_model: &MigrationCostModel,
-        records: &mut Vec<MigrationRecord>,
-        events: &mut EventQueue,
-        links: &mut LinkSchedule,
-        state: &mut ServeState,
-        shard: &mut Option<ShardContext>,
         sink: &mut S,
     ) {
         // A draining replica is about to release its vNPU anyway: migrating
         // it would charge a pointless dark window to its queued requests. A
         // replica already migrating (either mode) finishes that move first.
-        if replicas[index].handle.node == to
-            || replicas[index].pending_migration.is_some()
-            || replicas[index].precopy.is_some()
-            || replicas[index].draining
+        let replica = &mut self.replicas[index];
+        if replica.handle.node == to
+            || replica.pending_migration.is_some()
+            || replica.precopy.is_some()
+            || replica.draining
         {
             return;
         }
-        let export = shard.is_some() && cluster.node(to).is_none();
+        let export = self.shard.is_some() && cluster.node(to).is_none();
         if mode == MigrationMode::PreCopy && !export {
-            Self::begin_precopy(
-                cluster, replicas, index, to, now, cost_model, events, links, state, sink,
-            );
-        } else if replicas[index].in_service.is_some() {
+            self.begin_precopy(cluster, index, to, now, sink);
+        } else if replica.in_service.is_some() {
             // Drain first; the completion event finishes the job.
-            replicas[index].pending_migration = Some((to, now));
+            replica.pending_migration = Some((to, now));
         } else {
-            Self::execute_migration(
-                cluster,
-                &mut replicas[index],
-                dispatch_index,
-                now,
-                to,
-                0,
-                cost_model,
-                records,
-                events,
-                links,
-                index,
-                state,
-                shard,
-                sink,
-            );
+            self.execute_migration(cluster, index, to, 0, now, sink);
         }
     }
 
@@ -2561,46 +2386,40 @@ impl<'a> PartitionSim<'a> {
     /// [`start_migration`](Self::start_migration)'s guards): round 0 streams
     /// the full resident state over the (possibly contended) link while the
     /// replica keeps serving; the copy-round event continues the loop.
-    #[allow(clippy::too_many_arguments)]
     fn begin_precopy<S: ObsSink + ?Sized>(
-        cluster: &mut NpuCluster,
-        replicas: &mut [ReplicaSim],
+        &mut self,
+        cluster: &NpuCluster,
         index: usize,
         to: NodeId,
         now: u64,
-        cost_model: &MigrationCostModel,
-        events: &mut EventQueue,
-        links: &mut LinkSchedule,
-        state: &mut ServeState,
         sink: &mut S,
     ) {
-        let replica = &mut replicas[index];
-        let state_bytes = cluster.resident_state_bytes(replica.handle);
-        if state_bytes.is_none() || cluster.node(to).is_none() {
+        let replica = &mut self.replicas[index];
+        let (Some(state_bytes), Some(_)) = (
+            cluster.resident_state_bytes(replica.handle),
+            cluster.node(to),
+        ) else {
             // Unknown destination or stale placement: refused, like the cold
             // path's migrate() error.
-            state.control.migrations_rejected += 1;
-            sink.on_migration_rejected(now, index);
+            self.reject_migration(now, index, sink);
             return;
-        }
-        let state_bytes = state_bytes.expect("checked above"); // simlint::allow(P1, reason = "the None case returned above as a rejected migration")
+        };
+        let from = replica.handle.node;
         let source_npu = cluster
-            .node(replica.handle.node)
+            .node(from)
             .expect("source node exists") // simlint::allow(P1, reason = "a migrating replica's source node holds its deployment")
             .npu_config();
-        let frequency = source_npu.frequency;
+        let cost_model = &self.options.cost_model;
         let precopy = &cost_model.precopy;
         let dirty_bytes_per_request = precopy
             .dirty_rate
             .dirty_bytes_per_request(replica.model, source_npu);
-        let full_copy = chaos_transfer(
-            state,
-            replica.handle.node,
-            to,
-            now,
-            cost_model.transfer_cycles(state_bytes, frequency).get(),
-        );
-        let ends_at = links.reserve(replica.handle.node, to, now, full_copy);
+        let full_copy = cost_model
+            .transfer_cycles(state_bytes, source_npu.frequency)
+            .get();
+        let ends_at = self
+            .links
+            .reserve(self.state.chaos.as_ref(), from, to, now, full_copy);
         replica.precopy = Some(PreCopyFlight {
             to,
             dirty: DirtySet::new(state_bytes, precopy.page_bytes),
@@ -2612,8 +2431,8 @@ impl<'a> PartitionSim<'a> {
             round_ends_at: ends_at,
             converged: false,
         });
-        events.push(ends_at, EV_COPY_ROUND, index);
-        sink.on_copy_round(now, ends_at, replica.handle.node, to, index, 0, state_bytes);
+        self.events.push(ends_at, EV_COPY_ROUND, index);
+        sink.on_copy_round(now, ends_at, from, to, index, 0, state_bytes);
     }
 
     /// Finishes one pre-copy round: decides between another round (dirty set
@@ -2621,22 +2440,14 @@ impl<'a> PartitionSim<'a> {
     /// threshold, or the loop stalled — round cap hit, or the dirty set no
     /// longer shrinking because serving re-dirties faster than the link
     /// drains).
-    #[allow(clippy::too_many_arguments)]
     fn copy_round<S: ObsSink + ?Sized>(
+        &mut self,
         cluster: &mut NpuCluster,
-        replicas: &mut [ReplicaSim],
-        dispatch_index: &mut ReplicaIndex,
         index: usize,
         now: u64,
-        cost_model: &MigrationCostModel,
-        records: &mut Vec<MigrationRecord>,
-        events: &mut EventQueue,
-        links: &mut LinkSchedule,
-        state: &mut ServeState,
-        shard: &mut Option<ShardContext>,
         sink: &mut S,
     ) {
-        let replica = &mut replicas[index];
+        let replica = &mut self.replicas[index];
         // Staleness guards: the migration was cancelled (drain won), or this
         // is not the round we scheduled.
         let Some(precopy) = &mut replica.precopy else {
@@ -2645,36 +2456,22 @@ impl<'a> PartitionSim<'a> {
         if precopy.round_ends_at != now || replica.retired || replica.draining {
             return;
         }
+        let cost_model = &self.options.cost_model;
         let config = &cost_model.precopy;
         let dirty_bytes = precopy.dirty.dirty_bytes();
         let threshold = config.stop_copy_bytes(precopy.dirty.capacity_bytes());
         let converged = dirty_bytes <= threshold;
         let stalled = precopy.rounds >= config.max_rounds
             || dirty_bytes as f64 > config.shrink_ratio * precopy.last_round_bytes as f64;
+        let (from, to) = (replica.handle.node, precopy.to);
         if converged || stalled {
             // Stop-and-copy: freeze dispatch; whatever the in-flight batch
             // still dirties joins the residual moved in the dark window.
             precopy.converged = converged;
             if replica.in_service.is_some() {
-                replica.pending_migration = Some((precopy.to, now));
+                replica.pending_migration = Some((to, now));
             } else {
-                let to = precopy.to;
-                Self::execute_migration(
-                    cluster,
-                    replica,
-                    dispatch_index,
-                    now,
-                    to,
-                    0,
-                    cost_model,
-                    records,
-                    events,
-                    links,
-                    index,
-                    state,
-                    shard,
-                    sink,
-                );
+                self.execute_migration(cluster, index, to, 0, now, sink);
             }
             return;
         }
@@ -2682,43 +2479,26 @@ impl<'a> PartitionSim<'a> {
         // ended; serving continues and re-dirties into the next round.
         let round = precopy.dirty.take_bytes();
         let frequency = cluster
-            .node(replica.handle.node)
+            .node(from)
             .expect("source node exists") // simlint::allow(P1, reason = "a migrating replica's source node holds its deployment")
             .npu_config()
             .frequency;
-        let cycles = chaos_transfer(
-            state,
-            replica.handle.node,
-            precopy.to,
-            now,
-            cost_model.transfer_cycles(round, frequency).get(),
-        );
-        let ends_at = links.reserve(replica.handle.node, precopy.to, now, cycles);
+        let cycles = cost_model.transfer_cycles(round, frequency).get();
+        let ends_at = self
+            .links
+            .reserve(self.state.chaos.as_ref(), from, to, now, cycles);
         precopy.rounds += 1;
         precopy.last_round_bytes = round;
         precopy.round_bytes.push(round);
         precopy.precopy_cycles += ends_at - now;
         precopy.round_ends_at = ends_at;
-        events.push(ends_at, EV_COPY_ROUND, index);
-        sink.on_copy_round(
-            now,
-            ends_at,
-            replica.handle.node,
-            precopy.to,
-            index,
-            precopy.rounds - 1,
-            round,
-        );
+        self.events.push(ends_at, EV_COPY_ROUND, index);
+        sink.on_copy_round(now, ends_at, from, to, index, precopy.rounds - 1, round);
     }
 
     /// Releases a fully drained replica's vNPU back to the cluster.
-    fn retire_if_drained(
-        cluster: &mut NpuCluster,
-        replica: &mut ReplicaSim,
-        dispatch_index: &mut ReplicaIndex,
-        now: u64,
-        state: &mut ServeState,
-    ) {
+    fn retire_if_drained(&mut self, cluster: &mut NpuCluster, index: usize, now: u64) {
+        let replica = &self.replicas[index];
         if !replica.draining
             || replica.retired
             || replica.in_service.is_some()
@@ -2727,14 +2507,8 @@ impl<'a> PartitionSim<'a> {
         {
             return;
         }
-        let released = cluster.undeploy(replica.handle).is_ok();
-        debug_assert!(released, "a live drained replica must release cleanly");
-        replica.retired = true;
-        replica.batch_timeout_at = None;
-        dispatch_index.retire(replica.handle);
-        state.control.released += 1;
-        state.live_replicas -= 1;
-        state.replica_cycles += now.saturating_sub(replica.activated_at);
+        self.retire(cluster, index, now);
+        self.state.control.released += 1;
     }
 
     /// Starts the next service pass if the replica is idle and available:
@@ -2742,14 +2516,9 @@ impl<'a> PartitionSim<'a> {
     /// `max_batch` queued requests into one batch — unless a batch-formation
     /// window is configured and still open, in which case the queue is held
     /// (bounded by `max_batch_wait`) to let the batch fill.
-    fn start_next<S: ObsSink + ?Sized>(
-        replica: &mut ReplicaSim,
-        now: u64,
-        events: &mut EventQueue,
-        index: usize,
-        state: &mut ServeState,
-        sink: &mut S,
-    ) {
+    fn start_next<S: ObsSink + ?Sized>(&mut self, index: usize, now: u64, sink: &mut S) {
+        let replica = &mut self.replicas[index];
+        let state = &mut self.state;
         if replica.retired
             || replica.fenced
             || replica.in_service.is_some()
@@ -2808,7 +2577,7 @@ impl<'a> PartitionSim<'a> {
                 if now < due {
                     if replica.batch_timeout_at.is_none() {
                         replica.batch_timeout_at = Some(due);
-                        events.push(due, EV_BATCH_TIMEOUT, index);
+                        self.events.push(due, EV_BATCH_TIMEOUT, index);
                     }
                     return;
                 }
@@ -2849,7 +2618,7 @@ impl<'a> PartitionSim<'a> {
         }
         replica.in_service = Some((batch, now, finish));
         state.batches += 1;
-        events.push(finish, EV_COMPLETION, index);
+        self.events.push(finish, EV_COMPLETION, index);
     }
 
     /// Runs the stop-and-copy phases of a migration: snapshot + transfer +
@@ -2862,138 +2631,107 @@ impl<'a> PartitionSim<'a> {
     /// Under the sharded runner, a destination owned by another partition is
     /// intercepted before the local `migrate` call: the replica is exported
     /// into a [`MigrationEnvelope`] for barrier delivery instead.
-    #[allow(clippy::too_many_arguments)]
     fn execute_migration<S: ObsSink + ?Sized>(
+        &mut self,
         cluster: &mut NpuCluster,
-        replica: &mut ReplicaSim,
-        dispatch_index: &mut ReplicaIndex,
-        now: u64,
+        index: usize,
         to: NodeId,
         drain_cycles: u64,
-        cost_model: &MigrationCostModel,
-        records: &mut Vec<MigrationRecord>,
-        events: &mut EventQueue,
-        links: &mut LinkSchedule,
-        index: usize,
-        state: &mut ServeState,
-        shard: &mut Option<ShardContext>,
+        now: u64,
         sink: &mut S,
     ) {
-        if let Some(context) = shard.as_mut() {
-            if cluster.node(to).is_none() && context.owners.contains_key(&to) {
-                Self::export_replica(
-                    cluster,
-                    replica,
-                    dispatch_index,
-                    now,
-                    to,
-                    drain_cycles,
-                    cost_model,
-                    links,
-                    index,
-                    state,
-                    context,
-                );
-                return;
-            }
+        let remote = cluster.node(to).is_none()
+            && self
+                .shard
+                .as_ref()
+                .is_some_and(|shard| shard.owners.contains_key(&to));
+        if remote {
+            self.export_replica(cluster, index, to, drain_cycles, now);
+            return;
         }
+        let replica = &mut self.replicas[index];
         let source_frequency = cluster
             .node(replica.handle.node)
             .expect("source node exists") // simlint::allow(P1, reason = "a migrating replica's source node holds its deployment")
             .npu_config()
             .frequency;
-        match cluster.migrate(replica.handle, to, cost_model, Some(drain_cycles)) {
-            Ok(outcome) => {
-                let mut record = outcome.record;
-                if let Some(precopy) = replica.precopy.take() {
-                    // Live switch-over: the dark window moves the residual
-                    // dirty pages plus the register/queue context — not the
-                    // full state the cold-priced record assumed — and waits
-                    // its turn on the contended link.
-                    let residual = precopy.dirty.dirty_bytes() + cost_model.context_bytes;
-                    let cycles = chaos_transfer(
-                        state,
-                        record.from,
-                        record.to,
-                        now,
-                        cost_model.transfer_cycles(residual, source_frequency).get(),
-                    );
-                    record.mode = MigrationMode::PreCopy;
-                    record.transfer_cycles =
-                        links.reserve(record.from, record.to, now, cycles) - now;
-                    record.precopy_rounds = precopy.rounds;
-                    record.precopy_bytes = precopy.round_bytes.iter().sum();
-                    record.round_bytes = precopy.round_bytes;
-                    record.precopy_cycles = precopy.precopy_cycles;
-                    record.converged = precopy.converged;
-                } else {
-                    // Cold transfers occupy the same board-to-board link as
-                    // everything else: a transfer already in flight delays
-                    // this one (on an idle link the window is unchanged).
-                    let cycles =
-                        chaos_transfer(state, record.from, record.to, now, record.transfer_cycles);
-                    record.transfer_cycles =
-                        links.reserve(record.from, record.to, now, cycles) - now;
-                }
-                let post_drain = record.transfer_cycles + record.remap_cycles;
-                let old_handle = replica.handle;
-                replica.handle = VnpuHandle {
-                    node: record.to,
-                    vnpu: record.dest_vnpu,
-                };
-                replica.available_at = now + post_drain;
-                // A draining replica (scale-down raced with the migration)
-                // already left the routable sets; only its handle re-keys.
-                dispatch_index.relocate(
-                    old_handle,
-                    replica.handle,
-                    index,
-                    replica.model,
-                    !replica.draining,
-                );
-                sink.on_stop_copy(now, replica.available_at, index, &record);
-                records.push(record);
-                events.push(replica.available_at, EV_RESUME, index);
-            }
-            Err(_) => {
-                // The destination refused (capacity raced away); the replica
-                // keeps serving from its source node, any pre-copy effort
-                // abandoned.
-                replica.precopy = None;
-                state.control.migrations_rejected += 1;
-                sink.on_migration_rejected(now, index);
-                Self::start_next(replica, now, events, index, state, sink);
-            }
-        }
+        let cost_model = &self.options.cost_model;
+        let Ok(outcome) = cluster.migrate(replica.handle, to, cost_model, Some(drain_cycles))
+        else {
+            // The destination refused (capacity raced away); the replica
+            // keeps serving from its source node, any pre-copy effort
+            // abandoned.
+            replica.precopy = None;
+            self.reject_migration(now, index, sink);
+            self.start_next(index, now, sink);
+            return;
+        };
+        let mut record = outcome.record;
+        let chaos = self.state.chaos.as_ref();
+        let cycles = if let Some(precopy) = replica.precopy.take() {
+            // Live switch-over: the dark window moves the residual dirty
+            // pages plus the register/queue context — not the full state the
+            // cold-priced record assumed — and waits its turn on the
+            // contended link.
+            let residual = precopy.dirty.dirty_bytes() + cost_model.context_bytes;
+            record.mode = MigrationMode::PreCopy;
+            record.precopy_rounds = precopy.rounds;
+            record.precopy_bytes = precopy.round_bytes.iter().sum();
+            record.round_bytes = precopy.round_bytes;
+            record.precopy_cycles = precopy.precopy_cycles;
+            record.converged = precopy.converged;
+            cost_model.transfer_cycles(residual, source_frequency).get()
+        } else {
+            // Cold transfers occupy the same board-to-board link as
+            // everything else: a transfer already in flight delays this one
+            // (on an idle link the window is unchanged).
+            record.transfer_cycles
+        };
+        record.transfer_cycles = self
+            .links
+            .reserve(chaos, record.from, record.to, now, cycles)
+            - now;
+        let post_drain = record.transfer_cycles + record.remap_cycles;
+        let old_handle = replica.handle;
+        replica.handle = VnpuHandle {
+            node: record.to,
+            vnpu: record.dest_vnpu,
+        };
+        replica.available_at = now + post_drain;
+        // A draining replica (scale-down raced with the migration) already
+        // left the routable sets; only its handle re-keys.
+        self.dispatch_index.relocate(
+            old_handle,
+            replica.handle,
+            index,
+            replica.model,
+            !replica.draining,
+        );
+        sink.on_stop_copy(now, replica.available_at, index, &record);
+        self.migration_records.push(record);
+        self.events.push(replica.available_at, EV_RESUME, index);
     }
 
     /// Packs `replicas[index]` into a cross-partition [`MigrationEnvelope`]:
     /// the transfer is priced source-side (chaos windows and link contention
-    /// included), the queue drained in pop order, the vNPU released — and the
-    /// envelope waits in `shard.exports` for barrier delivery to the owning
-    /// partition.
-    #[allow(clippy::too_many_arguments)]
+    /// included), the queue drained in pop order, the slot retired — and the
+    /// envelope waits in the shard's exports for barrier delivery to the
+    /// owning partition. Called only under the sharded runner.
     fn export_replica(
+        &mut self,
         cluster: &mut NpuCluster,
-        replica: &mut ReplicaSim,
-        dispatch_index: &mut ReplicaIndex,
-        now: u64,
+        index: usize,
         to: NodeId,
         drain_cycles: u64,
-        cost_model: &MigrationCostModel,
-        links: &mut LinkSchedule,
-        index: usize,
-        state: &mut ServeState,
-        shard: &mut ShardContext,
+        now: u64,
     ) {
-        let handle = replica.handle;
+        let handle = self.replicas[index].handle;
         let Some(deployment) = cluster.deployment(handle).copied() else {
             // The deployment raced away (cannot happen for a live replica);
             // account it like any refused migration rather than panicking.
-            state.control.migrations_rejected += 1;
+            self.state.control.migrations_rejected += 1;
             return;
         };
-        let spec = deployment.spec();
         let state_bytes = cluster.resident_state_bytes(handle).unwrap_or(0);
         let frequency = cluster
             .node(handle.node)
@@ -3002,16 +2740,13 @@ impl<'a> PartitionSim<'a> {
             .frequency;
         // Cross-partition moves are always cold: the pre-copy loop needs
         // destination-side state the source partition cannot see.
+        let replica = &mut self.replicas[index];
         replica.precopy = None;
-        let cycles = chaos_transfer(
-            state,
-            handle.node,
-            to,
-            now,
-            cost_model.transfer_cycles(state_bytes, frequency).get(),
-        );
-        let transfer_ends = links.reserve(handle.node, to, now, cycles);
-        let ready_at = transfer_ends + cost_model.remap_cycles;
+        let cost_model = &self.options.cost_model;
+        let cycles = cost_model.transfer_cycles(state_bytes, frequency).get();
+        let transfer_ends =
+            self.links
+                .reserve(self.state.chaos.as_ref(), handle.node, to, now, cycles);
         let record = MigrationRecord {
             source_vnpu: handle.vnpu,
             // Placeholder: the destination assigns the real id at import.
@@ -3032,28 +2767,22 @@ impl<'a> PartitionSim<'a> {
         let queued = replica.queue.len();
         let mut queue: Vec<QueuedRequest> = Vec::with_capacity(queued);
         replica.queue.drain_into(queued, &mut queue);
-        dispatch_index.evict(index, replica.model, handle.node, handle, !replica.draining);
-        replica.retired = true;
-        replica.batch_timeout_at = None;
-        replica.pending_migration = None;
-        state.replica_cycles += now.saturating_sub(replica.activated_at);
-        state.live_replicas -= 1;
-        let undeployed = cluster.undeploy(handle);
-        debug_assert!(
-            undeployed.is_ok(),
-            "an exporting replica's deployment must exist"
-        );
-        shard.exports.push(MigrationEnvelope {
+        let envelope = MigrationEnvelope {
             from_node: handle.node,
             from_slot: index,
             to_node: to,
-            spec,
+            spec: deployment.spec(),
             queue,
             stream: replica.stream,
-            ready_at,
+            ready_at: transfer_ends + cost_model.remap_cycles,
             record,
             bounced: false,
-        });
+            draining: replica.draining,
+        };
+        self.retire(cluster, index, now);
+        if let Some(shard) = &mut self.shard {
+            shard.exports.push(envelope);
+        }
     }
 
     /// Drains the envelopes exported since the last barrier (empty on the
@@ -3074,7 +2803,8 @@ impl<'a> PartitionSim<'a> {
     /// barrier — conservative-safe, because no partition has simulated past
     /// the barrier yet. A first-time import finalizes and records the
     /// migration; a bounced one records nothing (the rejection was already
-    /// counted, mirroring the sequential refused-migration path).
+    /// counted, mirroring the sequential refused-migration path). A replica
+    /// that left draining drains again here.
     pub(crate) fn import_replica<S: ObsSink + ?Sized>(
         &mut self,
         cluster: &mut NpuCluster,
@@ -3094,12 +2824,10 @@ impl<'a> PartitionSim<'a> {
         for request in envelope.queue {
             sim.enqueue(request);
         }
-        let slot = Self::add_replica(
-            &mut self.replicas,
-            &mut self.dispatch_index,
-            &mut self.state,
-            sim,
-        );
+        let slot = self.add_replica(sim);
+        if envelope.draining {
+            self.begin_drain(slot);
+        }
         self.events.push(resume_at, EV_RESUME, slot);
         if !envelope.bounced {
             let mut record = envelope.record;
@@ -3113,135 +2841,40 @@ impl<'a> PartitionSim<'a> {
 
     /// Drops a migration whose import failed at both the destination and
     /// (bounced) back at the source: the replica is gone and every queued
-    /// request is lost — attributed through the chaos ledger or the sink,
-    /// never silently. The rejection statistic was already counted at the
-    /// partition that first refused the import.
+    /// request is lost — counted in the availability stats and reported to
+    /// the sink, never silently, whether or not the run injects faults. The
+    /// rejection statistic was already counted at the partition that first
+    /// refused the import.
     pub(crate) fn abandon_envelope<S: ObsSink + ?Sized>(
         &mut self,
         envelope: MigrationEnvelope,
         barrier: u64,
         sink: &mut S,
     ) {
-        let from = envelope.from_node;
         for request in envelope.queue {
-            if let Some(chaos) = &mut self.state.chaos {
-                chaos.note_lost(request.model);
+            match &mut self.state.chaos {
+                Some(chaos) => chaos.note_lost(request.model),
+                None => self.state.abandoned += 1,
             }
-            sink.on_lost(barrier, request.sequence, request.model, from);
+            sink.on_lost(barrier, request.sequence, request.model, envelope.from_node);
         }
     }
 
-    /// Counts a destination-side import rejection on the partition that
-    /// refused it, and reports it to that partition's sink like a sequential
-    /// refused migration (the bounce back to the source still happens).
-    pub(crate) fn note_migration_rejected<S: ObsSink + ?Sized>(
+    /// Counts a refused migration of `slot` and reports it to the sink: a
+    /// pre-copy or cold move the destination refused, or a cross-partition
+    /// import refused at the barrier (the bounce back to the source still
+    /// happens).
+    pub(crate) fn reject_migration<S: ObsSink + ?Sized>(
         &mut self,
         now: u64,
-        from_slot: usize,
+        slot: usize,
         sink: &mut S,
     ) {
         self.state.control.migrations_rejected += 1;
-        sink.on_migration_rejected(now, from_slot);
+        sink.on_migration_rejected(now, slot);
     }
 
-    /// Adopts a replica the coordinator just deployed on this partition's
-    /// cluster (a control-plane scale-up placed fleet-wide at the barrier).
-    pub(crate) fn adopt_replica<S: ObsSink + ?Sized>(
-        &mut self,
-        cluster: &NpuCluster,
-        handle: VnpuHandle,
-        now: u64,
-        action: &ControlAction,
-        sink: &mut S,
-    ) {
-        sink.on_control(now, action);
-        let deployment = *cluster
-            .deployment(handle)
-            .expect("coordinator deployed this handle"); // simlint::allow(P1, reason = "the coordinator deployed this handle on this partition's cluster one barrier step earlier")
-        let replica = self.cache.replica_sim(cluster, &deployment, now);
-        Self::add_replica(
-            &mut self.replicas,
-            &mut self.dispatch_index,
-            &mut self.state,
-            replica,
-        );
-        self.state.control.scale_ups += 1;
-    }
-
-    /// Counts a fleet-wide scale-up the coordinator could not place anywhere.
-    pub(crate) fn note_scale_up_rejected<S: ObsSink + ?Sized>(
-        &mut self,
-        now: u64,
-        action: &ControlAction,
-        sink: &mut S,
-    ) {
-        sink.on_control(now, action);
-        self.state.control.scale_up_rejected += 1;
-    }
-
-    /// Applies a scale-down or migration action to the owning partition at a
-    /// barrier (scale-ups are placed fleet-wide by the coordinator instead).
-    pub(crate) fn apply_barrier_action<S: ObsSink + ?Sized>(
-        &mut self,
-        cluster: &mut NpuCluster,
-        action: ControlAction,
-        now: u64,
-        sink: &mut S,
-    ) {
-        Self::apply_action(
-            cluster,
-            &mut self.replicas,
-            &mut self.dispatch_index,
-            &mut self.cache,
-            action,
-            now,
-            &self.options.cost_model,
-            &mut self.migration_records,
-            &mut self.events,
-            &mut self.links,
-            &mut self.state,
-            &mut self.shard,
-            sink,
-        );
-    }
-
-    /// Runs the telemetry-tick side effects for one partition at a barrier:
-    /// failure detection and failover, frame sampling, and the fleet-counter
-    /// scan for an active sink. The coordinator merges the per-partition
-    /// frames and invokes the control plane fleet-wide, and owns
-    /// `ControlStats::samples` (one per barrier tick) — it is never bumped
-    /// here.
-    pub(crate) fn barrier_tick<S: ObsSink + ?Sized>(
-        &mut self,
-        cluster: &mut NpuCluster,
-        now: u64,
-        sink: &mut S,
-    ) {
-        Self::chaos_tick(
-            cluster,
-            &mut self.replicas,
-            &mut self.dispatch_index,
-            &mut self.cache,
-            &mut self.router,
-            &mut self.views,
-            now,
-            &self.options.cost_model,
-            &mut self.events,
-            &mut self.links,
-            &mut self.state,
-            sink,
-        );
-        Self::sample_into(
-            &mut self.frame,
-            &mut self.stale_models,
-            &mut self.replicas,
-            now,
-            &mut self.state,
-        );
-        Self::observe_tick(sink, cluster, &self.replicas, now, &self.frame);
-    }
-
-    /// The frame produced by the last [`barrier_tick`](Self::barrier_tick).
+    /// The frame produced by the last [`telemetry_tick`](Self::telemetry_tick).
     pub(crate) fn frame(&self) -> &TelemetryFrame {
         &self.frame
     }
@@ -3257,16 +2890,11 @@ impl<'a> PartitionSim<'a> {
     /// events, live queued/in-service work, or an export awaiting barrier
     /// delivery.
     pub(crate) fn busy(&self) -> bool {
-        Self::work_left(
-            self.next_arrival,
-            self.arrivals,
-            &self.replicas,
-            &self.events,
-            self.recovery_armed,
-        ) || self
-            .shard
-            .as_ref()
-            .is_some_and(|shard| !shard.exports.is_empty())
+        self.work_left()
+            || self
+                .shard
+                .as_ref()
+                .is_some_and(|shard| !shard.exports.is_empty())
     }
 
     /// Whether a cross-partition transfer is pending or imminent: an export
@@ -4244,7 +3872,7 @@ mod tests {
             .with_telemetry(service * 2)
             .with_stochastic(StochasticService::seeded(9).with_cv(0.3));
         let trace = burst_trace(40, service);
-        let mut partition = PartitionSim::new(options, &mut fleet, trace.arrivals());
+        let mut partition = PartitionSim::new(options, &mut fleet, trace.arrivals(), None);
         partition.step_until(u64::MAX, &mut fleet, &mut script, &mut NoopSink);
         let replicas = &partition.replicas;
         assert_eq!(replicas.len(), 4, "two initial replicas and two scale-ups");

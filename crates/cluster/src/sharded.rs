@@ -316,6 +316,7 @@ fn drive<S: ObsSink + Send + Default>(
         .enumerate()
         .map(|(i, &node)| (node, (i / group).min(partitions - 1)))
         .collect();
+    let owner = |node: NodeId| owners.get(&node).copied().unwrap_or(0);
 
     // Lookahead: no cross-partition effect lands sooner than one
     // interconnect setup.
@@ -373,7 +374,7 @@ fn drive<S: ObsSink + Send + Default>(
                 plan: ShardPlan::empty(partitions),
                 exports: Vec::new(),
             };
-            PartitionSim::new_sharded(opts, part_cluster, arrivals, context)
+            PartitionSim::new(opts, part_cluster, arrivals, Some(context))
         })
         .collect();
     rebuild_plan(&mut sims, partitions);
@@ -442,7 +443,7 @@ fn drive<S: ObsSink + Send + Default>(
             for index in 0..partitions {
                 let envelopes = sims[index].take_exports();
                 for envelope in envelopes {
-                    deliver(&mut sims, &mut clusters, sinks, &owners, envelope, now);
+                    deliver(&mut sims, &mut clusters, sinks, owner, envelope, now);
                 }
             }
 
@@ -454,58 +455,42 @@ fn drive<S: ObsSink + Send + Default>(
                     next_tick = Some(now + width);
                 }
                 for index in 0..partitions {
-                    sims[index].barrier_tick(&mut clusters[index], now, &mut sinks[index]);
+                    sims[index].telemetry_tick(&mut clusters[index], now, &mut sinks[index]);
                 }
                 sims[0].count_sample();
                 let frame = merge_frames(&sims, now);
                 // The control plane sees the whole fleet, so the partitions'
                 // clusters are absorbed back into one; scale-ups place
                 // against fleet-wide capacity, then everything re-splits.
+                // Placed scale-ups reach their owners first, then refusals
+                // (counted on partition 0), then the routed actions.
                 let mut fleet = NpuCluster::absorb(std::mem::take(&mut clusters));
-                let actions = controller.control(&frame, &fleet);
-                let mut adoptions: Vec<(VnpuHandle, ControlAction)> = Vec::new();
-                let mut rejected: Vec<ControlAction> = Vec::new();
-                let mut routed: Vec<ControlAction> = Vec::new();
-                for action in actions {
+                let mut placed: Vec<(usize, ControlAction, Option<VnpuHandle>)> = Vec::new();
+                let mut refused = Vec::new();
+                let mut routed: Vec<(usize, ControlAction)> = Vec::new();
+                for action in controller.control(&frame, &fleet) {
                     match action {
                         ControlAction::ScaleUp { spec, placement } => {
                             match fleet.deploy(spec, placement) {
-                                Ok(handle) => adoptions.push((handle, action)),
-                                Err(_) => rejected.push(action),
+                                Ok(handle) => {
+                                    placed.push((owner(handle.node), action, Some(handle)))
+                                }
+                                Err(_) => refused.push((0, action, None)),
                             }
                         }
-                        ControlAction::ScaleDown { .. } | ControlAction::Migrate { .. } => {
-                            routed.push(action)
+                        ControlAction::ScaleDown { handle }
+                        | ControlAction::Migrate { handle, .. } => {
+                            routed.push((owner(handle.node), action))
                         }
                     }
                 }
                 clusters = fleet.split(&owners, partitions);
-                for (handle, action) in adoptions {
-                    let owner = owners.get(&handle.node).copied().unwrap_or(0);
-                    sims[owner].adopt_replica(
-                        &clusters[owner],
-                        handle,
-                        now,
-                        &action,
-                        &mut sinks[owner],
-                    );
+                for (index, action, deployed) in placed.into_iter().chain(refused) {
+                    sinks[index].on_control(now, &action);
+                    sims[index].scale_up(&clusters[index], deployed, now);
                 }
-                for action in rejected {
-                    sims[0].note_scale_up_rejected(now, &action, &mut sinks[0]);
-                }
-                for action in routed {
-                    let owner = match &action {
-                        ControlAction::ScaleDown { handle } => handle.node,
-                        ControlAction::Migrate { handle, .. } => handle.node,
-                        ControlAction::ScaleUp { .. } => unreachable!("partitioned above"),
-                    };
-                    let owner = owners.get(&owner).copied().unwrap_or(0);
-                    sims[owner].apply_barrier_action(
-                        &mut clusters[owner],
-                        action,
-                        now,
-                        &mut sinks[owner],
-                    );
+                for (index, action) in routed {
+                    sims[index].apply_action(&mut clusters[index], action, now, &mut sinks[index]);
                 }
             }
 
@@ -534,25 +519,24 @@ fn deliver<S: ObsSink>(
     sims: &mut [PartitionSim],
     clusters: &mut [NpuCluster],
     sinks: &mut [S],
-    owners: &BTreeMap<NodeId, usize>,
+    owner: impl Fn(NodeId) -> usize,
     envelope: MigrationEnvelope,
     now: u64,
 ) {
-    let target = owners.get(&envelope.to_node).copied().unwrap_or(0);
+    let target = owner(envelope.to_node);
     let Err(mut envelope) =
         sims[target].import_replica(&mut clusters[target], envelope, now, &mut sinks[target])
     else {
         return;
     };
-    sims[target].note_migration_rejected(now, envelope.from_slot, &mut sinks[target]);
+    sims[target].reject_migration(now, envelope.from_slot, &mut sinks[target]);
+    let source = owner(envelope.from_node);
     if envelope.bounced {
-        let source = owners.get(&envelope.from_node).copied().unwrap_or(0);
         sims[source].abandon_envelope(*envelope, now, &mut sinks[source]);
         return;
     }
     envelope.bounced = true;
     envelope.to_node = envelope.from_node;
-    let source = owners.get(&envelope.to_node).copied().unwrap_or(0);
     if let Err(envelope) =
         sims[source].import_replica(&mut clusters[source], *envelope, now, &mut sinks[source])
     {

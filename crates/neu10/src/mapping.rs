@@ -89,11 +89,6 @@ impl PnpuMapper {
         }
     }
 
-    /// The load committed on `core`.
-    pub fn core_load(&self, core: CoreId) -> Option<&CoreLoad> {
-        self.cores.get(&core)
-    }
-
     /// The placement of `vnpu`, if mapped.
     pub fn placement(&self, vnpu: VnpuId) -> Option<&VnpuPlacement> {
         self.placements.get(&vnpu)
@@ -264,11 +259,6 @@ impl PnpuMapper {
             .values()
             .map(|l| max.saturating_sub(l.hbm_segments))
             .sum()
-    }
-
-    /// Number of vNPUs currently mapped.
-    pub fn placement_count(&self) -> usize {
-        self.placements.len()
     }
 }
 

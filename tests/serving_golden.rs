@@ -469,6 +469,60 @@ fn check(name: &str, report: &ServingReport) {
     );
 }
 
+/// `report.perf` — (events, arrivals, peak replicas) — of every golden
+/// scenario that yields a report. The digests above leave these counters out
+/// on purpose, so an event the loop gains or loses, or a replica it counts
+/// twice, shows up only here. Kept apart from [`GOLDEN`] so that locking
+/// them moved no digest.
+const GOLDEN_PERF: &[(&str, u64, u64, usize)] = &[
+    ("round-robin", 96, 320, 6),
+    ("least-loaded", 92, 320, 6),
+    ("locality", 72, 320, 6),
+    ("edf", 92, 320, 6),
+    ("autopilot-diurnal", 1739, 3264, 8),
+    ("precopy-mixed", 91, 320, 6),
+    ("slo-alertlog", 2176, 320, 6),
+    ("chaos-failover", 206243, 320, 6),
+    ("fleet-parallel", 65, 320, 7),
+];
+
+fn check_perf(name: &str, report: &ServingReport) {
+    let got = (
+        report.perf.events,
+        report.perf.arrivals,
+        report.perf.peak_replicas,
+    );
+    if std::env::var("NEU10_PRINT_GOLDEN").is_ok() {
+        println!("PERF (\"{name}\", {}, {}, {}),", got.0, got.1, got.2);
+        return;
+    }
+    let expected = GOLDEN_PERF
+        .iter()
+        .find(|(label, ..)| *label == name)
+        .map(|&(_, events, arrivals, peak)| (events, arrivals, peak))
+        .expect("scenario's perf counters are locked");
+    assert_eq!(
+        got, expected,
+        "{name}: (events, arrivals, peak_replicas) drifted from the golden counters"
+    );
+}
+
+#[test]
+fn golden_scenarios_keep_their_perf_counters() {
+    let service = estimated_service_cycles(ModelId::Mnist, 2, 2, &config());
+    for policy in DispatchPolicy::all() {
+        check_perf(policy.label(), &run_policy(policy));
+    }
+    check_perf("autopilot-diurnal", &run_autopilot());
+    check_perf("precopy-mixed", &run_precopy());
+    check_perf(
+        "slo-alertlog",
+        &run_slo_with(Cycles(service / 2), &mut cluster::NoopSink),
+    );
+    check_perf("chaos-failover", &run_chaos());
+    check_perf("fleet-parallel", &run_fleet_parallel(1));
+}
+
 #[test]
 fn policy_reports_match_pre_refactor_golden_digests() {
     for policy in DispatchPolicy::all() {

@@ -18,9 +18,9 @@
 
 use cluster::{
     AdmissionControl, ClusterServingSim, ControlAction, ControlPlane, DeploySpec, DispatchPolicy,
-    FaultKind, FaultSchedule, Metric, MetricsRegistry, NodeId, NpuCluster, PlacementPolicy,
-    RecoveryPolicy, ServingOptions, ServingReport, ShardOptions, StochasticService, TelemetryFrame,
-    TraceConfig, TraceRecorder,
+    FaultKind, FaultSchedule, Metric, MetricsRegistry, MigrationMode, NodeId, NpuCluster,
+    PlacementPolicy, RecoveryPolicy, ServingOptions, ServingReport, ShardOptions,
+    StochasticService, TelemetryFrame, TraceConfig, TraceRecorder,
 };
 use npu_sim::{Cycles, NpuConfig};
 use workloads::{ClusterTrace, ModelId, PriorityClass, QosSpec};
@@ -424,4 +424,137 @@ fn scale_ups_at_barriers_keep_every_arrival_and_the_thread_contract() {
         "thread count (and observation) must not change the controlled report"
     );
     assert_eq!(recorders.len(), 2, "one recorder per partition");
+}
+
+/// A controller that, at its first tick, moves the busy board-0 replica to
+/// board 1 and then releases it, so the scale-down races the migration.
+struct MigrateThenRelease {
+    fired: bool,
+}
+
+impl ControlPlane for MigrateThenRelease {
+    fn control(&mut self, frame: &TelemetryFrame, _cluster: &NpuCluster) -> Vec<ControlAction> {
+        if std::mem::replace(&mut self.fired, true) {
+            return Vec::new();
+        }
+        let mover = frame
+            .replicas
+            .iter()
+            .find(|sample| sample.handle.node == NodeId(0))
+            .expect("board 0 hosts a replica");
+        assert!(mover.in_flight > 0, "the mover is busy at the first tick");
+        vec![
+            ControlAction::Migrate {
+                handle: mover.handle,
+                to: NodeId(1),
+                mode: MigrationMode::Cold,
+            },
+            ControlAction::ScaleDown {
+                handle: mover.handle,
+            },
+        ]
+    }
+}
+
+/// A scale-down that races a cross-partition migration still releases the
+/// replica. The drain travels with the replica in its envelope, so the
+/// destination serves the queue and releases the vNPU, as a sequential run
+/// does after the same local migration.
+#[test]
+fn a_scale_down_racing_a_cross_partition_migration_still_releases() {
+    let service = cluster::estimated_service_cycles(ModelId::Mnist, 2, 2, &config());
+    let options = ServingOptions::new(DispatchPolicy::LeastLoaded)
+        .with_batching(4)
+        .with_telemetry(service * 5 / 2);
+    let trace = ClusterTrace::poisson(&[(ModelId::Mnist, service / 3)], 200, 3);
+    let fleet = || {
+        let mut fleet = NpuCluster::homogeneous(2, &config());
+        for node in 0..2 {
+            fleet
+                .deploy_pinned(DeploySpec::replica(ModelId::Mnist, 2, 2), NodeId(node))
+                .expect("capacity for the replica");
+        }
+        fleet
+    };
+    let sim = ClusterServingSim::new(options);
+    let mut sequential_fleet = fleet();
+    let sequential = sim.run_with_controller(
+        &mut sequential_fleet,
+        &trace,
+        &mut MigrateThenRelease { fired: false },
+    );
+    let mut sharded_fleet = fleet();
+    let sharded = sim.run_sharded_with_controller(
+        &mut sharded_fleet,
+        &trace,
+        ShardOptions::new(2),
+        &mut MigrateThenRelease { fired: false },
+    );
+    assert_eq!(sequential.control.scale_downs, 1);
+    assert_eq!(
+        sequential.control.released, 1,
+        "the sequential run releases"
+    );
+    assert_eq!(sharded.control.scale_downs, 1);
+    assert_eq!(
+        sharded.control.released, sharded.control.scale_downs,
+        "the migrated replica keeps its drain and releases"
+    );
+    assert_eq!(
+        sharded_fleet.deployments().count(),
+        sequential_fleet.deployments().count(),
+        "the released vNPU must not keep serving (and billing)"
+    );
+    assert_eq!(
+        sharded.stats.admitted,
+        sharded.stats.completed + sharded.deadline.dropped + sharded.availability.lost as usize,
+        "admitted = completed + dropped + lost"
+    );
+}
+
+/// A fault-free run that abandons a cross-partition migration counts the
+/// abandoned queue as lost. Replica X (board 0) and replica A (board 1)
+/// export in the same round: board 1 takes X, board 2 refuses A, and A's
+/// bounce home finds board 1 full again.
+#[test]
+fn an_abandoned_migration_counts_its_queue_lost_without_faults() {
+    let service = cluster::estimated_service_cycles(ModelId::Mnist, 2, 2, &config());
+    let mut fleet = NpuCluster::homogeneous(3, &config());
+    let x = fleet
+        .deploy_pinned(DeploySpec::replica(ModelId::Mnist, 2, 2), NodeId(0))
+        .expect("capacity for X");
+    let a = fleet
+        .deploy_pinned(DeploySpec::replica(ModelId::Mnist, 2, 2), NodeId(1))
+        .expect("capacity for A");
+    fleet
+        .deploy_pinned(DeploySpec::replica(ModelId::Ncf, 2, 2), NodeId(1))
+        .expect("an ncf replica fills board 1");
+    fleet
+        .deploy_pinned(DeploySpec::replica(ModelId::Ncf, 4, 4), NodeId(2))
+        .expect("a whole-board replica fills board 2");
+    let t = service * 100;
+    let trace = ClusterTrace::from_arrivals(vec![
+        workloads::RequestArrival::new(Cycles(t - 20), ModelId::Mnist),
+        workloads::RequestArrival::new(Cycles(t - 10), ModelId::Mnist),
+    ]);
+    let options = ServingOptions::new(DispatchPolicy::LeastLoaded)
+        .with_batching(4)
+        .with_batch_wait(service * 50)
+        .with_migration(Cycles(t), x, NodeId(1))
+        .with_migration(Cycles(t), a, NodeId(2));
+    let report = ClusterServingSim::new(options).run_sharded(
+        &mut fleet,
+        &trace,
+        ShardOptions::new(3).with_threads(1),
+    );
+    assert_eq!(report.stats.admitted, 2);
+    assert!(
+        report.control.migrations_rejected > 0,
+        "board 2 refuses A's import"
+    );
+    assert_eq!(
+        report.stats.admitted,
+        report.stats.completed + report.deadline.dropped + report.availability.lost as usize,
+        "admitted = completed + dropped + lost"
+    );
 }
