@@ -33,7 +33,6 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use workloads::ModelId;
 
-use crate::model_table::ModelTable;
 use crate::placement::PlacementPolicy;
 use crate::NodeId;
 
@@ -490,13 +489,10 @@ fn link_key(a: NodeId, b: NodeId) -> (NodeId, NodeId) {
 
 /// Live chaos bookkeeping inside one serving run: which boards are down,
 /// which windows are open, how many frames each board has missed, and the
-/// accumulating [`AvailabilityStats`].
-#[derive(Debug, Clone)]
+/// fault and failover counters of [`AvailabilityStats`]. The serving loop
+/// keeps the request ledger (lost count and per-model table) itself.
+#[derive(Debug, Clone, Default)]
 pub(crate) struct ChaosState {
-    /// The schedule, indexed by the fault event payload.
-    pub(crate) schedule: Vec<FaultEvent>,
-    /// Recovery policy; `None` injects faults without detection or failover.
-    pub(crate) recovery: Option<RecoveryPolicy>,
     /// Boards that crashed (permanent).
     pub(crate) crashed: BTreeSet<NodeId>,
     /// Boards declared dead by the detector (crashed or fenced-alive).
@@ -516,32 +512,11 @@ pub(crate) struct ChaosState {
     pub(crate) missed: BTreeMap<NodeId, u32>,
     /// First uncleared heartbeat-suppressing fault per node (detect latency).
     pub(crate) fault_since: BTreeMap<NodeId, u64>,
-    /// The accumulating availability accounting, less its per-model map.
+    /// The fault and failover counters; `lost` and `per_model` stay empty.
     pub(crate) stats: AvailabilityStats,
-    /// Per-model admitted/completed/lost, touched on every request; folded
-    /// into [`AvailabilityStats::per_model`] once, by [`Self::into_stats`].
-    per_model: ModelTable<ModelAvailability>,
 }
 
 impl ChaosState {
-    pub(crate) fn new(schedule: &FaultSchedule, recovery: Option<RecoveryPolicy>) -> Self {
-        ChaosState {
-            schedule: schedule.events.clone(),
-            recovery,
-            crashed: BTreeSet::new(),
-            declared: BTreeSet::new(),
-            cordoned: BTreeSet::new(),
-            hung_until: BTreeMap::new(),
-            dropout_until: BTreeMap::new(),
-            link_slow: BTreeMap::new(),
-            straggle: BTreeMap::new(),
-            missed: BTreeMap::new(),
-            fault_since: BTreeMap::new(),
-            stats: AvailabilityStats::default(),
-            per_model: ModelTable::default(),
-        }
-    }
-
     /// Whether the board's heartbeats are suppressed at `now`.
     pub(crate) fn suppressed(&self, node: NodeId, now: u64) -> bool {
         self.crashed.contains(&node)
@@ -620,32 +595,6 @@ impl ChaosState {
             }
         }
     }
-
-    /// Counts one admitted request for per-model availability.
-    pub(crate) fn note_admitted(&mut self, model: ModelId) {
-        self.per_model.entry(model).admitted += 1;
-    }
-
-    /// Counts one completed request for per-model availability.
-    pub(crate) fn note_completed(&mut self, model: ModelId) {
-        self.per_model.entry(model).completed += 1;
-    }
-
-    /// Counts one lost request, attributed to a fault, for `model`.
-    pub(crate) fn note_lost(&mut self, model: ModelId) {
-        self.stats.lost += 1;
-        self.per_model.entry(model).lost += 1;
-    }
-
-    /// Ends the run's chaos accounting: the availability stats with the
-    /// per-model table folded into their map (a model appears iff one of its
-    /// requests was noted).
-    pub(crate) fn into_stats(self) -> AvailabilityStats {
-        AvailabilityStats {
-            per_model: self.per_model.into_entries().collect(),
-            ..self.stats
-        }
-    }
 }
 
 #[cfg(test)]
@@ -683,7 +632,7 @@ mod tests {
 
     #[test]
     fn chaos_windows_open_and_close() {
-        let mut chaos = ChaosState::new(&FaultSchedule::new(), None);
+        let mut chaos = ChaosState::default();
         chaos.apply(&FaultEvent {
             at: 100,
             kind: FaultKind::BoardHang {
@@ -722,14 +671,13 @@ mod tests {
 
     #[test]
     fn crash_suppression_is_permanent() {
-        let mut chaos = ChaosState::new(&FaultSchedule::new(), Some(RecoveryPolicy::new(3)));
+        let mut chaos = ChaosState::default();
         chaos.apply(&FaultEvent {
             at: 100,
             kind: FaultKind::BoardCrash { node: NodeId(0) },
         });
         assert!(chaos.board_down(NodeId(0), u64::MAX));
         assert!(chaos.suppressed(NodeId(0), u64::MAX));
-        assert!(chaos.recovery.is_some());
         assert_eq!(chaos.fault_since.get(&NodeId(0)), Some(&100));
     }
 

@@ -468,8 +468,9 @@ impl SloEngine {
         }
     }
 
-    /// Records one deadline-expired drop: *bad* for every covering spec (a
-    /// request that never completed can meet no latency target).
+    /// Records one request that will never complete, dropped past its
+    /// deadline or lost: *bad* for every covering spec (a request that never
+    /// completed can meet no latency target).
     pub fn observe_expired(&mut self, at: u64, model: ModelId, priority: PriorityClass) {
         let bucket = at / self.tick;
         for (spec_index, spec) in self.specs.iter().enumerate() {

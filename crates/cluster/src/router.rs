@@ -619,7 +619,9 @@ pub struct RouterStats {
     pub rejected_no_replica: usize,
     /// Requests rejected by admission control.
     pub rejected_overload: usize,
-    /// Requests that completed service.
+    /// Requests that completed service. A [`Router`] never counts these
+    /// itself: the serving report fills the field from its latency sketch,
+    /// which records every completion once.
     pub completed: usize,
 }
 
@@ -702,11 +704,6 @@ impl Router {
     /// The counters so far.
     pub fn stats(&self) -> RouterStats {
         self.stats
-    }
-
-    /// Records a completed request.
-    pub fn record_completion(&mut self) {
-        self.stats.completed += 1;
     }
 
     /// Routes one request for `model` over the candidate `replicas`

@@ -64,10 +64,12 @@ use neu10::{
     TenantWorkload,
 };
 use npu_sim::{Cycles, DirtySet, NpuConfig, NpuConfigKey};
-use workloads::{ClusterTrace, ModelId, PriorityClass, RequestArrival};
+use workloads::{ClusterTrace, Memo, ModelId, PriorityClass, RequestArrival};
 
 use crate::cluster::{DeploySpec, DeployedVnpu, NpuCluster, VnpuHandle};
-use crate::fault::{AvailabilityStats, ChaosState, FaultKind, FaultSchedule, RecoveryPolicy};
+use crate::fault::{
+    AvailabilityStats, ChaosState, FaultKind, FaultSchedule, ModelAvailability, RecoveryPolicy,
+};
 use crate::migration::{MigrationCostModel, MigrationMode, MigrationRecord, MigrationStats};
 use crate::model_table::ModelTable;
 use crate::obs::{
@@ -260,8 +262,8 @@ impl ServingOptions {
         self
     }
 
-    /// Evaluates `slo` inside the event loop: completions and expiries feed
-    /// the burn-rate engine, alert edges land in the report's
+    /// Evaluates `slo` inside the event loop: completions, expiries and
+    /// losses feed the burn-rate engine, alert edges land in the report's
     /// [`AlertLog`] (and reach the sink / control plane as they happen).
     pub fn with_slo(mut self, slo: SloConfig) -> Self {
         self.slo = Some(slo);
@@ -538,8 +540,7 @@ struct ReplicaSim {
     handle: VnpuHandle,
     model: ModelId,
     /// Calibrated service time of a k-request batch at `batch_cycles[k - 1]`.
-    /// Shared with every replica of the same (model, allocation, board)
-    /// shape through the [`CalibrationCache`].
+    /// Shared with every replica of the same shape through [`SHAPES`].
     batch_cycles: Arc<[u64]>,
     /// Calibrated service-time dispersion (`None` = deterministic), shared
     /// by every replica of the same σ.
@@ -572,6 +573,66 @@ struct ReplicaSim {
 }
 
 impl ReplicaSim {
+    /// Builds the simulator-side state of the replica deployed as `deployed`
+    /// at `now`: the initial fleet, scale-ups, failover restores and
+    /// cross-partition imports all start here.
+    fn new(
+        options: &ServingOptions,
+        cluster: &NpuCluster,
+        deployed: &DeployedVnpu,
+        now: u64,
+    ) -> Self {
+        let (handle, model, config) = (deployed.handle, deployed.model, &deployed.config);
+        let npu = cluster
+            .node(handle.node)
+            .expect("deployment node exists") // simlint::allow(P1, reason = "replica construction follows a successful deploy on that node")
+            .npu_config();
+        let (mes, ves) = (config.num_mes_per_core, config.num_ves_per_core);
+        let (stochastic, max_batch) = (options.stochastic, options.max_batch);
+        let calibration =
+            stochastic.map(|s| (s.calibration_requests, s.cv_override.map(f64::to_bits)));
+        let key = (model, mes, ves, npu.cache_key(), max_batch, calibration);
+        let shape = SHAPES.get_or_insert_with(key, || {
+            let batch_cycles = (1..=max_batch)
+                .map(|k| estimated_batch_service_cycles(model, k, mes, ves, npu))
+                .collect();
+            // A negative or non-finite calibrated cv serves deterministically.
+            let dispersion = stochastic.and_then(|stochastic| {
+                Lognormal::from_cv(stochastic.cv_override.unwrap_or_else(|| {
+                    calibrate_service_time(
+                        npu,
+                        model,
+                        mes,
+                        ves,
+                        model.evaluation_batch_size(),
+                        None,
+                        stochastic.calibration_requests,
+                    )
+                    .cv
+                }))
+            });
+            (batch_cycles, dispersion)
+        });
+        ReplicaSim {
+            handle,
+            model,
+            batch_cycles: Arc::clone(&shape.0),
+            dispersion: shape.1.clone(),
+            stream: ServiceStream::new(stochastic.map_or(0, |s| s.seed), handle, now),
+            queue: ReplicaQueue::new(options.dispatch.orders_queues_by_deadline()),
+            in_service: None,
+            available_at: now,
+            pending_migration: None,
+            precopy: None,
+            batch_timeout_at: None,
+            draining: false,
+            retired: false,
+            fenced: false,
+            activated_at: now,
+            window_busy: 0,
+        }
+    }
+
     /// Whether new work may land here now: the one availability predicate
     /// of arrival dispatch and failover re-dispatch alike. A replica is out
     /// while dark, while draining toward a stop-and-copy and while its live
@@ -582,11 +643,12 @@ impl ReplicaSim {
         now >= self.available_at && self.pending_migration.is_none() && self.precopy.is_none()
     }
 
-    /// The replica's load as the dispatch index keys it.
-    fn load(&self, now: u64, state: &ServeState) -> SlotLoad {
+    /// The replica's load as the dispatch index keys it; a replica holding
+    /// `max_queue_depth` queued requests is full.
+    fn load(&self, now: u64, max_queue_depth: usize) -> SlotLoad {
         SlotLoad {
             outstanding: self.queue.len() + self.in_flight(),
-            full: self.queue.len() >= state.max_queue_depth,
+            full: self.queue.len() >= max_queue_depth,
             available: self.dispatchable(now),
         }
     }
@@ -621,18 +683,14 @@ struct ModelWindow {
 /// Mutable bookkeeping shared by the batch-formation path.
 #[derive(Debug)]
 struct ServeState {
-    max_batch: usize,
-    max_batch_wait: Option<u64>,
-    drop_expired: bool,
     deadline: DeadlineStats,
     batches: usize,
-    /// Whether the telemetry bus is on (per-model windows accumulate).
-    sampling: bool,
     /// Start of the current telemetry window.
     window_start: u64,
-    /// Per-model window accumulators; a slot exists iff the model was touched
-    /// since the run began (the frame carries a model entry for each).
-    windows: ModelTable<ModelWindow>,
+    /// Per-model window accumulators, `None` while the telemetry bus is off;
+    /// a slot exists iff the model was touched since the run began (the
+    /// frame carries a model entry for each).
+    windows: Option<ModelTable<ModelWindow>>,
     control: ControlStats,
     /// Replica-time already banked by released replicas.
     replica_cycles: u64,
@@ -644,29 +702,75 @@ struct ServeState {
     live_replicas: usize,
     /// Largest `live_replicas` seen over the run.
     peak_replicas: usize,
-    /// The SLO burn-rate engine, fed by completions and expiries; `None`
-    /// unless [`ServingOptions::with_slo`] configured one.
+    /// The SLO burn-rate engine, fed by completions, expiries and losses;
+    /// `None` unless [`ServingOptions::with_slo`] configured one.
     slo: Option<SloEngine>,
     /// Alert edges emitted so far (lands in the report).
     alerts: AlertLog,
     /// Chaos bookkeeping; `None` unless [`ServingOptions::with_faults`]
     /// scheduled faults. The fault-free hot path pays one discriminant check.
     chaos: Option<ChaosState>,
-    /// The admission limit: a replica with this many queued requests is full.
-    max_queue_depth: usize,
-    /// Requests lost with a cross-partition migration that both its
-    /// destination and its source refused, in a run without chaos state (a
-    /// chaos run notes them in its ledger instead).
-    abandoned: u64,
+    /// Admitted requests lost, counted by [`ServeState::lose`].
+    lost: u64,
+    /// Per-model admitted/completed/lost requests; `Some` iff faults are
+    /// configured. It lives here, not in [`ChaosState`], because the
+    /// failover sweep takes the chaos state out while it loses requests.
+    ledger: Option<ModelTable<ModelAvailability>>,
 }
 
 impl ServeState {
     fn window_of(&mut self, model: ModelId) -> Option<&mut ModelWindow> {
-        if self.sampling {
-            Some(self.windows.entry(model))
-        } else {
-            None
+        self.windows.as_mut().map(|windows| windows.entry(model))
+    }
+
+    /// Drops `request`, queued on `slot` of `node`, past its deadline: the
+    /// one body of every expiry, at batch start and in the failover sweep.
+    fn expire<S: ObsSink + ?Sized>(
+        &mut self,
+        request: &QueuedRequest,
+        now: u64,
+        node: NodeId,
+        slot: usize,
+        sink: &mut S,
+    ) {
+        self.deadline.record_dropped();
+        if let Some(window) = self.window_of(request.model) {
+            window.metrics.record_dropped();
         }
+        // An expiry is an unmet request: it burns the error budget of every
+        // covering SLO.
+        if let Some(engine) = &mut self.slo {
+            engine.observe_expired(now, request.model, request.priority);
+        }
+        sink.on_expire(
+            now,
+            request.sequence,
+            request.model,
+            request.arrived,
+            node,
+            slot,
+        );
+    }
+
+    /// Counts an admitted `request` lost at `node`: the one body of every
+    /// loss (a failover orphan no replica takes, a request marooned on a
+    /// fenced board at run end, an abandoned migration's queue). A loss burns
+    /// SLO budget like an expiry; nothing is lost silently.
+    fn lose<S: ObsSink + ?Sized>(
+        &mut self,
+        request: &QueuedRequest,
+        now: u64,
+        node: NodeId,
+        sink: &mut S,
+    ) {
+        self.lost += 1;
+        if let Some(ledger) = &mut self.ledger {
+            ledger.entry(request.model).lost += 1;
+        }
+        if let Some(engine) = &mut self.slo {
+            engine.observe_expired(now, request.model, request.priority);
+        }
+        sink.on_lost(now, request.sequence, request.model, node);
     }
 }
 
@@ -850,128 +954,25 @@ pub fn estimated_service_cycles(model: ModelId, mes: usize, ves: usize, npu: &Np
     estimated_batch_service_cycles(model, 1, mes, ves, npu)
 }
 
-/// The per-(model, allocation, board) service calibration: batch service
-/// times for every batch size up to `max_batch` (shared, never re-cloned),
-/// plus the stochastic dispersion when enabled.
-struct CalibrationEntry {
-    batch_cycles: Arc<[u64]>,
-    dispersion: Option<Arc<Lognormal>>,
-}
+/// What a replica shape's calibration depends on: model, MEs, VEs, board,
+/// `max_batch`, and for stochastic service the calibration requests and the
+/// bits of the cv override.
+type ShapeKey = (
+    ModelId,
+    usize,
+    usize,
+    NpuConfigKey,
+    usize,
+    Option<(usize, Option<u64>)>,
+);
 
-/// The key of one calibration: the replica shape, with the board identified
-/// by its hashable [`NpuConfigKey`] instead of deep struct equality.
-type CalibrationKey = (ModelId, usize, usize, NpuConfigKey);
+/// A replica shape's batch service times and stochastic dispersion.
+type ShapeCalibration = (Arc<[u64]>, Option<Arc<Lognormal>>);
 
-/// The run-lifetime calibration cache. Boards are compared by configuration,
-/// not node identity, so a homogeneous fleet compiles each (model,
-/// allocation) once per batch size — including replicas the control plane
-/// scales up mid-run. Lookups hash the key (no linear scan with deep
-/// `NpuConfig` comparisons) and hits hand out the shared `Arc<[u64]>` curve
-/// (no per-replica clone of the batch table).
-///
-/// Ordered map (simlint `D1`): the cache is lookup-only today, but any
-/// future "recalibrate everything" sweep would iterate it, and in a
-/// digest-affecting crate that iteration must be deterministic from day
-/// one. The key compares cheap fixed-size integers, so ordered lookups stay
-/// free of deep `NpuConfig` scans.
-struct CalibrationCache {
-    max_batch: usize,
-    stochastic: Option<StochasticService>,
-    /// Whether replicas order their queues earliest-deadline-first (fixes
-    /// the [`ReplicaQueue`] variant of every replica built, including
-    /// control-plane scale-ups).
-    edf: bool,
-    entries: BTreeMap<CalibrationKey, CalibrationEntry>,
-}
-
-impl CalibrationCache {
-    fn new(max_batch: usize, stochastic: Option<StochasticService>, edf: bool) -> Self {
-        CalibrationCache {
-            max_batch,
-            stochastic,
-            edf,
-            entries: BTreeMap::new(),
-        }
-    }
-
-    /// The calibrated batch service times and dispersion of one replica shape.
-    fn calibrate(
-        &mut self,
-        model: ModelId,
-        mes: usize,
-        ves: usize,
-        npu: &NpuConfig,
-    ) -> (Arc<[u64]>, Option<Arc<Lognormal>>) {
-        let key = (model, mes, ves, npu.cache_key());
-        let max_batch = self.max_batch;
-        let stochastic = self.stochastic;
-        let entry = self.entries.entry(key).or_insert_with(|| {
-            let batch_cycles: Arc<[u64]> = (1..=max_batch)
-                .map(|k| estimated_batch_service_cycles(model, k, mes, ves, npu))
-                .collect();
-            // A negative or non-finite calibrated cv serves deterministically.
-            let dispersion = stochastic.and_then(|stochastic| {
-                Lognormal::from_cv(stochastic.cv_override.unwrap_or_else(|| {
-                    calibrate_service_time(
-                        npu,
-                        model,
-                        mes,
-                        ves,
-                        model.evaluation_batch_size(),
-                        None,
-                        stochastic.calibration_requests,
-                    )
-                    .cv
-                }))
-            });
-            CalibrationEntry {
-                batch_cycles,
-                dispersion,
-            }
-        });
-        (Arc::clone(&entry.batch_cycles), entry.dispersion.clone())
-    }
-
-    /// Builds the simulator-side state of one deployed replica.
-    fn replica_sim(
-        &mut self,
-        cluster: &NpuCluster,
-        deployment: &DeployedVnpu,
-        now: u64,
-    ) -> ReplicaSim {
-        let node = cluster
-            .node(deployment.handle.node)
-            .expect("deployment node exists"); // simlint::allow(P1, reason = "replica construction follows a successful deploy on that node")
-        let (batch_cycles, dispersion) = self.calibrate(
-            deployment.model,
-            deployment.config.num_mes_per_core,
-            deployment.config.num_ves_per_core,
-            node.npu_config(),
-        );
-        ReplicaSim {
-            handle: deployment.handle,
-            model: deployment.model,
-            batch_cycles,
-            dispersion,
-            stream: ServiceStream::new(
-                self.stochastic.map_or(0, |stochastic| stochastic.seed),
-                deployment.handle,
-                now,
-            ),
-            queue: ReplicaQueue::new(self.edf),
-            in_service: None,
-            available_at: now,
-            pending_migration: None,
-            precopy: None,
-            batch_timeout_at: None,
-            draining: false,
-            retired: false,
-            fenced: false,
-            activated_at: now,
-            window_busy: 0,
-        }
-    }
-}
+/// The process-wide replica-shape calibrations. Every replica of a shape
+/// shares one entry, in every run and every partition, scale-ups and restores
+/// included, so [`Lognormal::from_cv`] runs once per shape.
+static SHAPES: Memo<ShapeKey, ShapeCalibration> = Memo::new();
 
 /// The cluster serving simulator (open-loop, or closed-loop under a
 /// [`ControlPlane`]).
@@ -1154,7 +1155,6 @@ impl PartitionOutcome {
         self.router_stats.admitted += other.router_stats.admitted;
         self.router_stats.rejected_no_replica += other.router_stats.rejected_no_replica;
         self.router_stats.rejected_overload += other.router_stats.rejected_overload;
-        self.router_stats.completed += other.router_stats.completed;
         self.latencies.merge(&other.latencies);
         for (model, sketch) in other.per_model.into_entries() {
             self.per_model.entry(model).merge(&sketch);
@@ -1197,7 +1197,11 @@ impl PartitionOutcome {
     pub(crate) fn into_report(mut self) -> ServingReport {
         ServingReport {
             dispatch: self.dispatch,
-            stats: self.router_stats,
+            // Every completion records one latency sample.
+            stats: RouterStats {
+                completed: self.latencies.count(),
+                ..self.router_stats
+            },
             latency: self.latencies.summary_sorted(),
             per_model: self
                 .per_model
@@ -1288,17 +1292,15 @@ impl ShardContext {
 /// lives here so a partition can be stepped to a bound, reconciled, and
 /// resumed without losing determinism.
 pub(crate) struct PartitionSim<'a> {
-    pub(crate) options: ServingOptions,
-    cache: CalibrationCache,
+    /// The run's settings, read in place: `max_batch` is normalized to at
+    /// least 1 once, at construction.
+    options: ServingOptions,
     replicas: Vec<ReplicaSim>,
     dispatch_index: ReplicaIndex,
     router: Router,
     state: ServeState,
     events: EventQueue,
     links: LinkSchedule,
-    recovery_armed: bool,
-    sample_interval: Option<u64>,
-    alert_interval: Option<u64>,
     alert_scratch: Vec<AlertTransition>,
     frame: TelemetryFrame,
     stale_models: Vec<ModelId>,
@@ -1323,18 +1325,15 @@ impl<'a> PartitionSim<'a> {
     /// events: the coordinator drives sampling at the barrier so the control
     /// plane sees the whole fleet, not one shard.
     pub(crate) fn new(
-        options: ServingOptions,
+        mut options: ServingOptions,
         cluster: &mut NpuCluster,
         arrivals: &'a [RequestArrival],
         shard: Option<ShardContext>,
     ) -> Self {
-        let max_batch = options.max_batch.max(1);
-        let edf = options.dispatch.orders_queues_by_deadline();
-        let mut cache = CalibrationCache::new(max_batch, options.stochastic, edf);
-        let initial: Vec<DeployedVnpu> = cluster.deployments().copied().collect();
-        let replicas: Vec<ReplicaSim> = initial
-            .iter()
-            .map(|d| cache.replica_sim(cluster, d, 0))
+        options.max_batch = options.max_batch.max(1);
+        let replicas: Vec<ReplicaSim> = cluster
+            .deployments()
+            .map(|deployment| ReplicaSim::new(&options, cluster, deployment, 0))
             .collect();
 
         // The dispatch index mirrors the replica table incrementally: slots
@@ -1348,16 +1347,11 @@ impl<'a> PartitionSim<'a> {
         }
 
         let router = Router::new(options.dispatch, options.admission);
-        let sample_interval = options.telemetry_interval;
         let state = ServeState {
-            max_batch,
-            max_batch_wait: options.max_batch_wait,
-            drop_expired: options.drop_expired,
             deadline: DeadlineStats::default(),
             batches: 0,
-            sampling: sample_interval.is_some(),
             window_start: 0,
-            windows: ModelTable::default(),
+            windows: options.telemetry_interval.map(|_| ModelTable::default()),
             control: ControlStats::default(),
             replica_cycles: 0,
             batch_pool: Vec::new(),
@@ -1365,12 +1359,9 @@ impl<'a> PartitionSim<'a> {
             peak_replicas: replicas.len(),
             slo: options.slo.as_ref().map(SloEngine::new),
             alerts: AlertLog::default(),
-            chaos: options
-                .faults
-                .as_ref()
-                .map(|schedule| ChaosState::new(schedule, options.recovery)),
-            max_queue_depth: options.admission.max_queue_depth,
-            abandoned: 0,
+            chaos: options.faults.as_ref().map(|_| ChaosState::default()),
+            lost: 0,
+            ledger: options.faults.as_ref().map(|_| ModelTable::default()),
         };
         let mut events = EventQueue::default();
         for (index, migration) in options.migrations.iter().enumerate() {
@@ -1381,17 +1372,12 @@ impl<'a> PartitionSim<'a> {
                 events.push(fault.at, EV_FAULT, index);
             }
         }
-        // Fenced (undetected-dead) replicas count as pending work only while
-        // recovery will eventually drain them; without recovery they would
-        // sustain the telemetry bus forever and the run could never end.
-        let recovery_armed = options.faults.is_some() && options.recovery.is_some();
-        let alert_interval = state.slo.as_ref().map(|engine| engine.tick());
         if shard.is_none() {
-            if let Some(interval) = sample_interval {
+            if let Some(interval) = options.telemetry_interval {
                 events.push(interval, EV_SAMPLE, 0);
             }
-            if let Some(tick) = alert_interval {
-                events.push(tick, EV_ALERT, 0);
+            if let Some(engine) = &state.slo {
+                events.push(engine.tick(), EV_ALERT, 0);
             }
         }
         // Latency accumulators are streaming quantile sketches, not retained
@@ -1403,16 +1389,12 @@ impl<'a> PartitionSim<'a> {
 
         PartitionSim {
             options,
-            cache,
             replicas,
             dispatch_index,
             router,
             state,
             events,
             links: LinkSchedule::default(),
-            recovery_armed,
-            sample_interval,
-            alert_interval,
             // Alert-edge scratch, reused across alert ticks.
             alert_scratch: Vec::new(),
             // Telemetry scratch, reused across ticks: the frame's vectors and
@@ -1517,7 +1499,7 @@ impl<'a> PartitionSim<'a> {
                 }
                 EV_FAULT => self.inject_fault(cluster, index, now, sink),
                 EV_SAMPLE => {
-                    let interval = self.sample_interval.expect("sampling scheduled"); // simlint::allow(P1, reason = "EV_SAMPLE is only scheduled when sampling is configured")
+                    let interval = self.options.telemetry_interval.expect("sampling scheduled"); // simlint::allow(P1, reason = "EV_SAMPLE is only scheduled when sampling is configured")
                     self.telemetry_tick(cluster, now, sink);
                     self.state.control.samples += 1;
                     for action in controller.control(&self.frame, cluster) {
@@ -1542,7 +1524,7 @@ impl<'a> PartitionSim<'a> {
                     }
                     // Same liveness rule as the telemetry bus: alert ticks
                     // observe work, they must not sustain it.
-                    if let Some(tick) = self.alert_interval {
+                    if let Some(tick) = self.state.slo.as_ref().map(SloEngine::tick) {
                         if self.work_left() {
                             self.events.push(now + tick, EV_ALERT, 0);
                         }
@@ -1568,9 +1550,9 @@ impl<'a> PartitionSim<'a> {
 
     /// Re-keys every slot touched since the last refresh at its load now.
     fn refresh_loads(&mut self, now: u64) {
-        let (replicas, state) = (&self.replicas, &self.state);
+        let (replicas, depth) = (&self.replicas, self.options.admission.max_queue_depth);
         self.dispatch_index
-            .refresh(|slot| replicas[slot].load(now, state));
+            .refresh(|slot| replicas[slot].load(now, depth));
     }
 
     /// Admits or rejects the trace arrival under the cursor.
@@ -1596,8 +1578,8 @@ impl<'a> PartitionSim<'a> {
                 if let Some(window) = self.state.window_of(arrival.model) {
                     window.arrivals += 1;
                 }
-                if let Some(chaos) = &mut self.state.chaos {
-                    chaos.note_admitted(arrival.model);
+                if let Some(ledger) = &mut self.state.ledger {
+                    ledger.entry(arrival.model).admitted += 1;
                 }
                 sink.on_dispatch(
                     now,
@@ -1668,9 +1650,8 @@ impl<'a> PartitionSim<'a> {
                     window.metrics.record_deadline(met);
                 }
             }
-            self.router.record_completion();
-            if let Some(chaos) = &mut state.chaos {
-                chaos.note_completed(request.model);
+            if let Some(ledger) = &mut state.ledger {
+                ledger.entry(request.model).completed += 1;
             }
             if let Some(engine) = &mut state.slo {
                 engine.observe_latency(now, request.model, request.priority, latency);
@@ -1781,23 +1762,16 @@ impl<'a> PartitionSim<'a> {
         // Requests still marooned on fenced boards at run end were never
         // failed over (no recovery armed, or the run drained first): count
         // every one lost with a fault attribution. Nothing is silent.
-        if let Some(chaos) = &mut self.state.chaos {
-            let mut marooned: Vec<QueuedRequest> = Vec::new();
-            for replica in self.replicas.iter_mut().filter(|r| r.fenced && !r.retired) {
-                if let Some((batch, _, _)) = replica.in_service.take() {
-                    marooned.extend(batch.iter().copied());
-                }
-                let queued = replica.queue.len();
-                replica.queue.drain_into(queued, &mut marooned);
-                for request in marooned.drain(..) {
-                    chaos.note_lost(request.model);
-                    sink.on_lost(
-                        makespan,
-                        request.sequence,
-                        request.model,
-                        replica.handle.node,
-                    );
-                }
+        let mut marooned: Vec<QueuedRequest> = Vec::new();
+        for replica in self.replicas.iter_mut().filter(|r| r.fenced && !r.retired) {
+            if let Some((batch, _, _)) = replica.in_service.take() {
+                marooned.extend(batch);
+            }
+            let queued = replica.queue.len();
+            replica.queue.drain_into(queued, &mut marooned);
+            for request in marooned.drain(..) {
+                self.state
+                    .lose(&request, makespan, replica.handle.node, sink);
             }
         }
 
@@ -1817,9 +1791,11 @@ impl<'a> PartitionSim<'a> {
             .state
             .chaos
             .take()
-            .map(ChaosState::into_stats)
-            .unwrap_or_default();
-        availability.lost += self.state.abandoned;
+            .map_or_else(AvailabilityStats::default, |chaos| chaos.stats);
+        availability.lost = self.state.lost;
+        if let Some(ledger) = self.state.ledger.take() {
+            availability.per_model = ledger.into_entries().collect();
+        }
         PartitionOutcome {
             dispatch: self.options.dispatch,
             router_stats: self.router.stats(),
@@ -1851,7 +1827,7 @@ impl<'a> PartitionSim<'a> {
                 // the bus forever, so the run ends and the sweep counts the
                 // marooned requests as lost.
                 r.live()
-                    && (!r.fenced || self.recovery_armed)
+                    && (!r.fenced || self.options.recovery.is_some())
                     && (r.in_service.is_some()
                         || !r.queue.is_empty()
                         || r.pending_migration.is_some())
@@ -1867,12 +1843,10 @@ impl<'a> PartitionSim<'a> {
         now: u64,
         sink: &mut S,
     ) {
-        let chaos = self
-            .state
-            .chaos
-            .as_mut()
-            .expect("EV_FAULT scheduled without chaos state"); // simlint::allow(P1, reason = "EV_FAULT events are only pushed when a fault schedule configured the chaos state")
-        let fault = chaos.schedule[index];
+        let (Some(faults), Some(chaos)) = (&self.options.faults, &mut self.state.chaos) else {
+            unreachable!("EV_FAULT is only scheduled with a fault schedule and chaos state");
+        };
+        let fault = faults.events()[index];
         chaos.apply(&fault);
         sink.on_fault(now, &fault);
         match fault.kind {
@@ -1999,11 +1973,10 @@ impl<'a> PartitionSim<'a> {
         now: u64,
         sink: &mut S,
     ) {
-        let Some(mut chaos) = self.state.chaos.take() else {
+        let Some(policy) = self.options.recovery else {
             return;
         };
-        let Some(policy) = chaos.recovery else {
-            self.state.chaos = Some(chaos);
+        let Some(mut chaos) = self.state.chaos.take() else {
             return;
         };
 
@@ -2094,7 +2067,7 @@ impl<'a> PartitionSim<'a> {
                 let deployment = *cluster
                     .deployment(new_handle)
                     .expect("deploy just returned this handle"); // simlint::allow(P1, reason = "deployment record is created by the successful deploy above")
-                let mut sim = self.cache.replica_sim(cluster, &deployment, now);
+                let mut sim = ReplicaSim::new(&self.options, cluster, &deployment, now);
                 let frequency = cluster
                     .node(new_handle.node)
                     .expect("deploy placed on an existing node") // simlint::allow(P1, reason = "deploy only places on nodes of the cluster")
@@ -2128,24 +2101,9 @@ impl<'a> PartitionSim<'a> {
             chaos.stats.orphaned += orphans.len() as u64;
             let mut redispatched_here = 0u64;
             for (dead_slot, request) in orphans {
-                let state = &mut self.state;
-                if state.drop_expired && request.deadline.is_some_and(|d| d < now) {
+                if self.options.drop_expired && request.deadline.is_some_and(|d| d < now) {
                     chaos.stats.expired_in_failover += 1;
-                    state.deadline.record_dropped();
-                    if let Some(window) = state.window_of(request.model) {
-                        window.metrics.record_dropped();
-                    }
-                    if let Some(engine) = &mut state.slo {
-                        engine.observe_expired(now, request.model, request.priority);
-                    }
-                    sink.on_expire(
-                        now,
-                        request.sequence,
-                        request.model,
-                        request.arrived,
-                        node,
-                        dead_slot,
-                    );
+                    self.state.expire(&request, now, node, dead_slot, sink);
                     continue;
                 }
                 match self.route(request.model, now, false) {
@@ -2157,11 +2115,7 @@ impl<'a> PartitionSim<'a> {
                         touched.insert(slot);
                     }
                     DispatchDecision::RejectNoReplica | DispatchDecision::RejectOverload => {
-                        chaos.note_lost(request.model);
-                        if let Some(engine) = &mut self.state.slo {
-                            engine.observe_expired(now, request.model, request.priority);
-                        }
-                        sink.on_lost(now, request.sequence, request.model, node);
+                        self.state.lose(&request, now, node, sink);
                     }
                 }
             }
@@ -2245,7 +2199,7 @@ impl<'a> PartitionSim<'a> {
             entry.queued += sample.queue_len;
             entry.in_flight += sample.in_flight;
         }
-        for (model, window_acc) in state.windows.iter_mut() {
+        for (model, window_acc) in state.windows.iter_mut().flat_map(ModelTable::iter_mut) {
             let entry = frame
                 .models
                 .entry(model)
@@ -2263,7 +2217,7 @@ impl<'a> PartitionSim<'a> {
         let stale = &mut self.stale_models;
         stale.clear();
         stale.extend(frame.models.keys().copied().filter(|model| {
-            !state.windows.contains(*model)
+            !state.windows.as_ref().is_some_and(|w| w.contains(*model))
                 && !frame.replicas.iter().any(|sample| sample.model == *model)
         }));
         for model in stale.drain(..) {
@@ -2327,7 +2281,7 @@ impl<'a> PartitionSim<'a> {
             return;
         };
         let deployment = *cluster.deployment(handle).expect("just deployed"); // simlint::allow(P1, reason = "the caller passes the handle its successful deploy on this cluster returned")
-        let replica = self.cache.replica_sim(cluster, &deployment, now);
+        let replica = ReplicaSim::new(&self.options, cluster, &deployment, now);
         self.add_replica(replica);
         self.state.control.scale_ups += 1;
     }
@@ -2534,34 +2488,14 @@ impl<'a> PartitionSim<'a> {
                 return;
             }
         }
-        if state.drop_expired {
-            let deadline = &mut state.deadline;
-            let sampling = state.sampling;
-            let windows = &mut state.windows;
-            let slo = &mut state.slo;
+        if self.options.drop_expired {
             let node = replica.handle.node;
-            replica.queue.retain(|queued| match queued.deadline {
-                Some(d) if d < now => {
-                    deadline.record_dropped();
-                    if sampling {
-                        windows.entry(queued.model).metrics.record_dropped();
-                    }
-                    // An expiry is an unmet request: it burns the error
-                    // budget of every covering SLO.
-                    if let Some(engine) = slo.as_mut() {
-                        engine.observe_expired(now, queued.model, queued.priority);
-                    }
-                    sink.on_expire(
-                        now,
-                        queued.sequence,
-                        queued.model,
-                        queued.arrived,
-                        node,
-                        index,
-                    );
-                    false
+            replica.queue.retain(|queued| {
+                let expired = queued.deadline.is_some_and(|d| d < now);
+                if expired {
+                    state.expire(queued, now, node, index, sink);
                 }
-                _ => true,
+                !expired
             });
         }
         if replica.queue.is_empty() {
@@ -2570,8 +2504,8 @@ impl<'a> PartitionSim<'a> {
         // Hold a sub-max_batch queue while the batch-formation window is
         // open; draining replicas flush immediately (their batch can never
         // fill again).
-        if replica.queue.len() < state.max_batch && !replica.draining {
-            if let Some(wait) = state.max_batch_wait {
+        if replica.queue.len() < self.options.max_batch && !replica.draining {
+            if let Some(wait) = self.options.max_batch_wait {
                 let oldest = replica.queue.oldest_arrival().expect("non-empty queue"); // simlint::allow(P1, reason = "the is_empty() check above returned on an empty queue")
                 let due = oldest.saturating_add(wait);
                 if now < due {
@@ -2584,7 +2518,7 @@ impl<'a> PartitionSim<'a> {
             }
         }
         replica.batch_timeout_at = None;
-        let size = replica.queue.len().min(state.max_batch);
+        let size = replica.queue.len().min(self.options.max_batch);
         let mut batch = state.batch_pool.pop().unwrap_or_default();
         replica.queue.drain_into(size, &mut batch);
         let base = replica.batch_cycles[size - 1];
@@ -2817,7 +2751,7 @@ impl<'a> PartitionSim<'a> {
             Err(_) => return Err(Box::new(envelope)),
         };
         let deployment = *cluster.deployment(handle).expect("just deployed"); // simlint::allow(P1, reason = "deployment recorded by the deploy_pinned call above")
-        let mut sim = self.cache.replica_sim(cluster, &deployment, barrier);
+        let mut sim = ReplicaSim::new(&self.options, cluster, &deployment, barrier);
         let resume_at = envelope.ready_at.max(barrier);
         sim.available_at = resume_at;
         sim.stream = envelope.stream;
@@ -2851,12 +2785,8 @@ impl<'a> PartitionSim<'a> {
         barrier: u64,
         sink: &mut S,
     ) {
-        for request in envelope.queue {
-            match &mut self.state.chaos {
-                Some(chaos) => chaos.note_lost(request.model),
-                None => self.state.abandoned += 1,
-            }
-            sink.on_lost(barrier, request.sequence, request.model, envelope.from_node);
+        for request in &envelope.queue {
+            self.state.lose(request, barrier, envelope.from_node, sink);
         }
     }
 

@@ -542,19 +542,31 @@ fn an_abandoned_migration_counts_its_queue_lost_without_faults() {
         .with_batch_wait(service * 50)
         .with_migration(Cycles(t), x, NodeId(1))
         .with_migration(Cycles(t), a, NodeId(2));
-    let report = ClusterServingSim::new(options).run_sharded(
+    let mut recorders: Vec<TraceRecorder> = Vec::new();
+    let report = ClusterServingSim::new(options).run_sharded_observed(
         &mut fleet,
         &trace,
         ShardOptions::new(3).with_threads(1),
+        &mut recorders,
     );
     assert_eq!(report.stats.admitted, 2);
     assert!(
         report.control.migrations_rejected > 0,
         "board 2 refuses A's import"
     );
+    assert!(report.availability.lost > 0, "A's queue is abandoned");
     assert_eq!(
         report.stats.admitted,
         report.stats.completed + report.deadline.dropped + report.availability.lost as usize,
         "admitted = completed + dropped + lost"
+    );
+    let mut merged = MetricsRegistry::new();
+    for recorder in &recorders {
+        merged.merge(recorder.metrics());
+    }
+    assert_eq!(
+        merged.counter(Metric::RecoveryLostRequests),
+        report.availability.lost,
+        "every abandoned request reaches a sink"
     );
 }
