@@ -319,14 +319,16 @@ impl RecoveryPolicy {
     }
 }
 
-/// Availability accounting of one model under chaos.
+/// Availability accounting of one model, in every run: each admitted
+/// request completes, expires or is lost.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct ModelAvailability {
     /// Requests admitted (dispatched or queued) for the model.
     pub admitted: u64,
     /// Requests that eventually completed.
     pub completed: u64,
-    /// Requests lost to a fault (attributed, never silent).
+    /// Requests lost to a fault or an abandoned migration (attributed,
+    /// never silent).
     pub lost: u64,
 }
 
@@ -348,9 +350,11 @@ impl ModelAvailability {
 
 /// What chaos did to the run and what recovery salvaged.
 ///
-/// Attached to every [`ServingReport`](crate::ServingReport); all-zero when
-/// no faults were injected, except [`lost`](AvailabilityStats::lost) after
-/// an abandoned cross-partition migration. The conservation law the chaos
+/// Attached to every [`ServingReport`](crate::ServingReport). When no faults
+/// were injected, the fault and failover counters are zero, while
+/// [`per_model`](AvailabilityStats::per_model) still accounts every admitted
+/// request and [`lost`](AvailabilityStats::lost) counts the queue of an
+/// abandoned cross-partition migration. The conservation law the chaos
 /// property test pins: every admitted request **completes**, **expires with
 /// a recorded drop**, or is **counted in [`lost`](AvailabilityStats::lost)
 /// with an attribution** — there is no fourth bucket.
@@ -385,7 +389,7 @@ pub struct AvailabilityStats {
     /// still marooned on undetected dead boards at run end, and the queue of
     /// a cross-partition migration that both its destination and its source
     /// refused. The last kind is counted whether or not the run injects
-    /// faults (`per_model` attributes it only in a run with faults).
+    /// faults. Equals the sum of `per_model`'s `lost`.
     pub lost: u64,
     /// Total fault-to-declaration latency over all failovers, in cycles.
     pub detect_cycles_total: u64,
@@ -395,7 +399,8 @@ pub struct AvailabilityStats {
     pub restore_cycles_total: u64,
     /// Worst single fault-to-replica-restored latency, in cycles.
     pub restore_cycles_max: u64,
-    /// Per-model admitted/completed/lost under chaos.
+    /// Per-model admitted/completed/lost, for every model that admitted a
+    /// request, in every run (faults or not).
     pub per_model: BTreeMap<ModelId, ModelAvailability>,
 }
 

@@ -44,6 +44,14 @@ impl<T> ModelTable<T> {
         self.slots[model as usize].is_some()
     }
 
+    /// The touched slots, in `ModelId` order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (ModelId, &T)> {
+        ModelId::all()
+            .into_iter()
+            .zip(&self.slots)
+            .filter_map(|(model, slot)| slot.as_ref().map(|value| (model, value)))
+    }
+
     /// The touched slots, mutably, in `ModelId` order.
     pub(crate) fn iter_mut(&mut self) -> impl Iterator<Item = (ModelId, &mut T)> {
         ModelId::all()
@@ -88,6 +96,8 @@ mod tests {
         let visited: Vec<(ModelId, u64)> = table.iter_mut().map(|(m, v)| (m, *v)).collect();
         let expected: Vec<(ModelId, u64)> = map.iter().map(|(m, v)| (*m, *v)).collect();
         assert_eq!(visited, expected);
+        let read: Vec<(ModelId, u64)> = table.iter().map(|(m, v)| (m, *v)).collect();
+        assert_eq!(read, expected);
         let entries: Vec<(ModelId, u64)> = table.clone().into_entries().collect();
         assert_eq!(entries, expected);
         for (_, value) in table.iter_mut() {

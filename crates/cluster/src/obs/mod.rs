@@ -17,7 +17,8 @@
 //!   arrival count;
 //! * an exact **metrics registry** ([`MetricsRegistry`]) — counters, gauges
 //!   and quantile-sketch histograms accumulated over *every* event, sampled
-//!   or not, in one array slot per declared [`Metric`];
+//!   or not, in one array slot per declared [`Metric`], fed through the one
+//!   hook→metric mapping (`mapping.rs`) that also feeds the time series;
 //! * a **Chrome `trace_event` JSON export** ([`export_chrome_trace`]) that
 //!   opens directly in <https://ui.perfetto.dev>: pid = board, tid = replica
 //!   slot, flow events stitching each sampled request from dispatch to
@@ -28,10 +29,10 @@
 //! On top of the whole-run layer sits the **temporal** layer added by this
 //! module's `timeseries`/`slo`/`openmetrics` submodules:
 //!
-//! * [`TimeSeriesRecorder`] — the same hooks aggregated into fixed-width
-//!   cycle-aligned windows per (metric, label set), held in a bounded
-//!   overwrite-oldest ring so memory is `O(series × ring)` at any arrival
-//!   count;
+//! * [`TimeSeriesRecorder`] — the same mapping's facts aggregated into
+//!   fixed-width cycle-aligned windows per (metric, label set), held in a
+//!   bounded overwrite-oldest ring so memory is `O(series × ring)` at any
+//!   arrival count;
 //! * [`SloEngine`] — declarative [`SloSpec`]s evaluated by paired fast/slow
 //!   burn-rate windows ([`BurnRatePolicy`]) inside the event loop, emitting
 //!   a deterministic [`AlertLog`] of fire/resolve edges that the control
@@ -40,6 +41,7 @@
 //!   OpenMetrics text exposition over registry and time-series state, with
 //!   [`validate_openmetrics`] as the strict dependency-free parser.
 
+mod mapping;
 mod openmetrics;
 mod perfetto;
 mod registry;
@@ -47,6 +49,7 @@ mod slo;
 mod timeseries;
 mod trace;
 
+pub use mapping::SeriesLabels;
 pub use openmetrics::{
     export_openmetrics, export_timeseries_openmetrics, validate_openmetrics, OpenMetricsSummary,
 };
@@ -56,7 +59,7 @@ pub use slo::{
     AlertKind, AlertLog, AlertSeverity, AlertTransition, BurnRatePolicy, SloConfig, SloEngine,
     SloSpec,
 };
-pub use timeseries::{SeriesLabels, TimeSeriesConfig, TimeSeriesRecorder, TimeSeriesStats};
+pub use timeseries::{TimeSeriesConfig, TimeSeriesRecorder, TimeSeriesStats};
 pub use trace::{TraceConfig, TraceRecorder, TraceStats};
 
 use workloads::{ModelId, PriorityClass};

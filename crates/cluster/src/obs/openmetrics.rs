@@ -24,10 +24,13 @@
 //! `# EOF`, returning family/sample counts for harness assertions.
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
+use std::fmt::{Display, Write as _};
 
+use neu10::QuantileSketch;
+
+use crate::obs::mapping::SeriesLabels;
 use crate::obs::registry::{Metric, MetricsRegistry};
-use crate::obs::timeseries::{SeriesLabels, TimeSeriesRecorder};
+use crate::obs::timeseries::TimeSeriesRecorder;
 
 /// The three quantiles a summary family exposes, matching the registry's
 /// [`LatencySummary`](neu10::LatencySummary) percentiles.
@@ -39,32 +42,17 @@ const QUANTILES: &[(&str, f64)] = &[("0.5", 50.0), ("0.95", 95.0), ("0.99", 99.0
 /// summaries (three quantile samples plus `_count` and `_sum`). Deterministic
 /// and byte-identical across re-exports of the same registry.
 pub fn export_openmetrics(registry: &MetricsRegistry) -> String {
-    let mut out = String::new();
+    let mut out = Exposition::default();
     for (name, value) in registry.counters() {
-        let family = sanitize(name);
-        let _ = writeln!(out, "# TYPE {family} counter");
-        let _ = writeln!(out, "{family}_total {value}");
+        out.counter(name, Point::default(), value);
     }
     for (name, value) in registry.gauges() {
-        let family = sanitize(name);
-        let _ = writeln!(out, "# TYPE {family} gauge");
-        let _ = writeln!(out, "{family} {}", number(value));
+        out.gauge(name, Point::default(), value);
     }
     for (name, sketch) in registry.histograms_iter() {
-        let family = sanitize(name);
-        let _ = writeln!(out, "# TYPE {family} summary");
-        for (label, percentile) in QUANTILES {
-            let _ = writeln!(
-                out,
-                "{family}{{quantile=\"{label}\"}} {}",
-                sketch.percentile(*percentile)
-            );
-        }
-        let _ = writeln!(out, "{family}_count {}", sketch.count());
-        let _ = writeln!(out, "{family}_sum {}", sketch.sum());
+        out.summary(name, Point::default(), sketch);
     }
-    out.push_str("# EOF\n");
-    out
+    out.finish()
 }
 
 /// Renders `recorder`'s retained windows as one OpenMetrics text exposition.
@@ -76,85 +64,109 @@ pub fn export_openmetrics(registry: &MetricsRegistry) -> String {
 /// recorder's own bookkeeping is appended as the `timeseries.*`
 /// meta-metrics. Deterministic and byte-identical across re-exports.
 pub fn export_timeseries_openmetrics(recorder: &TimeSeriesRecorder) -> String {
-    let mut out = String::new();
-    let mut family = None;
+    let mut out = Exposition::default();
     for (metric, labels) in recorder.counter_series() {
-        let name = metric.name();
-        if family != Some(metric) {
-            family = Some(metric);
-            let _ = writeln!(out, "# TYPE {} counter", sanitize(name));
-        }
         for (window, value) in recorder.counter_windows(metric, labels) {
-            let _ = writeln!(
-                out,
-                "{}_total{} {value} {window}",
-                sanitize(name),
-                render_labels(&labels, None)
-            );
+            out.counter(metric.name(), Point::window(labels, window), value);
         }
     }
-    family = None;
     for (metric, labels) in recorder.gauge_series() {
-        let name = metric.name();
-        if family != Some(metric) {
-            family = Some(metric);
-            let _ = writeln!(out, "# TYPE {} gauge", sanitize(name));
-        }
         for (window, value) in recorder.gauge_windows(metric, labels) {
-            let _ = writeln!(
-                out,
-                "{}{} {} {window}",
-                sanitize(name),
-                render_labels(&labels, None),
-                number(value)
-            );
+            out.gauge(metric.name(), Point::window(labels, window), value);
         }
     }
-    family = None;
     for (metric, labels) in recorder.summary_series() {
-        let name = metric.name();
-        if family != Some(metric) {
-            family = Some(metric);
-            let _ = writeln!(out, "# TYPE {} summary", sanitize(name));
-        }
         for (window, sketch) in recorder.summary_sketches(metric, labels) {
-            for (label, percentile) in QUANTILES {
-                let _ = writeln!(
-                    out,
-                    "{}{} {} {window}",
-                    sanitize(name),
-                    render_labels(&labels, Some(label)),
-                    sketch.percentile(*percentile)
-                );
-            }
-            let _ = writeln!(
-                out,
-                "{}_count{} {} {window}",
-                sanitize(name),
-                render_labels(&labels, None),
-                sketch.count()
-            );
-            let _ = writeln!(
-                out,
-                "{}_sum{} {} {window}",
-                sanitize(name),
-                render_labels(&labels, None),
-                sketch.sum()
-            );
+            out.summary(metric.name(), Point::window(labels, window), sketch);
         }
     }
+    let fleet = Point::default();
     let stats = recorder.stats();
-    let meta_samples = sanitize(Metric::TimeseriesSamples.name());
-    let _ = writeln!(out, "# TYPE {meta_samples} counter");
-    let _ = writeln!(out, "{meta_samples}_total {}", stats.samples);
-    let meta_series = sanitize(Metric::TimeseriesSeries.name());
-    let _ = writeln!(out, "# TYPE {meta_series} gauge");
-    let _ = writeln!(out, "{meta_series} {}", recorder.series_count());
-    let meta_evicted = sanitize(Metric::TimeseriesWindowsEvicted.name());
-    let _ = writeln!(out, "# TYPE {meta_evicted} counter");
-    let _ = writeln!(out, "{meta_evicted}_total {}", stats.windows_evicted);
-    out.push_str("# EOF\n");
-    out
+    out.counter(Metric::TimeseriesSamples.name(), fleet, stats.samples);
+    let series = recorder.series_count() as f64;
+    out.gauge(Metric::TimeseriesSeries.name(), fleet, series);
+    let evicted = stats.windows_evicted;
+    out.counter(Metric::TimeseriesWindowsEvicted.name(), fleet, evicted);
+    out.finish()
+}
+
+/// Where a sample sits: its label block and, in a time series, the window
+/// index written as its timestamp. A registry sample sits at the default
+/// point: no labels, no timestamp.
+#[derive(Debug, Clone, Copy, Default)]
+struct Point {
+    labels: SeriesLabels,
+    /// The `quantile` label of a summary's quantile samples.
+    quantile: Option<&'static str>,
+    window: Option<u64>,
+}
+
+impl Point {
+    fn window(labels: SeriesLabels, window: u64) -> Point {
+        Point {
+            labels,
+            quantile: None,
+            window: Some(window),
+        }
+    }
+}
+
+/// The one family/sample writer behind both exporters.
+#[derive(Default)]
+struct Exposition {
+    out: String,
+    /// The open family, as (taxonomy name, OpenMetrics type).
+    family: Option<(&'static str, &'static str)>,
+}
+
+impl Exposition {
+    /// Writes `name`'s `# TYPE` line unless its family is the open one.
+    fn open(&mut self, name: &'static str, kind: &'static str) {
+        if self.family != Some((name, kind)) {
+            self.family = Some((name, kind));
+            let _ = writeln!(self.out, "# TYPE {} {kind}", sanitize(name));
+        }
+    }
+
+    /// One sample line: the family name and `suffix`, the point's label
+    /// block, the value, and the point's window as the timestamp.
+    fn sample(&mut self, name: &str, suffix: &str, point: Point, value: impl Display) {
+        let labels = render_labels(&point.labels, point.quantile);
+        let _ = write!(self.out, "{}{suffix}{labels} {value}", sanitize(name));
+        if let Some(window) = point.window {
+            let _ = write!(self.out, " {window}");
+        }
+        self.out.push('\n');
+    }
+
+    fn counter(&mut self, name: &'static str, point: Point, value: u64) {
+        self.open(name, "counter");
+        self.sample(name, "_total", point, value);
+    }
+
+    fn gauge(&mut self, name: &'static str, point: Point, value: f64) {
+        self.open(name, "gauge");
+        self.sample(name, "", point, number(value));
+    }
+
+    /// Three quantile samples, then `_count` and `_sum`.
+    fn summary(&mut self, name: &'static str, point: Point, sketch: &QuantileSketch) {
+        self.open(name, "summary");
+        for &(label, percentile) in QUANTILES {
+            let quantile = Point {
+                quantile: Some(label),
+                ..point
+            };
+            self.sample(name, "", quantile, sketch.percentile(percentile));
+        }
+        self.sample(name, "_count", point, sketch.count());
+        self.sample(name, "_sum", point, sketch.sum());
+    }
+
+    fn finish(mut self) -> String {
+        self.out.push_str("# EOF\n");
+        self.out
+    }
 }
 
 /// Translates a dotted taxonomy name into the OpenMetrics name alphabet.
@@ -478,6 +490,7 @@ fn check_suffix(sample: &Sample, family: &str, kind: &str, lineno: usize) -> Res
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::obs::mapping::MetricStore;
     use crate::obs::timeseries::TimeSeriesConfig;
     use crate::obs::ObsSink;
     use workloads::ModelId;
@@ -485,7 +498,7 @@ mod tests {
     #[test]
     fn registry_export_is_valid_and_byte_stable() {
         let mut registry = MetricsRegistry::new();
-        registry.inc(Metric::ServingCompleted);
+        registry.add(Metric::ServingCompleted, 1);
         registry.add(Metric::ServingCompleted, 2);
         registry.set_gauge(Metric::FleetQueued, 5.0);
         registry.observe(Metric::ServingLatencyCycles, 100);
@@ -523,7 +536,7 @@ mod tests {
         let mut ts = TimeSeriesRecorder::new(TimeSeriesConfig::new(1_000));
         ts.on_arrival(100, 0, ModelId::Mnist);
         ts.on_arrival(1_200, 1, ModelId::Mnist);
-        ts.observe(
+        ts.observe_at(
             100,
             Metric::ServingLatencyCycles,
             SeriesLabels::model(ModelId::Mnist),

@@ -14,6 +14,8 @@ use std::fmt::Write as _;
 
 use neu10::{LatencySummary, QuantileSketch};
 
+use crate::obs::mapping::{MetricStore, SeriesLabels};
+
 /// Declares [`Metric`] and [`METRIC_NAMES`] from one list, so the enum's
 /// declaration order — and with it the derived `Ord` — is the name table's.
 macro_rules! taxonomy {
@@ -115,7 +117,8 @@ impl Metric {
 }
 
 /// Counters, gauges and streaming-quantile histograms, one slot per
-/// [`Metric`].
+/// [`Metric`]: the whole-run store behind the one hook→metric mapping, so
+/// a registry is itself an [`ObsSink`](crate::obs::ObsSink).
 ///
 /// The registry accumulates **exact** aggregates: unlike the span ring it is
 /// not subject to head-sampling, so `serving.completed` is the true fleet
@@ -142,11 +145,6 @@ impl MetricsRegistry {
     /// An empty registry.
     pub fn new() -> Self {
         MetricsRegistry::default()
-    }
-
-    /// Increments the counter `metric` by 1.
-    pub fn inc(&mut self, metric: Metric) {
-        self.add(metric, 1);
     }
 
     /// Adds `by` to the counter `metric`.
@@ -268,6 +266,22 @@ impl MetricsRegistry {
             );
         }
         out.push_str("}}");
+    }
+}
+
+/// The whole-run store: every update lands in the metric's one slot,
+/// whatever its cycle and labels.
+impl MetricStore for MetricsRegistry {
+    fn add_at(&mut self, _at: u64, metric: Metric, _labels: SeriesLabels, by: u64) {
+        self.add(metric, by);
+    }
+
+    fn set_at(&mut self, _at: u64, metric: Metric, _labels: SeriesLabels, value: f64) {
+        self.set_gauge(metric, value);
+    }
+
+    fn observe_at(&mut self, _at: u64, metric: Metric, _labels: SeriesLabels, value: u64) {
+        self.observe(metric, value);
     }
 }
 
@@ -407,7 +421,7 @@ mod tests {
             let name = metric.name();
             match rng.gen_range(0..7u32) {
                 0 => {
-                    dense.inc(metric);
+                    dense.add(metric, 1);
                     reference.add(name, 1);
                 }
                 1 => {
@@ -503,7 +517,7 @@ mod tests {
     #[test]
     fn registry_accumulates_and_renders_deterministically() {
         let mut registry = MetricsRegistry::new();
-        registry.inc(Metric::ServingCompleted);
+        registry.add(Metric::ServingCompleted, 1);
         registry.add(Metric::ServingCompleted, 2);
         registry.set_gauge(Metric::FleetQueued, 5.0);
         registry.observe(Metric::ServingLatencyCycles, 100);
@@ -549,7 +563,7 @@ mod tests {
         a.observe(Metric::ServingLatencyCycles, 100);
         let mut b = MetricsRegistry::new();
         b.add(Metric::ServingCompleted, 4);
-        b.inc(Metric::ServingExpired);
+        b.add(Metric::ServingExpired, 1);
         b.set_gauge(Metric::FleetQueued, 7.0);
         b.observe(Metric::ServingLatencyCycles, 300);
         a.merge(&b);

@@ -4,11 +4,12 @@
 //! happened over the whole run" — exact totals, one quantile sketch per
 //! metric. The [`TimeSeriesRecorder`] answers the *temporal* questions those
 //! totals erase: *when* did p99 start climbing, which priority class was
-//! burning, how fast did the autoscaler's capacity catch the ramp. It is an
-//! [`ObsSink`] that aggregates every hook into fixed-width, cycle-aligned
-//! windows (`window = now / width`), keyed by [`Metric`] plus a small label
-//! set ([`SeriesLabels`]: model, board, priority class), and holds each
-//! series in a bounded overwrite-oldest ring of windows — memory is
+//! burning, how fast did the autoscaler's capacity catch the ramp. It is the
+//! windowed store behind the one hook→metric mapping (`obs/mapping.rs`):
+//! every hook lands in fixed-width, cycle-aligned windows
+//! (`window = now / width`), keyed by [`Metric`] plus a small label set
+//! ([`SeriesLabels`]: model, board, priority class), and each series is
+//! held in a bounded overwrite-oldest ring of windows — memory is
 //! O(series × ring) at any arrival count, and everything is deterministic
 //! (cycle timestamps only, `BTreeMap` iteration, no wall clock).
 //!
@@ -24,14 +25,9 @@
 use std::collections::BTreeMap;
 
 use neu10::{LatencySummary, QuantileSketch};
-use workloads::{ModelId, PriorityClass};
 
-use crate::fault::{FaultEvent, FaultKind};
-use crate::migration::{MigrationMode, MigrationRecord};
-use crate::obs::slo::{AlertKind, AlertTransition};
-use crate::obs::{FleetCounters, Metric, ObsSink, RejectReason};
-use crate::telemetry::{ControlAction, TelemetryFrame};
-use crate::NodeId;
+use crate::obs::mapping::{MetricStore, SeriesLabels};
+use crate::obs::Metric;
 
 /// Window width and retention of a [`TimeSeriesRecorder`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -65,53 +61,6 @@ impl TimeSeriesConfig {
     pub fn with_ring(mut self, ring: usize) -> Self {
         self.ring = ring.max(1);
         self
-    }
-}
-
-/// The label set of one series: each dimension is optional, so one metric
-/// name fans out only as far as its hook can attribute.
-///
-/// Labels order as (model, node, priority) with `None` first, giving every
-/// export a stable, deterministic series order.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord)]
-pub struct SeriesLabels {
-    /// The model, for per-tenant series.
-    pub model: Option<ModelId>,
-    /// The board, for per-node series.
-    pub node: Option<NodeId>,
-    /// The priority class, for per-QoS series.
-    pub priority: Option<PriorityClass>,
-}
-
-impl SeriesLabels {
-    /// The empty label set (fleet-wide series).
-    pub fn none() -> Self {
-        SeriesLabels::default()
-    }
-
-    /// Labels carrying only the model.
-    pub fn model(model: ModelId) -> Self {
-        SeriesLabels {
-            model: Some(model),
-            ..SeriesLabels::default()
-        }
-    }
-
-    /// Adds the board dimension.
-    pub fn with_node(mut self, node: NodeId) -> Self {
-        self.node = Some(node);
-        self
-    }
-
-    /// Adds the priority-class dimension.
-    pub fn with_priority(mut self, priority: PriorityClass) -> Self {
-        self.priority = Some(priority);
-        self
-    }
-
-    /// Whether no dimension is set.
-    pub fn is_empty(&self) -> bool {
-        self.model.is_none() && self.node.is_none() && self.priority.is_none()
     }
 }
 
@@ -175,8 +124,9 @@ impl<T: Default> Ring<T> {
 /// The key of one series: metric plus labels.
 type SeriesKey = (Metric, SeriesLabels);
 
-/// The windowed time-series [`ObsSink`]: every hook lands in the window of
-/// its cycle timestamp, keyed by metric + labels, in bounded memory.
+/// The windowed time-series [`ObsSink`](crate::obs::ObsSink): every hook
+/// lands in the window of its cycle timestamp, keyed by metric + labels, in
+/// bounded memory.
 ///
 /// Attach one via
 /// [`ClusterServingSim::run_observed`](crate::ClusterServingSim::run_observed)
@@ -230,44 +180,6 @@ impl TimeSeriesRecorder {
     /// The window index of cycle `now`.
     pub fn window_of(&self, now: u64) -> u64 {
         now / self.config.width
-    }
-
-    /// Adds `by` to the counter series' window at `now`.
-    pub fn inc(&mut self, now: u64, metric: Metric, labels: SeriesLabels, by: u64) {
-        self.stats.samples += 1;
-        let window = now / self.config.width;
-        let ring = self
-            .counters
-            .entry((metric, labels))
-            .or_insert_with(|| Ring::new(self.config.ring));
-        *ring.cell(window, &mut self.stats.windows_evicted, |v| *v = 0) += by;
-    }
-
-    /// Sets the gauge series' window at `now` to its latest value.
-    pub fn set(&mut self, now: u64, metric: Metric, labels: SeriesLabels, value: f64) {
-        self.stats.samples += 1;
-        let window = now / self.config.width;
-        let ring = self
-            .gauges
-            .entry((metric, labels))
-            .or_insert_with(|| Ring::new(self.config.ring));
-        *ring.cell(window, &mut self.stats.windows_evicted, |v| *v = 0.0) = value;
-    }
-
-    /// Records one sample into the summary series' window at `now`.
-    pub fn observe(&mut self, now: u64, metric: Metric, labels: SeriesLabels, value: u64) {
-        self.stats.samples += 1;
-        let window = now / self.config.width;
-        let ring = self
-            .summaries
-            .entry((metric, labels))
-            .or_insert_with(|| Ring::new(self.config.ring));
-        ring.cell(
-            window,
-            &mut self.stats.windows_evicted,
-            QuantileSketch::clear,
-        )
-        .record(value);
     }
 
     /// The retained `(window, count)` pairs of one counter series, oldest
@@ -343,13 +255,13 @@ impl TimeSeriesRecorder {
         let width = self.config.width;
         for (&(metric, labels), ring) in &other.counters {
             for (window, value) in ring.windows() {
-                self.inc(window * width, metric, labels, *value);
+                self.add_at(window * width, metric, labels, *value);
                 self.stats.samples -= 1;
             }
         }
         for (&(metric, labels), ring) in &other.gauges {
             for (window, value) in ring.windows() {
-                self.set(window * width, metric, labels, *value);
+                self.set_at(window * width, metric, labels, *value);
                 self.stats.samples -= 1;
             }
         }
@@ -372,243 +284,52 @@ impl TimeSeriesRecorder {
     }
 }
 
-impl ObsSink for TimeSeriesRecorder {
-    fn active(&self) -> bool {
-        true
+/// The windowed store: each update lands in the window of its cycle.
+impl MetricStore for TimeSeriesRecorder {
+    fn add_at(&mut self, at: u64, metric: Metric, labels: SeriesLabels, by: u64) {
+        self.stats.samples += 1;
+        let window = at / self.config.width;
+        let ring = self
+            .counters
+            .entry((metric, labels))
+            .or_insert_with(|| Ring::new(self.config.ring));
+        *ring.cell(window, &mut self.stats.windows_evicted, |v| *v = 0) += by;
     }
 
-    fn on_arrival(&mut self, now: u64, _sequence: u64, model: ModelId) {
-        self.inc(now, Metric::ServingArrivals, SeriesLabels::model(model), 1);
+    fn set_at(&mut self, at: u64, metric: Metric, labels: SeriesLabels, value: f64) {
+        self.stats.samples += 1;
+        let window = at / self.config.width;
+        let ring = self
+            .gauges
+            .entry((metric, labels))
+            .or_insert_with(|| Ring::new(self.config.ring));
+        *ring.cell(window, &mut self.stats.windows_evicted, |v| *v = 0.0) = value;
     }
 
-    fn on_dispatch(
-        &mut self,
-        now: u64,
-        _sequence: u64,
-        model: ModelId,
-        node: NodeId,
-        _slot: usize,
-    ) {
-        self.inc(
-            now,
-            Metric::ServingDispatched,
-            SeriesLabels::model(model).with_node(node),
-            1,
-        );
-    }
-
-    fn on_reject(&mut self, now: u64, _sequence: u64, model: ModelId, reason: RejectReason) {
-        let name = match reason {
-            RejectReason::NoReplica => Metric::ServingRejectedNoReplica,
-            RejectReason::Overload => Metric::ServingRejectedOverload,
-        };
-        self.inc(now, name, SeriesLabels::model(model), 1);
-    }
-
-    fn on_service_batch(
-        &mut self,
-        start: u64,
-        _finish: u64,
-        model: ModelId,
-        node: NodeId,
-        _slot: usize,
-        batch: usize,
-    ) {
-        let labels = SeriesLabels::model(model).with_node(node);
-        self.inc(start, Metric::ServingBatches, labels, 1);
-        self.observe(start, Metric::ServingBatchSize, labels, batch as u64);
-    }
-
-    fn on_complete(
-        &mut self,
-        now: u64,
-        _sequence: u64,
-        model: ModelId,
-        priority: PriorityClass,
-        arrived: u64,
-        node: NodeId,
-        _slot: usize,
-        deadline_met: Option<bool>,
-    ) {
-        let qos = SeriesLabels::model(model).with_priority(priority);
-        self.inc(now, Metric::ServingCompleted, qos.with_node(node), 1);
-        self.observe(
-            now,
-            Metric::ServingLatencyCycles,
-            qos,
-            now.saturating_sub(arrived),
-        );
-        if let Some(met) = deadline_met {
-            let name = if met {
-                Metric::ServingDeadlineMet
-            } else {
-                Metric::ServingDeadlineMissed
-            };
-            self.inc(now, name, qos, 1);
-        }
-    }
-
-    fn on_expire(
-        &mut self,
-        now: u64,
-        _sequence: u64,
-        model: ModelId,
-        arrived: u64,
-        node: NodeId,
-        _slot: usize,
-    ) {
-        let labels = SeriesLabels::model(model).with_node(node);
-        self.inc(now, Metric::ServingExpired, labels, 1);
-        self.observe(
-            now,
-            Metric::ServingExpiredWaitCycles,
-            labels,
-            now.saturating_sub(arrived),
-        );
-    }
-
-    fn on_copy_round(
-        &mut self,
-        start: u64,
-        _finish: u64,
-        from: NodeId,
-        _to: NodeId,
-        _slot: usize,
-        _round: u32,
-        bytes: u64,
-    ) {
-        let labels = SeriesLabels::none().with_node(from);
-        self.inc(start, Metric::MigrationCopyRounds, labels, 1);
-        self.inc(start, Metric::MigrationCopyBytes, labels, bytes);
-    }
-
-    fn on_stop_copy(&mut self, start: u64, _finish: u64, _slot: usize, record: &MigrationRecord) {
-        let labels = SeriesLabels::none().with_node(record.from);
-        let name = match record.mode {
-            MigrationMode::Cold => Metric::MigrationCold,
-            MigrationMode::PreCopy => Metric::MigrationPrecopy,
-        };
-        self.inc(start, name, labels, 1);
-        if record.mode == MigrationMode::PreCopy && !record.converged {
-            self.inc(start, Metric::MigrationPrecopyFallbacks, labels, 1);
-        }
-        self.observe(
-            start,
-            Metric::MigrationDowntimeCycles,
-            labels,
-            record.downtime().get(),
-        );
-    }
-
-    fn on_migration_rejected(&mut self, now: u64, _slot: usize) {
-        self.inc(now, Metric::MigrationRejected, SeriesLabels::none(), 1);
-    }
-
-    fn on_control(&mut self, now: u64, action: &ControlAction) {
-        let (name, labels) = match action {
-            ControlAction::ScaleUp { spec, .. } => {
-                (Metric::ControlScaleUps, SeriesLabels::model(spec.model))
-            }
-            ControlAction::ScaleDown { handle } => (
-                Metric::ControlScaleDowns,
-                SeriesLabels::none().with_node(handle.node),
-            ),
-            ControlAction::Migrate { handle, .. } => (
-                Metric::ControlMigrations,
-                SeriesLabels::none().with_node(handle.node),
-            ),
-        };
-        self.inc(now, name, labels, 1);
-    }
-
-    fn on_tick(&mut self, now: u64, _frame: &TelemetryFrame, counters: &FleetCounters) {
-        let fleet = SeriesLabels::none();
-        self.inc(now, Metric::TelemetryTicks, fleet, 1);
-        self.set(now, Metric::FleetQueued, fleet, counters.queued as f64);
-        self.set(now, Metric::FleetInFlight, fleet, counters.in_flight as f64);
-        self.set(
-            now,
-            Metric::FleetLiveReplicas,
-            fleet,
-            counters.live_replicas as f64,
-        );
-        self.set(
-            now,
-            Metric::FleetMigrationsInFlight,
-            fleet,
-            counters.migrations_in_flight as f64,
-        );
-        self.set(
-            now,
-            Metric::FleetResidentBytes,
-            fleet,
-            counters.resident_bytes as f64,
-        );
-    }
-
-    fn on_alert(&mut self, now: u64, alert: &AlertTransition) {
-        let mut labels = SeriesLabels::model(alert.model);
-        if let Some(priority) = alert.priority {
-            labels = labels.with_priority(priority);
-        }
-        let name = match alert.kind {
-            AlertKind::Fired => Metric::SloAlertsFired,
-            AlertKind::Resolved => Metric::SloAlertsResolved,
-        };
-        self.inc(now, name, labels, 1);
-    }
-
-    fn on_fault(&mut self, now: u64, fault: &FaultEvent) {
-        let labels = SeriesLabels::none().with_node(fault.kind.node());
-        self.inc(now, Metric::FaultInjected, labels, 1);
-        let name = match fault.kind {
-            FaultKind::BoardCrash { .. } => Metric::FaultBoardCrashes,
-            FaultKind::BoardHang { .. } => Metric::FaultBoardHangs,
-            FaultKind::LinkDegrade { .. } => Metric::FaultLinkDegrades,
-            FaultKind::Straggler { .. } => Metric::FaultStragglers,
-            FaultKind::TelemetryDropout { .. } => Metric::FaultTelemetryDropouts,
-        };
-        self.inc(now, name, labels, 1);
-    }
-
-    fn on_failover(
-        &mut self,
-        now: u64,
-        node: NodeId,
-        _replicas_failed: u64,
-        redispatched: u64,
-        detect_cycles: u64,
-    ) {
-        let labels = SeriesLabels::none().with_node(node);
-        self.inc(now, Metric::RecoveryFailovers, labels, 1);
-        self.inc(now, Metric::RecoveryRedispatched, labels, redispatched);
-        self.observe(now, Metric::RecoveryDetectCycles, labels, detect_cycles);
-    }
-
-    fn on_replica_restored(&mut self, now: u64, node: NodeId, _slot: usize, restore_cycles: u64) {
-        let labels = SeriesLabels::none().with_node(node);
-        self.inc(now, Metric::RecoveryReplicasRestored, labels, 1);
-        self.observe(now, Metric::RecoveryRestoreCycles, labels, restore_cycles);
-    }
-
-    fn on_restore_rejected(&mut self, now: u64, node: NodeId) {
-        let labels = SeriesLabels::none().with_node(node);
-        self.inc(now, Metric::RecoveryRestoreRejected, labels, 1);
-    }
-
-    fn on_lost(&mut self, now: u64, _sequence: u64, model: ModelId, node: NodeId) {
-        self.inc(
-            now,
-            Metric::RecoveryLostRequests,
-            SeriesLabels::model(model).with_node(node),
-            1,
-        );
+    fn observe_at(&mut self, at: u64, metric: Metric, labels: SeriesLabels, value: u64) {
+        self.stats.samples += 1;
+        let window = at / self.config.width;
+        let ring = self
+            .summaries
+            .entry((metric, labels))
+            .or_insert_with(|| Ring::new(self.config.ring));
+        ring.cell(
+            window,
+            &mut self.stats.windows_evicted,
+            QuantileSketch::clear,
+        )
+        .record(value);
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use workloads::{ModelId, PriorityClass};
+
     use super::*;
+    use crate::obs::{FleetCounters, ObsSink};
+    use crate::telemetry::TelemetryFrame;
+    use crate::NodeId;
 
     #[test]
     fn windows_align_and_accumulate_by_label() {
@@ -630,7 +351,7 @@ mod tests {
     fn ring_overwrites_oldest_and_counts_evictions() {
         let mut ts = TimeSeriesRecorder::new(TimeSeriesConfig::new(100).with_ring(4));
         for window in 0..10u64 {
-            ts.inc(
+            ts.add_at(
                 window * 100,
                 Metric::ServingArrivals,
                 SeriesLabels::none(),
@@ -738,13 +459,13 @@ mod tests {
         a.on_arrival(100, 0, ModelId::Mnist);
         b.on_arrival(150, 1, ModelId::Mnist);
         b.on_arrival(1_200, 2, ModelId::Bert);
-        a.observe(
+        a.observe_at(
             100,
             Metric::ServingLatencyCycles,
             SeriesLabels::model(ModelId::Mnist),
             10,
         );
-        b.observe(
+        b.observe_at(
             200,
             Metric::ServingLatencyCycles,
             SeriesLabels::model(ModelId::Mnist),

@@ -2,11 +2,9 @@
 
 use workloads::{ModelId, PriorityClass};
 
-use crate::fault::{FaultEvent, FaultKind};
+use crate::fault::FaultEvent;
 use crate::migration::{MigrationMode, MigrationRecord};
-use crate::obs::{
-    AlertKind, AlertTransition, FleetCounters, Metric, MetricsRegistry, ObsSink, RejectReason,
-};
+use crate::obs::{AlertTransition, FleetCounters, MetricsRegistry, ObsSink, RejectReason};
 use crate::sampler::splitmix64;
 use crate::telemetry::{ControlAction, TelemetryFrame};
 use crate::NodeId;
@@ -313,13 +311,15 @@ impl TraceRecorder {
     }
 }
 
+/// Every hook feeds the registry through the one hook→metric mapping, then
+/// records its span or instant if the request is sampled.
 impl ObsSink for TraceRecorder {
     fn active(&self) -> bool {
         true
     }
 
     fn on_arrival(&mut self, now: u64, sequence: u64, model: ModelId) {
-        self.registry.inc(Metric::ServingArrivals);
+        self.registry.on_arrival(now, sequence, model);
         if self.is_sampled(sequence) {
             self.stats.sampled_requests += 1;
             self.push(TraceEvent::Arrival {
@@ -332,22 +332,12 @@ impl ObsSink for TraceRecorder {
         }
     }
 
-    fn on_dispatch(
-        &mut self,
-        _now: u64,
-        _sequence: u64,
-        _model: ModelId,
-        _node: NodeId,
-        _slot: usize,
-    ) {
-        self.registry.inc(Metric::ServingDispatched);
+    fn on_dispatch(&mut self, now: u64, sequence: u64, model: ModelId, node: NodeId, slot: usize) {
+        self.registry.on_dispatch(now, sequence, model, node, slot);
     }
 
     fn on_reject(&mut self, now: u64, sequence: u64, model: ModelId, reason: RejectReason) {
-        self.registry.inc(match reason {
-            RejectReason::NoReplica => Metric::ServingRejectedNoReplica,
-            RejectReason::Overload => Metric::ServingRejectedOverload,
-        });
+        self.registry.on_reject(now, sequence, model, reason);
         if self.is_sampled(sequence) {
             self.push(TraceEvent::Reject {
                 at: now,
@@ -389,9 +379,8 @@ impl ObsSink for TraceRecorder {
         slot: usize,
         batch: usize,
     ) {
-        self.registry.inc(Metric::ServingBatches);
         self.registry
-            .observe(Metric::ServingBatchSize, batch as u64);
+            .on_service_batch(start, finish, model, node, slot, batch);
         if std::mem::take(&mut self.batch_sampled) {
             self.push(TraceEvent::Service {
                 from: start,
@@ -408,23 +397,23 @@ impl ObsSink for TraceRecorder {
         &mut self,
         now: u64,
         sequence: u64,
-        _model: ModelId,
-        _priority: PriorityClass,
+        model: ModelId,
+        priority: PriorityClass,
         arrived: u64,
         node: NodeId,
         slot: usize,
         deadline_met: Option<bool>,
     ) {
-        self.registry.inc(Metric::ServingCompleted);
-        self.registry
-            .observe(Metric::ServingLatencyCycles, now.saturating_sub(arrived));
-        if let Some(met) = deadline_met {
-            self.registry.inc(if met {
-                Metric::ServingDeadlineMet
-            } else {
-                Metric::ServingDeadlineMissed
-            });
-        }
+        self.registry.on_complete(
+            now,
+            sequence,
+            model,
+            priority,
+            arrived,
+            node,
+            slot,
+            deadline_met,
+        );
         if self.is_sampled(sequence) {
             self.push(TraceEvent::Complete {
                 at: now,
@@ -445,11 +434,8 @@ impl ObsSink for TraceRecorder {
         node: NodeId,
         slot: usize,
     ) {
-        self.registry.inc(Metric::ServingExpired);
-        self.registry.observe(
-            Metric::ServingExpiredWaitCycles,
-            now.saturating_sub(arrived),
-        );
+        self.registry
+            .on_expire(now, sequence, model, arrived, node, slot);
         if self.is_sampled(sequence) {
             self.push(TraceEvent::Expire {
                 at: now,
@@ -471,8 +457,8 @@ impl ObsSink for TraceRecorder {
         round: u32,
         bytes: u64,
     ) {
-        self.registry.inc(Metric::MigrationCopyRounds);
-        self.registry.add(Metric::MigrationCopyBytes, bytes);
+        self.registry
+            .on_copy_round(start, finish, from, to, slot, round, bytes);
         self.push(TraceEvent::CopyRound {
             from: start,
             until: finish,
@@ -485,15 +471,7 @@ impl ObsSink for TraceRecorder {
     }
 
     fn on_stop_copy(&mut self, start: u64, finish: u64, slot: usize, record: &MigrationRecord) {
-        self.registry.inc(match record.mode {
-            MigrationMode::Cold => Metric::MigrationCold,
-            MigrationMode::PreCopy => Metric::MigrationPrecopy,
-        });
-        if record.mode == MigrationMode::PreCopy && !record.converged {
-            self.registry.inc(Metric::MigrationPrecopyFallbacks);
-        }
-        self.registry
-            .observe(Metric::MigrationDowntimeCycles, record.downtime().get());
+        self.registry.on_stop_copy(start, finish, slot, record);
         self.push(TraceEvent::StopCopy {
             from: start,
             until: finish,
@@ -506,11 +484,12 @@ impl ObsSink for TraceRecorder {
         });
     }
 
-    fn on_migration_rejected(&mut self, _now: u64, _slot: usize) {
-        self.registry.inc(Metric::MigrationRejected);
+    fn on_migration_rejected(&mut self, now: u64, slot: usize) {
+        self.registry.on_migration_rejected(now, slot);
     }
 
     fn on_control(&mut self, now: u64, action: &ControlAction) {
+        self.registry.on_control(now, action);
         let (kind, node, dest, model) = match action {
             ControlAction::ScaleUp { spec, .. } => {
                 (ControlKind::ScaleUp, None, None, Some(spec.model))
@@ -522,11 +501,6 @@ impl ObsSink for TraceRecorder {
                 (ControlKind::Migrate, Some(handle.node), Some(*to), None)
             }
         };
-        self.registry.inc(match kind {
-            ControlKind::ScaleUp => Metric::ControlScaleUps,
-            ControlKind::ScaleDown => Metric::ControlScaleDowns,
-            ControlKind::Migrate => Metric::ControlMigrations,
-        });
         self.push(TraceEvent::Control {
             at: now,
             kind,
@@ -536,77 +510,52 @@ impl ObsSink for TraceRecorder {
         });
     }
 
-    fn on_tick(&mut self, now: u64, _frame: &TelemetryFrame, counters: &FleetCounters) {
-        self.registry.inc(Metric::TelemetryTicks);
-        self.registry
-            .set_gauge(Metric::FleetQueued, counters.queued as f64);
-        self.registry
-            .set_gauge(Metric::FleetInFlight, counters.in_flight as f64);
-        self.registry
-            .set_gauge(Metric::FleetLiveReplicas, counters.live_replicas as f64);
-        self.registry.set_gauge(
-            Metric::FleetMigrationsInFlight,
-            counters.migrations_in_flight as f64,
-        );
-        self.registry
-            .set_gauge(Metric::FleetResidentBytes, counters.resident_bytes as f64);
+    fn on_tick(&mut self, now: u64, frame: &TelemetryFrame, counters: &FleetCounters) {
+        self.registry.on_tick(now, frame, counters);
         self.push(TraceEvent::Tick {
             at: now,
             counters: *counters,
         });
     }
 
-    fn on_alert(&mut self, _now: u64, alert: &AlertTransition) {
-        self.registry.inc(match alert.kind {
-            AlertKind::Fired => Metric::SloAlertsFired,
-            AlertKind::Resolved => Metric::SloAlertsResolved,
-        });
+    fn on_alert(&mut self, now: u64, alert: &AlertTransition) {
+        self.registry.on_alert(now, alert);
     }
 
-    fn on_fault(&mut self, _now: u64, fault: &FaultEvent) {
-        self.registry.inc(Metric::FaultInjected);
-        self.registry.inc(match fault.kind {
-            FaultKind::BoardCrash { .. } => Metric::FaultBoardCrashes,
-            FaultKind::BoardHang { .. } => Metric::FaultBoardHangs,
-            FaultKind::LinkDegrade { .. } => Metric::FaultLinkDegrades,
-            FaultKind::Straggler { .. } => Metric::FaultStragglers,
-            FaultKind::TelemetryDropout { .. } => Metric::FaultTelemetryDropouts,
-        });
+    fn on_fault(&mut self, now: u64, fault: &FaultEvent) {
+        self.registry.on_fault(now, fault);
     }
 
     fn on_failover(
         &mut self,
-        _now: u64,
-        _node: NodeId,
-        _replicas_failed: u64,
+        now: u64,
+        node: NodeId,
+        replicas_failed: u64,
         redispatched: u64,
         detect_cycles: u64,
     ) {
-        self.registry.inc(Metric::RecoveryFailovers);
         self.registry
-            .add(Metric::RecoveryRedispatched, redispatched);
-        self.registry
-            .observe(Metric::RecoveryDetectCycles, detect_cycles);
+            .on_failover(now, node, replicas_failed, redispatched, detect_cycles);
     }
 
-    fn on_replica_restored(&mut self, _now: u64, _node: NodeId, _slot: usize, restore_cycles: u64) {
-        self.registry.inc(Metric::RecoveryReplicasRestored);
+    fn on_replica_restored(&mut self, now: u64, node: NodeId, slot: usize, restore_cycles: u64) {
         self.registry
-            .observe(Metric::RecoveryRestoreCycles, restore_cycles);
+            .on_replica_restored(now, node, slot, restore_cycles);
     }
 
-    fn on_restore_rejected(&mut self, _now: u64, _node: NodeId) {
-        self.registry.inc(Metric::RecoveryRestoreRejected);
+    fn on_restore_rejected(&mut self, now: u64, node: NodeId) {
+        self.registry.on_restore_rejected(now, node);
     }
 
-    fn on_lost(&mut self, _now: u64, _sequence: u64, _model: ModelId, _node: NodeId) {
-        self.registry.inc(Metric::RecoveryLostRequests);
+    fn on_lost(&mut self, now: u64, sequence: u64, model: ModelId, node: NodeId) {
+        self.registry.on_lost(now, sequence, model, node);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::obs::Metric;
 
     #[test]
     fn ring_is_bounded_and_keeps_the_newest_events() {

@@ -710,12 +710,12 @@ struct ServeState {
     /// Chaos bookkeeping; `None` unless [`ServingOptions::with_faults`]
     /// scheduled faults. The fault-free hot path pays one discriminant check.
     chaos: Option<ChaosState>,
-    /// Admitted requests lost, counted by [`ServeState::lose`].
-    lost: u64,
-    /// Per-model admitted/completed/lost requests; `Some` iff faults are
-    /// configured. It lives here, not in [`ChaosState`], because the
+    /// Per-model outcomes, in every run: [`ServeState::expire`] and
+    /// [`ServeState::lose`] count each request that leaves unserved in
+    /// `admitted` (a loss also in `lost`), and [`PartitionSim::finish`] adds
+    /// the completions. It lives here, not in [`ChaosState`], because the
     /// failover sweep takes the chaos state out while it loses requests.
-    ledger: Option<ModelTable<ModelAvailability>>,
+    ledger: ModelTable<ModelAvailability>,
 }
 
 impl ServeState {
@@ -734,6 +734,7 @@ impl ServeState {
         sink: &mut S,
     ) {
         self.deadline.record_dropped();
+        self.ledger.entry(request.model).admitted += 1;
         if let Some(window) = self.window_of(request.model) {
             window.metrics.record_dropped();
         }
@@ -763,10 +764,9 @@ impl ServeState {
         node: NodeId,
         sink: &mut S,
     ) {
-        self.lost += 1;
-        if let Some(ledger) = &mut self.ledger {
-            ledger.entry(request.model).lost += 1;
-        }
+        let ledger = self.ledger.entry(request.model);
+        ledger.admitted += 1;
+        ledger.lost += 1;
         if let Some(engine) = &mut self.slo {
             engine.observe_expired(now, request.model, request.priority);
         }
@@ -1128,7 +1128,6 @@ impl ClusterServingSim {
 pub(crate) struct PartitionOutcome {
     pub(crate) dispatch: DispatchPolicy,
     pub(crate) router_stats: RouterStats,
-    pub(crate) latencies: QuantileSketch,
     pub(crate) per_model: ModelTable<QuantileSketch>,
     /// Completed requests per node, indexed by `NodeId`; a node served
     /// anything iff its count is non-zero (every batch holds a request).
@@ -1155,7 +1154,6 @@ impl PartitionOutcome {
         self.router_stats.admitted += other.router_stats.admitted;
         self.router_stats.rejected_no_replica += other.router_stats.rejected_no_replica;
         self.router_stats.rejected_overload += other.router_stats.rejected_overload;
-        self.latencies.merge(&other.latencies);
         for (model, sketch) in other.per_model.into_entries() {
             self.per_model.entry(model).merge(&sketch);
         }
@@ -1191,23 +1189,31 @@ impl PartitionOutcome {
 
     /// Converts the (merged) outcome into the public report.
     ///
+    /// The fleet summary merges the per-model sketches in `ModelId` order.
+    /// Below the sketch cap the merged buffer holds every latency, and
     /// `summary_sorted` reproduces the seed's sort-then-`from_sorted` global
-    /// summary bit-for-bit below the sketch cap; `summary` reproduces the
-    /// insertion-order `from_samples` per-model fold.
-    pub(crate) fn into_report(mut self) -> ServingReport {
+    /// summary bit-for-bit; above it every path buckets each sample alike.
+    /// `summary` reproduces the insertion-order `from_samples` per-model
+    /// fold.
+    pub(crate) fn into_report(self) -> ServingReport {
+        let mut fleet = QuantileSketch::default();
+        let per_model = self
+            .per_model
+            .into_entries()
+            .map(|(model, sketch)| {
+                fleet.merge(&sketch);
+                (model, sketch.summary())
+            })
+            .collect();
         ServingReport {
             dispatch: self.dispatch,
             // Every completion records one latency sample.
             stats: RouterStats {
-                completed: self.latencies.count(),
+                completed: fleet.count(),
                 ..self.router_stats
             },
-            latency: self.latencies.summary_sorted(),
-            per_model: self
-                .per_model
-                .into_entries()
-                .map(|(model, sketch)| (model, sketch.summary()))
-                .collect(),
+            latency: fleet.summary_sorted(),
+            per_model,
             per_node_completed: self
                 .per_node_completed
                 .into_iter()
@@ -1308,7 +1314,6 @@ pub(crate) struct PartitionSim<'a> {
     next_arrival: usize,
     makespan: u64,
     perf: PerfStats,
-    latencies: QuantileSketch,
     per_model: ModelTable<QuantileSketch>,
     per_node_completed: Vec<usize>,
     migration_records: Vec<MigrationRecord>,
@@ -1360,8 +1365,7 @@ impl<'a> PartitionSim<'a> {
             slo: options.slo.as_ref().map(SloEngine::new),
             alerts: AlertLog::default(),
             chaos: options.faults.as_ref().map(|_| ChaosState::default()),
-            lost: 0,
-            ledger: options.faults.as_ref().map(|_| ModelTable::default()),
+            ledger: ModelTable::default(),
         };
         let mut events = EventQueue::default();
         for (index, migration) in options.migrations.iter().enumerate() {
@@ -1380,13 +1384,6 @@ impl<'a> PartitionSim<'a> {
                 events.push(engine.tick(), EV_ALERT, 0);
             }
         }
-        // Latency accumulators are streaming quantile sketches, not retained
-        // per-sample vectors: exact (and summary-bit-identical to the seed's
-        // sort-then-summarize) below the sketch cap, α-bounded and O(1)
-        // memory beyond it — a 10M-arrival run no longer holds 80MB of
-        // samples to answer four percentiles.
-        let latencies = QuantileSketch::with_capacity_hint(arrivals.len());
-
         PartitionSim {
             options,
             replicas,
@@ -1410,7 +1407,9 @@ impl<'a> PartitionSim<'a> {
             next_arrival: 0,
             makespan: 0,
             perf: PerfStats::default(),
-            latencies,
+            // Latency accumulators are streaming quantile sketches, one per
+            // model, not retained per-sample vectors: exact below the sketch
+            // cap, α-bounded and O(1) memory beyond it.
             per_model: ModelTable::default(),
             per_node_completed: Vec::new(),
             migration_records: Vec::new(),
@@ -1578,9 +1577,6 @@ impl<'a> PartitionSim<'a> {
                 if let Some(window) = self.state.window_of(arrival.model) {
                     window.arrivals += 1;
                 }
-                if let Some(ledger) = &mut self.state.ledger {
-                    ledger.entry(arrival.model).admitted += 1;
-                }
                 sink.on_dispatch(
                     now,
                     arrival.sequence,
@@ -1636,7 +1632,6 @@ impl<'a> PartitionSim<'a> {
         replica.window_busy += finish - started.max(state.window_start);
         for request in &batch {
             let latency = now.saturating_sub(request.arrived);
-            self.latencies.record(latency);
             self.per_model.entry(request.model).record(latency);
             if let Some(window) = state.window_of(request.model) {
                 window.metrics.record_latency(latency);
@@ -1649,9 +1644,6 @@ impl<'a> PartitionSim<'a> {
                 if let Some(window) = state.window_of(request.model) {
                     window.metrics.record_deadline(met);
                 }
-            }
-            if let Some(ledger) = &mut state.ledger {
-                ledger.entry(request.model).completed += 1;
             }
             if let Some(engine) = &mut state.slo {
                 engine.observe_latency(now, request.model, request.priority, latency);
@@ -1792,14 +1784,18 @@ impl<'a> PartitionSim<'a> {
             .chaos
             .take()
             .map_or_else(AvailabilityStats::default, |chaos| chaos.stats);
-        availability.lost = self.state.lost;
-        if let Some(ledger) = self.state.ledger.take() {
-            availability.per_model = ledger.into_entries().collect();
+        // Every admitted request completed, expired or was lost.
+        let mut ledger = self.state.ledger;
+        for (model, sketch) in self.per_model.iter() {
+            let entry = ledger.entry(model);
+            entry.completed = sketch.count() as u64;
+            entry.admitted += entry.completed;
         }
+        availability.per_model = ledger.into_entries().collect();
+        availability.lost = availability.per_model.values().map(|m| m.lost).sum();
         PartitionOutcome {
             dispatch: self.options.dispatch,
             router_stats: self.router.stats(),
-            latencies: self.latencies,
             per_model: self.per_model,
             per_node_completed: self.per_node_completed,
             deadline: self.state.deadline,

@@ -184,15 +184,6 @@ impl QuantileSketch {
         }
     }
 
-    /// Default sketch pre-sized for roughly `samples` records: the exact
-    /// buffer is reserved up front (capped at the exact-mode limit) so the
-    /// steady-state record path never reallocates.
-    pub fn with_capacity_hint(samples: usize) -> Self {
-        let mut sketch = QuantileSketch::default();
-        sketch.exact.reserve_exact(samples.min(sketch.exact_cap));
-        sketch
-    }
-
     /// Samples retained before the sketch switches to log buckets.
     pub fn exact_cap(&self) -> usize {
         self.exact_cap

@@ -445,6 +445,10 @@ const GOLDEN: &[(&str, u64)] = &[
     // failover, and barrier telemetry ticks. The digest is the contract
     // that the thread count never changes the merged report.
     ("fleet-parallel", 0x9e8c49af7c6f53f2),
+    // FNV-1a over the registry's OpenMetrics exposition of the every-hook
+    // scenario — counters, gauges and summaries of every subsystem — locked
+    // before both exporters shared one family/sample writer.
+    ("obs-registry-openmetrics", 0x06bd826ed1aea550),
 ];
 
 fn expected(name: &str) -> u64 {
@@ -928,5 +932,222 @@ fn edf_queue_breaks_deadline_ties_by_sequence_number() {
         order,
         run(),
         "tie-breaking must be deterministic across runs"
+    );
+}
+
+/// Applies one scripted control action at the first telemetry tick.
+struct OneAction(Option<cluster::ControlAction>);
+
+impl cluster::ControlPlane for OneAction {
+    fn control(
+        &mut self,
+        _frame: &cluster::TelemetryFrame,
+        _cluster: &NpuCluster,
+    ) -> Vec<cluster::ControlAction> {
+        self.0.take().into_iter().collect()
+    }
+}
+
+/// The every-hook scenario: one run that reaches each metric-bearing
+/// [`cluster::ObsSink`] hook. Board 0 holds an `Mnist` and the only `Ncf`
+/// replica, board 1 an `Mnist` replica and a free half, board 2 two `Mnist`
+/// replicas. The controller pre-copies one of board 2's replicas to board
+/// 1; a scheduled cold move of the other to the full board 0 is refused.
+/// Board 0 then crashes: failover re-places its `Mnist` replica in the half
+/// board 2 freed and has no room for the `Ncf` one, whose queue is lost and
+/// whose later arrivals find no replica. Tight deadlines expire under
+/// drop-on-expiry, the queue bound sheds load, and an `Mnist` latency SLO
+/// below the service time fires.
+fn run_every_hook(sink: &mut dyn cluster::ObsSink) -> ServingReport {
+    let npu = config();
+    let service = estimated_service_cycles(ModelId::Mnist, 2, 2, &npu);
+    let mut fleet = NpuCluster::homogeneous(3, &npu);
+    let mut handles = Vec::new();
+    for (model, node) in [
+        (ModelId::Mnist, 0),
+        (ModelId::Ncf, 0),
+        (ModelId::Mnist, 1),
+        (ModelId::Mnist, 2),
+        (ModelId::Mnist, 2),
+    ] {
+        let spec = DeploySpec::replica(model, 2, 2).with_memory(16 << 20, 64 << 20);
+        handles.push(
+            fleet
+                .deploy_pinned(spec, NodeId(node))
+                .expect("capacity for the replica"),
+        );
+    }
+    // A 1 GiB state copy takes about 2,900 service times, so the crash waits
+    // for the pre-copy to land, and a second burst of traffic meets it.
+    let crash = service * 4_000;
+    let early = (0..120).map(|i| i * service / 6);
+    let late = (0..120).map(|i| crash - service * 4 + i * service / 12);
+    let arrivals: Vec<workloads::RequestArrival> = early
+        .chain(late)
+        .enumerate()
+        .map(|(i, at)| {
+            let i = i as u64;
+            let model = if i.is_multiple_of(3) {
+                ModelId::Ncf
+            } else {
+                ModelId::Mnist
+            };
+            let mut arrival = workloads::RequestArrival::new(Cycles(at), model);
+            arrival.priority = if i.is_multiple_of(2) {
+                PriorityClass::Interactive
+            } else {
+                PriorityClass::Batch
+            };
+            arrival.deadline = Some(Cycles(at + service * (2 + 40 * (i % 2))));
+            arrival
+        })
+        .collect();
+    let slo = SloConfig::new(service * 4)
+        .with_spec(SloSpec::new(ModelId::Mnist, Cycles(service / 2), 0.95))
+        .with_default_policies();
+    let options = ServingOptions::new(DispatchPolicy::LeastLoaded)
+        .with_admission(AdmissionControl { max_queue_depth: 6 })
+        .with_batching(4)
+        .with_batch_wait(service / 2)
+        .with_drop_expired()
+        .with_stochastic(StochasticService::seeded(SEED).with_cv(0.25))
+        .with_telemetry(service * 4)
+        .with_slo(slo)
+        .with_migration(Cycles(service * 2), handles[4], NodeId(0))
+        .with_faults(
+            FaultSchedule::new().with_fault(crash, FaultKind::BoardCrash { node: NodeId(0) }),
+        )
+        .with_recovery(RecoveryPolicy::new(1));
+    let mut controller = OneAction(Some(cluster::ControlAction::Migrate {
+        handle: handles[3],
+        to: NodeId(1),
+        mode: MigrationMode::PreCopy,
+    }));
+    ClusterServingSim::new(options).run_observed_with_controller(
+        &mut fleet,
+        &ClusterTrace::from_arrivals(arrivals),
+        &mut controller,
+        sink,
+    )
+}
+
+/// The counter of each metric-bearing hook, in `ObsSink` declaration order.
+const EVERY_HOOK: &[(&str, &[cluster::Metric])] = &[
+    ("on_arrival", &[cluster::Metric::ServingArrivals]),
+    ("on_dispatch", &[cluster::Metric::ServingDispatched]),
+    (
+        "on_reject",
+        &[
+            cluster::Metric::ServingRejectedNoReplica,
+            cluster::Metric::ServingRejectedOverload,
+        ],
+    ),
+    ("on_service_batch", &[cluster::Metric::ServingBatches]),
+    ("on_complete", &[cluster::Metric::ServingCompleted]),
+    ("on_expire", &[cluster::Metric::ServingExpired]),
+    ("on_copy_round", &[cluster::Metric::MigrationCopyRounds]),
+    ("on_stop_copy", &[cluster::Metric::MigrationPrecopy]),
+    (
+        "on_migration_rejected",
+        &[cluster::Metric::MigrationRejected],
+    ),
+    ("on_control", &[cluster::Metric::ControlMigrations]),
+    ("on_tick", &[cluster::Metric::TelemetryTicks]),
+    ("on_alert", &[cluster::Metric::SloAlertsFired]),
+    ("on_fault", &[cluster::Metric::FaultInjected]),
+    ("on_failover", &[cluster::Metric::RecoveryFailovers]),
+    (
+        "on_replica_restored",
+        &[cluster::Metric::RecoveryReplicasRestored],
+    ),
+    (
+        "on_restore_rejected",
+        &[cluster::Metric::RecoveryRestoreRejected],
+    ),
+    ("on_lost", &[cluster::Metric::RecoveryLostRequests]),
+];
+
+/// Folds an OpenMetrics exposition by sample name: counter, `_count` and
+/// `_sum` samples add up over every label set and window, a gauge keeps its
+/// last sample, and quantile samples are skipped.
+fn fold_exposition(text: &str) -> std::collections::BTreeMap<String, f64> {
+    let mut folded = std::collections::BTreeMap::new();
+    let mut gauge = false;
+    for line in text.lines() {
+        if let Some(family) = line.strip_prefix("# TYPE ") {
+            gauge = family.ends_with(" gauge");
+            continue;
+        }
+        if line.starts_with('#') || line.contains("quantile=") {
+            continue;
+        }
+        let name = &line[..line.find(['{', ' ']).expect("a sample has a value")];
+        // Label values hold no spaces: the value is the second field.
+        let value: f64 = line
+            .split(' ')
+            .nth(1)
+            .and_then(|value| value.parse().ok())
+            .expect("a numeric sample value");
+        let slot = folded.entry(name.to_string()).or_insert(0.0);
+        *slot = if gauge { value } else { *slot + value };
+    }
+    folded
+}
+
+/// Every metric-bearing hook feeds the registry and the time series the same
+/// facts: summed over windows and label sets, each time-series counter,
+/// summary count and summary sum equals the registry's, and each gauge's
+/// last window equals the registry gauge.
+#[test]
+fn registry_and_time_series_record_the_same_facts_for_every_hook() {
+    let service = estimated_service_cycles(ModelId::Mnist, 2, 2, &config());
+    let mut recorder = cluster::TraceRecorder::new(cluster::TraceConfig::default());
+    let report = run_every_hook(&mut recorder);
+    let mut series =
+        TimeSeriesRecorder::new(TimeSeriesConfig::new(service * 16).with_ring(1 << 10));
+    assert_eq!(run_every_hook(&mut series), report);
+    assert_eq!(
+        series.stats().windows_evicted,
+        0,
+        "the ring keeps every window"
+    );
+
+    let registry = recorder.metrics();
+    for (hook, metrics) in EVERY_HOOK {
+        assert!(
+            metrics.iter().any(|metric| registry.counter(*metric) > 0),
+            "the scenario never reaches {hook}"
+        );
+    }
+    let mut windows = fold_exposition(&cluster::export_timeseries_openmetrics(&series));
+    windows.retain(|name, _| !name.starts_with("timeseries_"));
+    assert_eq!(
+        fold_exposition(&cluster::export_openmetrics(registry)),
+        windows
+    );
+}
+
+/// The registry's OpenMetrics exposition of the every-hook scenario, with
+/// counters, gauges and summaries of every subsystem, matches its golden
+/// digest.
+#[test]
+fn registry_openmetrics_export_matches_golden() {
+    let mut recorder = cluster::TraceRecorder::new(cluster::TraceConfig::default());
+    run_every_hook(&mut recorder);
+    let exposition = cluster::export_openmetrics(recorder.metrics());
+    let summary = cluster::validate_openmetrics(&exposition)
+        .expect("the exposition must pass the strict validator");
+    for kind in ["counter", "gauge", "summary"] {
+        assert!(summary.families_of(kind) > 0, "no {kind} family exported");
+    }
+    let got = trace_digest(&exposition);
+    if std::env::var("NEU10_PRINT_GOLDEN").is_ok() {
+        println!("GOLDEN (\"obs-registry-openmetrics\", 0x{got:016x}),");
+        return;
+    }
+    assert_eq!(
+        got,
+        expected("obs-registry-openmetrics"),
+        "the registry exposition drifted from its golden digest (got 0x{got:016x})"
     );
 }

@@ -513,9 +513,10 @@ fn a_scale_down_racing_a_cross_partition_migration_still_releases() {
 }
 
 /// A fault-free run that abandons a cross-partition migration counts the
-/// abandoned queue as lost. Replica X (board 0) and replica A (board 1)
-/// export in the same round: board 1 takes X, board 2 refuses A, and A's
-/// bounce home finds board 1 full again.
+/// abandoned queue as lost, per model too, and its availability falls below
+/// one. Replica X (board 0) and replica A (board 1) export in the same
+/// round: board 1 takes X, board 2 refuses A, and A's bounce home finds
+/// board 1 full again.
 #[test]
 fn an_abandoned_migration_counts_its_queue_lost_without_faults() {
     let service = cluster::estimated_service_cycles(ModelId::Mnist, 2, 2, &config());
@@ -559,6 +560,16 @@ fn an_abandoned_migration_counts_its_queue_lost_without_faults() {
         report.stats.admitted,
         report.stats.completed + report.deadline.dropped + report.availability.lost as usize,
         "admitted = completed + dropped + lost"
+    );
+    let per_model = report.availability.per_model.values();
+    assert_eq!(
+        per_model.map(|model| model.lost).sum::<u64>(),
+        report.availability.lost,
+        "the per-model ledger attributes every loss without faults too"
+    );
+    assert!(
+        report.availability.availability() < 1.0,
+        "a lost request lowers availability"
     );
     let mut merged = MetricsRegistry::new();
     for recorder in &recorders {
