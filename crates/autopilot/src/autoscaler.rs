@@ -365,22 +365,15 @@ impl Autoscaler {
 mod tests {
     use super::*;
     use cluster::{ModelSample, NodeId, ReplicaSample};
-    use neu10::{DeadlineStats, LatencySummary, VnpuId};
+    use neu10::VnpuId;
     use npu_sim::Cycles;
 
     fn frame(at: u64, replicas: Vec<ReplicaSample>) -> TelemetryFrame {
         let mut models: BTreeMap<ModelId, ModelSample> = BTreeMap::new();
         for r in &replicas {
-            let entry = models.entry(r.model).or_insert_with(|| ModelSample {
-                model: r.model,
-                replicas: 0,
-                queued: 0,
-                in_flight: 0,
-                arrivals: 0,
-                rejected: 0,
-                latency: LatencySummary::default(),
-                deadline: DeadlineStats::default(),
-            });
+            let entry = models
+                .entry(r.model)
+                .or_insert_with(|| ModelSample::empty(r.model));
             if !r.draining {
                 entry.replicas += 1;
             }
@@ -389,7 +382,6 @@ mod tests {
         }
         TelemetryFrame {
             at: Cycles(at),
-            window: Cycles(at.max(1)),
             replicas,
             models,
         }
@@ -405,7 +397,6 @@ mod tests {
             queue_len,
             in_flight,
             draining: false,
-            utilization: 0.0,
         }
     }
 

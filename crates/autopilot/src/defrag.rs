@@ -263,7 +263,6 @@ mod tests {
     fn frame_for(fleet: &NpuCluster) -> TelemetryFrame {
         TelemetryFrame {
             at: Cycles(1_000_000),
-            window: Cycles(1_000_000),
             replicas: fleet
                 .deployments()
                 .map(|d| ReplicaSample {
@@ -272,7 +271,6 @@ mod tests {
                     queue_len: 0,
                     in_flight: 0,
                     draining: false,
-                    utilization: 0.0,
                 })
                 .collect(),
             models: BTreeMap::<ModelId, ModelSample>::new(),

@@ -287,7 +287,7 @@ mod tests {
         AlertSeverity, DeploySpec, Metric, MigrationMode, ModelSample, NodeId, PlacementPolicy,
         ReplicaSample, TelemetryFrame, TraceConfig, TraceRecorder, VnpuHandle,
     };
-    use neu10::{DeadlineStats, LatencySummary, VnpuId};
+    use neu10::{DeadlineStats, VnpuId};
     use npu_sim::NpuConfig;
     use workloads::{ModelId, PriorityClass};
 
@@ -340,7 +340,6 @@ mod tests {
             queue_len: 0,
             in_flight: 0,
             draining: false,
-            utilization: 0.0,
         };
         let mut models = std::collections::BTreeMap::new();
         models.insert(
@@ -350,15 +349,11 @@ mod tests {
                 replicas: 1,
                 queued: 0,
                 in_flight: 0,
-                arrivals: 0,
-                rejected: 0,
-                latency: LatencySummary::default(),
                 deadline: DeadlineStats::default(),
             },
         );
         TelemetryFrame {
             at: Cycles(at),
-            window: Cycles(at.max(1)),
             replicas: vec![replica],
             models,
         }

@@ -116,8 +116,8 @@ fn verify_telemetry_sampling_is_allocation_free() {
     assert!(ticks > 100, "the scenario must sample densely ({ticks})");
     assert_eq!(base.stats.completed, sampled.stats.completed);
     let delta = sampled_allocations.saturating_sub(base_allocations);
-    // Warm-up allocates the frame scratch, the per-model windows and their
-    // sample buffers — a small constant. Per-tick steady state must be free:
+    // Warm-up allocates the frame scratch and the per-model deadline
+    // tallies — a small constant. Per-tick steady state must be free:
     // anything growing with the tick count is the old regression.
     assert!(
         delta < ticks / 2,

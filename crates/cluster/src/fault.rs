@@ -483,8 +483,9 @@ impl AvailabilityStats {
     }
 }
 
-/// Normalizes a node pair so `(a, b)` and `(b, a)` share one link record.
-fn link_key(a: NodeId, b: NodeId) -> (NodeId, NodeId) {
+/// Normalizes a node pair so `(a, b)` and `(b, a)` share one link record:
+/// links are bidirectional.
+pub(crate) fn link_key(a: NodeId, b: NodeId) -> (NodeId, NodeId) {
     if a <= b {
         (a, b)
     } else {

@@ -428,7 +428,6 @@ mod tests {
         let mut ts = TimeSeriesRecorder::new(TimeSeriesConfig::new(1_000));
         let frame = TelemetryFrame {
             at: npu_sim::Cycles::ZERO,
-            window: npu_sim::Cycles::ZERO,
             replicas: Vec::new(),
             models: BTreeMap::new(),
         };

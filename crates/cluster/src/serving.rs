@@ -60,15 +60,15 @@ use std::collections::{BTreeMap, BTreeSet, BinaryHeap, VecDeque};
 use std::sync::Arc;
 
 use neu10::{
-    calibrate_service_time, DeadlineStats, IsaKind, LatencySummary, MetricsWindow, QuantileSketch,
-    TenantWorkload,
+    calibrate_service_time, DeadlineStats, IsaKind, LatencySummary, QuantileSketch, TenantWorkload,
 };
 use npu_sim::{Cycles, DirtySet, NpuConfig, NpuConfigKey};
 use workloads::{ClusterTrace, Memo, ModelId, PriorityClass, RequestArrival};
 
 use crate::cluster::{DeploySpec, DeployedVnpu, NpuCluster, VnpuHandle};
 use crate::fault::{
-    AvailabilityStats, ChaosState, FaultKind, FaultSchedule, ModelAvailability, RecoveryPolicy,
+    link_key, AvailabilityStats, ChaosState, FaultKind, FaultSchedule, ModelAvailability,
+    RecoveryPolicy,
 };
 use crate::migration::{MigrationCostModel, MigrationMode, MigrationRecord, MigrationStats};
 use crate::model_table::ModelTable;
@@ -481,7 +481,7 @@ impl ReplicaQueue {
 
     /// Drops every request failing `keep`. Callback order is unspecified
     /// (heap retention visits in heap order), so drop accounting must be
-    /// order-insensitive — which the deadline/window counters are.
+    /// order-insensitive — which the deadline counters are.
     fn retain(&mut self, mut keep: impl FnMut(&QueuedRequest) -> bool) {
         match self {
             ReplicaQueue::Fifo(queue) => queue.retain(|queued| keep(queued)),
@@ -548,8 +548,8 @@ struct ReplicaSim {
     /// The replica's own service-time stream; it moves with the replica.
     stream: ServiceStream,
     queue: ReplicaQueue,
-    /// The batch in service with its (start, finish) times.
-    in_service: Option<(Vec<QueuedRequest>, u64, u64)>,
+    /// The batch in service with its finish time.
+    in_service: Option<(Vec<QueuedRequest>, u64)>,
     available_at: u64,
     pending_migration: Option<(NodeId, u64)>,
     /// A live pre-copy migration in flight: the replica keeps serving while
@@ -568,8 +568,6 @@ struct ReplicaSim {
     fenced: bool,
     /// When the replica was deployed (0 for the initial fleet).
     activated_at: u64,
-    /// Busy cycles accumulated since the last telemetry tick.
-    window_busy: u64,
 }
 
 impl ReplicaSim {
@@ -629,7 +627,6 @@ impl ReplicaSim {
             retired: false,
             fenced: false,
             activated_at: now,
-            window_busy: 0,
         }
     }
 
@@ -655,9 +652,7 @@ impl ReplicaSim {
 
     /// Requests in the batch currently being served.
     fn in_flight(&self) -> usize {
-        self.in_service
-            .as_ref()
-            .map_or(0, |(batch, _, _)| batch.len())
+        self.in_service.as_ref().map_or(0, |(batch, _)| batch.len())
     }
 
     /// Whether the replica participates in routing and telemetry.
@@ -672,25 +667,15 @@ impl ReplicaSim {
     }
 }
 
-/// Per-model accumulators for the current telemetry window.
-#[derive(Debug, Default)]
-struct ModelWindow {
-    metrics: MetricsWindow,
-    arrivals: usize,
-    rejected: usize,
-}
-
 /// Mutable bookkeeping shared by the batch-formation path.
 #[derive(Debug)]
 struct ServeState {
     deadline: DeadlineStats,
     batches: usize,
-    /// Start of the current telemetry window.
-    window_start: u64,
-    /// Per-model window accumulators, `None` while the telemetry bus is off;
-    /// a slot exists iff the model was touched since the run began (the
-    /// frame carries a model entry for each).
-    windows: Option<ModelTable<ModelWindow>>,
+    /// Per-model deadline tallies of the current telemetry window, `None`
+    /// while the telemetry bus is off; a slot exists once the model has had
+    /// a deadline outcome (the frame carries a model entry for each).
+    windows: Option<ModelTable<DeadlineStats>>,
     control: ControlStats,
     /// Replica-time already banked by released replicas.
     replica_cycles: u64,
@@ -719,7 +704,7 @@ struct ServeState {
 }
 
 impl ServeState {
-    fn window_of(&mut self, model: ModelId) -> Option<&mut ModelWindow> {
+    fn window_of(&mut self, model: ModelId) -> Option<&mut DeadlineStats> {
         self.windows.as_mut().map(|windows| windows.entry(model))
     }
 
@@ -736,7 +721,7 @@ impl ServeState {
         self.deadline.record_dropped();
         self.ledger.entry(request.model).admitted += 1;
         if let Some(window) = self.window_of(request.model) {
-            window.metrics.record_dropped();
+            window.record_dropped();
         }
         // An expiry is an unmet request: it burns the error budget of every
         // covering SLO.
@@ -858,15 +843,6 @@ struct LinkSchedule {
 }
 
 impl LinkSchedule {
-    /// Links are bidirectional: (a, b) and (b, a) are the same link.
-    fn key(a: NodeId, b: NodeId) -> (NodeId, NodeId) {
-        if a <= b {
-            (a, b)
-        } else {
-            (b, a)
-        }
-    }
-
     /// Reserves the link for a `cycles`-long transfer starting no earlier
     /// than `now`; returns when the transfer completes (queueing behind any
     /// transfer already on the link). An open chaos link-degradation window
@@ -889,7 +865,7 @@ impl LinkSchedule {
         } else {
             cycles
         };
-        let slot = self.busy_until.entry(Self::key(a, b)).or_insert(0);
+        let slot = self.busy_until.entry(link_key(a, b)).or_insert(0);
         let end = now.max(*slot) + cycles;
         *slot = end;
         end
@@ -1160,10 +1136,7 @@ impl PartitionOutcome {
         for (node, count) in other.per_node_completed.into_iter().enumerate() {
             add_node_completed(&mut self.per_node_completed, node, count);
         }
-        self.deadline.with_deadline += other.deadline.with_deadline;
-        self.deadline.met += other.deadline.met;
-        self.deadline.missed += other.deadline.missed;
-        self.deadline.dropped += other.deadline.dropped;
+        self.deadline.merge(&other.deadline);
         self.batches += other.batches;
         self.migration_records.extend(other.migration_records);
         self.control.samples += other.control.samples;
@@ -1355,7 +1328,6 @@ impl<'a> PartitionSim<'a> {
         let state = ServeState {
             deadline: DeadlineStats::default(),
             batches: 0,
-            window_start: 0,
             windows: options.telemetry_interval.map(|_| ModelTable::default()),
             control: ControlStats::default(),
             replica_cycles: 0,
@@ -1398,7 +1370,6 @@ impl<'a> PartitionSim<'a> {
             // model map persist, so steady-state sampling allocates nothing.
             frame: TelemetryFrame {
                 at: Cycles::ZERO,
-                window: Cycles::ZERO,
                 replicas: Vec::new(),
                 models: BTreeMap::new(),
             },
@@ -1574,9 +1545,6 @@ impl<'a> PartitionSim<'a> {
 
         match self.route(arrival.model, now, true) {
             DispatchDecision::Dispatch(index) => {
-                if let Some(window) = self.state.window_of(arrival.model) {
-                    window.arrivals += 1;
-                }
                 sink.on_dispatch(
                     now,
                     arrival.sequence,
@@ -1595,9 +1563,6 @@ impl<'a> PartitionSim<'a> {
                 self.dispatch_index.touch(index);
             }
             decision @ (DispatchDecision::RejectNoReplica | DispatchDecision::RejectOverload) => {
-                if let Some(window) = self.state.window_of(arrival.model) {
-                    window.rejected += 1;
-                }
                 let reason = if matches!(decision, DispatchDecision::RejectNoReplica) {
                     RejectReason::NoReplica
                 } else {
@@ -1624,25 +1589,21 @@ impl<'a> PartitionSim<'a> {
         self.makespan = self.makespan.max(now);
         let replica = &mut self.replicas[index];
         let state = &mut self.state;
-        let (mut batch, started, finish) = replica
+        let (mut batch, finish) = replica
             .in_service
             .take()
             .expect("completion without service"); // simlint::allow(P1, reason = "EV_COMPLETION is only scheduled while a batch is in service")
         debug_assert_eq!(finish, now);
-        replica.window_busy += finish - started.max(state.window_start);
         for request in &batch {
             let latency = now.saturating_sub(request.arrived);
             self.per_model.entry(request.model).record(latency);
-            if let Some(window) = state.window_of(request.model) {
-                window.metrics.record_latency(latency);
-            }
             let mut deadline_met = None;
             if let Some(deadline) = request.deadline {
                 let met = now <= deadline;
                 deadline_met = Some(met);
                 state.deadline.record_completion(met);
                 if let Some(window) = state.window_of(request.model) {
-                    window.metrics.record_deadline(met);
+                    window.record_completion(met);
                 }
             }
             if let Some(engine) = &mut state.slo {
@@ -1756,7 +1717,7 @@ impl<'a> PartitionSim<'a> {
         // every one lost with a fault attribution. Nothing is silent.
         let mut marooned: Vec<QueuedRequest> = Vec::new();
         for replica in self.replicas.iter_mut().filter(|r| r.fenced && !r.retired) {
-            if let Some((batch, _, _)) = replica.in_service.take() {
+            if let Some((batch, _)) = replica.in_service.take() {
                 marooned.extend(batch);
             }
             let queued = replica.queue.len();
@@ -2036,7 +1997,7 @@ impl<'a> PartitionSim<'a> {
                 };
                 self.fence(slot);
                 let replica = &mut self.replicas[slot];
-                if let Some((mut batch, _, _)) = replica.in_service.take() {
+                if let Some((mut batch, _)) = replica.in_service.take() {
                     orphans.extend(batch.iter().map(|&request| (slot, request)));
                     batch.clear();
                     self.state.batch_pool.push(batch);
@@ -2143,8 +2104,8 @@ impl<'a> PartitionSim<'a> {
         }
     }
 
-    /// Closes the current telemetry window and rebuilds the frame in place
-    /// for the control plane.
+    /// Rebuilds the frame in place for the control plane and closes the
+    /// window's deadline tallies.
     ///
     /// The frame's replica vector and model map are per-run scratch: the
     /// vector is cleared and refilled (its capacity persists) and the map's
@@ -2155,30 +2116,15 @@ impl<'a> PartitionSim<'a> {
     fn sample_into(&mut self, now: u64) {
         let (frame, state) = (&mut self.frame, &mut self.state);
         frame.at = Cycles(now);
-        frame.window = Cycles(now.saturating_sub(state.window_start));
         frame.replicas.clear();
-        for replica in self.replicas.iter_mut().filter(|r| r.live()) {
-            if let Some((_, started, _)) = &replica.in_service {
-                replica.window_busy += now - (*started).max(state.window_start);
-            }
-            // A replica activated mid-window is measured over its own
-            // lifetime, not the full window — a saturated newcomer must not
-            // read as half-idle.
-            let lifetime = now.saturating_sub(replica.activated_at.max(state.window_start));
-            let utilization = if lifetime > 0 {
-                (replica.window_busy as f64 / lifetime as f64).min(1.0)
-            } else {
-                0.0
-            };
+        for replica in self.replicas.iter().filter(|r| r.live()) {
             frame.replicas.push(ReplicaSample {
                 handle: replica.handle,
                 model: replica.model,
                 queue_len: replica.queue.len(),
                 in_flight: replica.in_flight(),
                 draining: replica.draining,
-                utilization,
             });
-            replica.window_busy = 0;
         }
 
         for (model, entry) in frame.models.iter_mut() {
@@ -2195,21 +2141,15 @@ impl<'a> PartitionSim<'a> {
             entry.queued += sample.queue_len;
             entry.in_flight += sample.in_flight;
         }
-        for (model, window_acc) in state.windows.iter_mut().flat_map(ModelTable::iter_mut) {
-            let entry = frame
+        for (model, window) in state.windows.iter_mut().flat_map(ModelTable::iter_mut) {
+            frame
                 .models
                 .entry(model)
-                .or_insert_with(|| ModelSample::empty(model));
-            entry.arrivals = window_acc.arrivals;
-            entry.rejected = window_acc.rejected;
-            let (latency, deadline) = window_acc.metrics.flush();
-            entry.latency = latency;
-            entry.deadline = deadline;
-            window_acc.arrivals = 0;
-            window_acc.rejected = 0;
+                .or_insert_with(|| ModelSample::empty(model))
+                .deadline = std::mem::take(window);
         }
         // Sweep models that vanished since the last tick (no live replica,
-        // never any window traffic) so the frame matches a fresh build.
+        // never a deadline outcome) so the frame matches a fresh build.
         let stale = &mut self.stale_models;
         stale.clear();
         stale.extend(frame.models.keys().copied().filter(|model| {
@@ -2219,7 +2159,6 @@ impl<'a> PartitionSim<'a> {
         for model in stale.drain(..) {
             frame.models.remove(&model);
         }
-        state.window_start = now;
     }
 
     /// Applies one control-plane action inside the event loop. The sharded
@@ -2546,7 +2485,7 @@ impl<'a> PartitionSim<'a> {
             }
             sink.on_service_batch(now, finish, replica.model, replica.handle.node, index, size);
         }
-        replica.in_service = Some((batch, now, finish));
+        replica.in_service = Some((batch, finish));
         state.batches += 1;
         self.events.push(finish, EV_COMPLETION, index);
     }
@@ -2873,7 +2812,7 @@ mod tests {
     use crate::cluster::DeploySpec;
     use crate::migration::{DirtyRateModel, PreCopyConfig};
     use crate::placement::PlacementPolicy;
-    use workloads::RequestArrival;
+    use workloads::{QosSpec, RequestArrival};
 
     fn fleet_with_replicas(nodes: usize, replicas: usize) -> (NpuCluster, Vec<VnpuHandle>) {
         let mut fleet = NpuCluster::homogeneous(nodes, &NpuConfig::single_core());
@@ -3566,8 +3505,12 @@ mod tests {
         }
 
         let (mut fleet, _) = fleet_with_replicas(1, 1);
-        // Overload: the queue builds, so mid-run frames see a backlog.
-        let trace = burst_trace(20, service / 4);
+        // Overload: the queue builds, so mid-run frames see a backlog, and
+        // the tight deadline makes the queued requests miss it.
+        let trace = burst_trace(20, service / 4).with_uniform_qos(QosSpec::new(
+            Some(Cycles(service * 2)),
+            PriorityClass::Interactive,
+        ));
         let mut probe = Probe { frames: Vec::new() };
         let options = ServingOptions::new(DispatchPolicy::LeastLoaded).with_telemetry(service);
         let report =
@@ -3582,20 +3525,17 @@ mod tests {
             sample.outstanding() > 0,
             "overload must show up as backlog in the frame"
         );
-        assert!(
-            mid.replicas[0].utilization > 0.9,
-            "a saturated replica reports a busy window ({})",
-            mid.replicas[0].utilization
-        );
-        // Window completions across all frames cover most of the run (the
-        // final partial window is not flushed).
-        let windowed: usize = probe
-            .frames
-            .iter()
-            .filter_map(|f| f.model(ModelId::Mnist))
-            .map(|m| m.latency.count)
-            .sum();
-        assert!(windowed >= report.stats.completed - 1);
+        // The window deadline tallies across all frames cover most of the
+        // run (the final partial window is not flushed).
+        let mut windowed = DeadlineStats::default();
+        for frame in &probe.frames {
+            if let Some(sample) = frame.model(ModelId::Mnist) {
+                windowed.merge(&sample.deadline);
+            }
+        }
+        assert!(windowed.with_deadline >= report.deadline.with_deadline - 1);
+        assert!(windowed.missed > 0, "the tight deadline is missed");
+        assert!(windowed.missed <= report.deadline.missed);
     }
 
     #[test]

@@ -50,7 +50,6 @@ use crate::serving::{
 };
 use crate::telemetry::{ControlAction, ControlPlane, ModelSample, NoopControl, TelemetryFrame};
 use crate::NodeId;
-use neu10::LatencySummary;
 use npu_sim::Cycles;
 
 /// How a sharded run is laid out: board-group partitions and worker threads.
@@ -558,23 +557,16 @@ fn rebuild_plan(sims: &mut [PartitionSim], partitions: usize) {
 }
 
 /// Merges the partitions' telemetry frames into one fleet view for the
-/// control plane, in partition-index order.
-///
-/// Counts (replicas, queue depths, arrivals, rejections, deadline tallies)
-/// merge exactly. Latency summaries merge approximately: count-weighted mean
-/// and the maximum of each percentile — a conservative fleet tail. The
-/// window and timestamps are identical across partitions (all ticked at the
-/// same barrier), so they pass through unchanged.
+/// control plane, in partition-index order. Every model field is a count
+/// (replicas, queue depths, deadline tallies), so the merge is an exact sum.
 fn merge_frames(sims: &[PartitionSim], now: u64) -> TelemetryFrame {
     let mut frame = TelemetryFrame {
         at: Cycles(now),
-        window: Cycles::ZERO,
         replicas: Vec::new(),
         models: BTreeMap::new(),
     };
     for partition in sims {
         let part = partition.frame();
-        frame.window = Cycles(frame.window.get().max(part.window.get()));
         frame.replicas.extend(part.replicas.iter().copied());
         for (model, sample) in &part.models {
             let entry = frame
@@ -584,36 +576,10 @@ fn merge_frames(sims: &[PartitionSim], now: u64) -> TelemetryFrame {
             entry.replicas += sample.replicas;
             entry.queued += sample.queued;
             entry.in_flight += sample.in_flight;
-            entry.arrivals += sample.arrivals;
-            entry.rejected += sample.rejected;
-            entry.latency = merge_latency(&entry.latency, &sample.latency);
-            entry.deadline.with_deadline += sample.deadline.with_deadline;
-            entry.deadline.met += sample.deadline.met;
-            entry.deadline.missed += sample.deadline.missed;
-            entry.deadline.dropped += sample.deadline.dropped;
+            entry.deadline.merge(&sample.deadline);
         }
     }
     frame
-}
-
-/// Count-weighted approximate merge of two latency summaries: exact count
-/// and mean, max of each percentile (conservative for tail-driven control).
-fn merge_latency(a: &LatencySummary, b: &LatencySummary) -> LatencySummary {
-    if a.count == 0 {
-        return *b;
-    }
-    if b.count == 0 {
-        return *a;
-    }
-    let count = a.count + b.count;
-    LatencySummary {
-        count,
-        mean: (a.mean * a.count as f64 + b.mean * b.count as f64) / count as f64,
-        p50: a.p50.max(b.p50),
-        p95: a.p95.max(b.p95),
-        p99: a.p99.max(b.p99),
-        max: a.max.max(b.max),
-    }
 }
 
 #[cfg(test)]

@@ -5,9 +5,13 @@
 //! exposes — it needs *periodic* samples of the live fleet. When a run is
 //! configured with [`crate::ServingOptions::with_telemetry`], the serving
 //! simulator emits a [`TelemetryFrame`] every sampling interval: one
-//! [`ReplicaSample`] per live replica (queue depth, batch occupancy,
-//! utilization over the window) and one [`ModelSample`] per served model
-//! (window p99, window deadline-miss rate, arrivals, rejections).
+//! [`ReplicaSample`] per live replica (queue depth, batch occupancy) and one
+//! [`ModelSample`] per model with a live replica or a deadline outcome
+//! (backlog, and the deadline tally of the window since the previous tick).
+//! The frame carries what controllers read and nothing else: a new field
+//! enters it together with its first reader. Tail latency reaches
+//! controllers through the SLO burn-rate engine instead
+//! ([`ControlPlane::on_alert`]).
 //!
 //! A [`ControlPlane`] implementation observes each frame and answers with
 //! [`ControlAction`]s, which the simulator applies *inside* the same
@@ -26,7 +30,7 @@
 
 use std::collections::BTreeMap;
 
-use neu10::{DeadlineStats, LatencySummary};
+use neu10::DeadlineStats;
 use npu_sim::Cycles;
 use workloads::ModelId;
 
@@ -49,8 +53,6 @@ pub struct ReplicaSample {
     pub in_flight: usize,
     /// Whether the replica is draining towards release (scale-down).
     pub draining: bool,
-    /// Fraction of the elapsed window the replica spent serving.
-    pub utilization: f64,
 }
 
 impl ReplicaSample {
@@ -60,7 +62,7 @@ impl ReplicaSample {
     }
 }
 
-/// Per-model aggregates over one telemetry window.
+/// One model's backlog at a tick and its deadline outcomes over the window.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ModelSample {
     /// The model described.
@@ -71,28 +73,19 @@ pub struct ModelSample {
     pub queued: usize,
     /// Requests in service across the model's replicas at the tick.
     pub in_flight: usize,
-    /// Requests admitted for the model during the window.
-    pub arrivals: usize,
-    /// Requests rejected (no replica or overload) during the window.
-    pub rejected: usize,
-    /// Latency summary over the window's completions.
-    pub latency: LatencySummary,
     /// Deadline bookkeeping over the window's completions and drops.
     pub deadline: DeadlineStats,
 }
 
 impl ModelSample {
-    /// An all-zero sample of `model` — the state a telemetry window starts
-    /// from before replicas and window counters are folded in.
+    /// An all-zero sample of `model` — the state a tick starts from before
+    /// replicas and the window's deadline tally are folded in.
     pub fn empty(model: ModelId) -> Self {
         ModelSample {
             model,
             replicas: 0,
             queued: 0,
             in_flight: 0,
-            arrivals: 0,
-            rejected: 0,
-            latency: LatencySummary::default(),
             deadline: DeadlineStats::default(),
         }
     }
@@ -114,8 +107,6 @@ impl ModelSample {
 pub struct TelemetryFrame {
     /// The tick's timestamp.
     pub at: Cycles,
-    /// Cycles elapsed since the previous tick (the window length).
-    pub window: Cycles,
     /// One sample per live (not yet released) replica, in table order.
     pub replicas: Vec<ReplicaSample>,
     /// Per-model aggregates, keyed by model.
@@ -123,7 +114,9 @@ pub struct TelemetryFrame {
 }
 
 impl TelemetryFrame {
-    /// The sample of one model, if it is served or saw traffic this window.
+    /// The sample of one model: present while the model has a live replica
+    /// or once it has had a deadline outcome. An absent sample reads as no
+    /// backlog and no deadline miss.
     pub fn model(&self, model: ModelId) -> Option<&ModelSample> {
         self.models.get(&model)
     }
@@ -228,7 +221,6 @@ mod tests {
             queue_len,
             in_flight,
             draining: false,
-            utilization: 0.0,
         }
     }
 
@@ -240,9 +232,6 @@ mod tests {
             replicas: 2,
             queued: 6,
             in_flight: 2,
-            arrivals: 0,
-            rejected: 0,
-            latency: LatencySummary::default(),
             deadline: DeadlineStats::default(),
         };
         assert_eq!(model.outstanding(), 8);
@@ -255,7 +244,6 @@ mod tests {
         draining.draining = true;
         let frame = TelemetryFrame {
             at: Cycles(100),
-            window: Cycles(100),
             replicas: vec![
                 sample(ModelId::Mnist, 1, 0),
                 draining,

@@ -59,7 +59,7 @@ pub use manager::VnpuManager;
 pub use mapping::{MappingMode, PnpuMapper, VnpuPlacement};
 pub use metrics::{
     geometric_mean, mean, normalized, percentile, throughput_rps, DeadlineStats, LatencySummary,
-    MetricsWindow, QuantileSketch,
+    QuantileSketch,
 };
 pub use runtime::{
     calibrate_service_time, AssignmentSample, CollocationResult, CollocationSim, OperatorDuration,

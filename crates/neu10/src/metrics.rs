@@ -348,9 +348,9 @@ impl QuantileSketch {
 
     /// Summarizes like sorting the samples and calling
     /// [`LatencySummary::from_sorted`] — the variant whose mean folds the
-    /// samples in **ascending** order, used by the fleet serving report and
-    /// [`MetricsWindow::flush`]. Sorts the retained buffer in place (exact
-    /// mode), so it takes `&mut self`; bit-identical below the cap.
+    /// samples in **ascending** order, used by the fleet serving report.
+    /// Sorts the retained buffer in place (exact mode), so it takes
+    /// `&mut self`; bit-identical below the cap.
     pub fn summary_sorted(&mut self) -> LatencySummary {
         if self.count == 0 {
             return LatencySummary::default();
@@ -598,6 +598,14 @@ impl DeadlineStats {
         self.dropped += 1;
     }
 
+    /// Adds `other`'s counts: the tally of both sets of requests.
+    pub fn merge(&mut self, other: &DeadlineStats) {
+        self.with_deadline += other.with_deadline;
+        self.met += other.met;
+        self.missed += other.missed;
+        self.dropped += other.dropped;
+    }
+
     /// Requests that failed their deadline, served late or dropped.
     pub fn failed(&self) -> usize {
         self.missed + self.dropped
@@ -610,59 +618,6 @@ impl DeadlineStats {
             return 0.0;
         }
         self.failed() as f64 / self.with_deadline as f64
-    }
-}
-
-/// Windowed metric accumulation for periodic telemetry sampling.
-///
-/// A control loop observing a running simulation needs *per-window* tails and
-/// miss rates — the cumulative numbers smear a spike over the whole run and
-/// the controller reacts a window too late. `MetricsWindow` collects latency
-/// samples and deadline outcomes between two ticks; [`MetricsWindow::flush`]
-/// summarizes the window and resets it for the next one.
-/// Latency samples are held in a [`QuantileSketch`], so a window is exact
-/// (and bit-identical to the historical `Vec`-backed implementation) below
-/// the sketch's exact cap and degrades to `α`-bounded quantiles — with
-/// bounded memory — beyond it.
-#[derive(Debug, Clone, Default)]
-pub struct MetricsWindow {
-    samples: QuantileSketch,
-    deadline: DeadlineStats,
-}
-
-impl MetricsWindow {
-    /// Records one completed request's latency.
-    pub fn record_latency(&mut self, cycles: u64) {
-        self.samples.record(cycles);
-    }
-
-    /// Records the deadline outcome of a completed deadline-carrying request.
-    pub fn record_deadline(&mut self, met: bool) {
-        self.deadline.record_completion(met);
-    }
-
-    /// Records a deadline-carrying request dropped unserved on expiry.
-    pub fn record_dropped(&mut self) {
-        self.deadline.record_dropped();
-    }
-
-    /// Completions recorded since the last flush.
-    pub fn completions(&self) -> usize {
-        self.samples.count()
-    }
-
-    /// Summarizes the window and resets it.
-    ///
-    /// The sketch's retained buffer is sorted in place (it is about to be
-    /// cleared anyway) and reused across windows, so a steady-state flush
-    /// allocates nothing — part of the allocation-free telemetry sampling
-    /// path.
-    pub fn flush(&mut self) -> (LatencySummary, DeadlineStats) {
-        let summary = self.samples.summary_sorted();
-        let deadline = self.deadline;
-        self.samples.clear();
-        self.deadline = DeadlineStats::default();
-        (summary, deadline)
     }
 }
 
@@ -731,27 +686,6 @@ mod tests {
         assert_eq!(stats.dropped, 1);
         assert_eq!(stats.failed(), 2);
         assert!((stats.miss_rate() - 2.0 / 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn metrics_window_flushes_and_resets() {
-        let mut window = MetricsWindow::default();
-        window.record_latency(10);
-        window.record_latency(30);
-        window.record_deadline(true);
-        window.record_deadline(false);
-        window.record_dropped();
-        assert_eq!(window.completions(), 2);
-        let (latency, deadline) = window.flush();
-        assert_eq!(latency.count, 2);
-        assert!((latency.mean - 20.0).abs() < 1e-12);
-        assert_eq!(deadline.with_deadline, 3);
-        assert_eq!(deadline.failed(), 2);
-        // The flush resets the window.
-        assert_eq!(window.completions(), 0);
-        let (empty, stats) = window.flush();
-        assert_eq!(empty.count, 0);
-        assert_eq!(stats, DeadlineStats::default());
     }
 
     #[test]

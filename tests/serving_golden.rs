@@ -234,6 +234,12 @@ fn run_policy(policy: DispatchPolicy) -> ServingReport {
 /// The fig30-style closed-loop scenario: a diurnal day served by the
 /// target-tracking autoscaler growing and shrinking the fleet.
 fn run_autopilot() -> ServingReport {
+    let (options, mut fleet, trace, mut pilot) = autopilot_scenario();
+    ClusterServingSim::new(options).run_with_controller(&mut fleet, &trace, &mut pilot)
+}
+
+/// The autopilot scenario's options, starting fleet, trace and controller.
+fn autopilot_scenario() -> (ServingOptions, NpuCluster, ClusterTrace, Autopilot) {
     let npu = config();
     let service = estimated_service_cycles(ModelId::Mnist, 2, 2, &npu);
     let effective = estimated_batch_service_cycles(ModelId::Mnist, 4, 2, 2, &npu) as f64 / 4.0;
@@ -254,7 +260,7 @@ fn run_autopilot() -> ServingReport {
             ModelId::Mnist,
             QosSpec::new(Some(Cycles(service * 10)), PriorityClass::Interactive),
         );
-    let mut pilot = Autopilot::new().with_model(ScalingSpec::new(
+    let pilot = Autopilot::new().with_model(ScalingSpec::new(
         spec,
         2,
         8,
@@ -265,7 +271,92 @@ fn run_autopilot() -> ServingReport {
     let options = ServingOptions::new(DispatchPolicy::LeastLoaded)
         .with_batching(4)
         .with_telemetry(interval);
-    ClusterServingSim::new(options).run_with_controller(&mut fleet, &trace, &mut pilot)
+    (options, fleet, trace, pilot)
+}
+
+/// A controller wrapper that folds what controllers read of every telemetry
+/// frame into an FNV digest: the tick time, each replica sample, and each
+/// model's backlog counts and window deadline tally. At every tick it also
+/// checks that each model sample sums its model's replica samples.
+struct FrameRecorder<C> {
+    inner: C,
+    fnv: Fnv,
+    frames: usize,
+    /// The window deadline tallies summed over every frame.
+    deadline: neu10::DeadlineStats,
+}
+
+impl<C: cluster::ControlPlane> cluster::ControlPlane for FrameRecorder<C> {
+    fn control(
+        &mut self,
+        frame: &cluster::TelemetryFrame,
+        fleet: &NpuCluster,
+    ) -> Vec<cluster::ControlAction> {
+        self.frames += 1;
+        self.fnv.fold(frame.at.get());
+        for replica in &frame.replicas {
+            self.fnv.fold(u64::from(replica.handle.node.0));
+            self.fnv.fold(u64::from(replica.handle.vnpu.0));
+            self.fnv.fold(replica.model as u64);
+            self.fnv.fold(replica.queue_len as u64);
+            self.fnv.fold(replica.in_flight as u64);
+            self.fnv.fold(u64::from(replica.draining));
+            assert!(
+                frame.model(replica.model).is_some(),
+                "a served model has a sample"
+            );
+        }
+        for (model, sample) in &frame.models {
+            let of_model = || frame.replicas.iter().filter(|r| r.model == *model);
+            assert_eq!(
+                sample.replicas,
+                of_model().filter(|r| !r.draining).count(),
+                "{model:?} at {:?}: live replicas",
+                frame.at
+            );
+            assert_eq!(sample.queued, of_model().map(|r| r.queue_len).sum());
+            assert_eq!(sample.in_flight, of_model().map(|r| r.in_flight).sum());
+            let deadline = sample.deadline;
+            for word in [
+                *model as usize,
+                sample.replicas,
+                sample.queued,
+                sample.in_flight,
+                deadline.with_deadline,
+                deadline.met,
+                deadline.missed,
+                deadline.dropped,
+            ] {
+                self.fnv.fold(word as u64);
+            }
+            self.deadline.merge(&deadline);
+        }
+        self.inner.control(frame, fleet)
+    }
+
+    fn on_alert(&mut self, now: Cycles, alert: &cluster::AlertTransition) {
+        self.inner.on_alert(now, alert);
+    }
+}
+
+/// The autopilot scenario with its controller behind a [`FrameRecorder`],
+/// sequential (`partitions = 1`) or over board-group partitions.
+fn run_autopilot_recorded(partitions: usize) -> (ServingReport, FrameRecorder<Autopilot>) {
+    let (options, mut fleet, trace, pilot) = autopilot_scenario();
+    let mut recorder = FrameRecorder {
+        inner: pilot,
+        fnv: Fnv::new(),
+        frames: 0,
+        deadline: neu10::DeadlineStats::default(),
+    };
+    let sim = ClusterServingSim::new(options);
+    let report = if partitions == 1 {
+        sim.run_with_controller(&mut fleet, &trace, &mut recorder)
+    } else {
+        let shard = cluster::ShardOptions::new(partitions);
+        sim.run_sharded_with_controller(&mut fleet, &trace, shard, &mut recorder)
+    };
+    (report, recorder)
 }
 
 /// The live-migration scenario: the policy scenario's fleet and trace, but
@@ -449,6 +540,11 @@ const GOLDEN: &[(&str, u64)] = &[
     // scenario — counters, gauges and summaries of every subsystem — locked
     // before both exporters shared one family/sample writer.
     ("obs-registry-openmetrics", 0x06bd826ed1aea550),
+    // FNV-1a over what controllers read of each of the autopilot scenario's
+    // 81 control frames, sequential and over two partitions — locked before
+    // the frame lost the fields no controller read.
+    ("autopilot-frames", 0x95853b27acd5f63c),
+    ("autopilot-frames-p2", 0x511867d3c28c81d9),
 ];
 
 fn expected(name: &str) -> u64 {
@@ -600,6 +696,42 @@ fn autopilot_scenario_is_seed_reproducible() {
         first, second,
         "the same seed must reproduce the identical autopilot report"
     );
+}
+
+/// Every control frame of the autopilot scenario, sequential and over two
+/// partitions, matches its golden digest, and the window deadline tallies
+/// account for part of the run's deadline outcomes (the final partial
+/// window is never sampled).
+#[test]
+fn autopilot_control_frames_match_golden_sequential_and_sharded() {
+    for (name, partitions) in [("autopilot-frames", 1), ("autopilot-frames-p2", 2)] {
+        let (report, recorder) = run_autopilot_recorded(partitions);
+        assert_eq!(recorder.frames, report.control.samples, "{name}");
+        let (windows, run) = (recorder.deadline, report.deadline);
+        assert!(
+            windows.with_deadline > 0,
+            "{name}: no window deadline tally"
+        );
+        assert!(windows.with_deadline <= run.with_deadline, "{name}");
+        assert!(windows.met <= run.met, "{name}");
+        assert!(windows.missed <= run.missed, "{name}");
+        assert!(windows.dropped <= run.dropped, "{name}");
+        let mut fnv = recorder.fnv;
+        fnv.fold(recorder.frames as u64);
+        let got = fnv.0;
+        if std::env::var("NEU10_PRINT_GOLDEN").is_ok() {
+            println!(
+                "GOLDEN (\"{name}\", 0x{got:016x}), frames {}",
+                recorder.frames
+            );
+            continue;
+        }
+        assert_eq!(
+            got,
+            expected(name),
+            "{name}: the control frames drifted from their golden digest (got 0x{got:016x})"
+        );
+    }
 }
 
 /// FNV-1a over the exported trace JSON bytes.
