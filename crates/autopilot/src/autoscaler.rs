@@ -1,7 +1,8 @@
 //! The telemetry-driven autoscaler.
 //!
-//! Watches each model's [`cluster::ModelSample`] (outstanding work, window
-//! deadline-miss rate) and grows or shrinks the replica set between
+//! Watches each model's outstanding work and window deadline-miss rate in
+//! the [`cluster::TelemetryFrame`] ([`TelemetryFrame::outstanding`],
+//! [`TelemetryFrame::deadline`]) and grows or shrinks the replica set between
 //! per-model floors and ceilings. Scale-up goes through the cluster's
 //! placement engine ([`cluster::ControlAction::ScaleUp`]); scale-down drains
 //! the least-loaded replica and releases its vNPU
@@ -238,9 +239,8 @@ impl Autoscaler {
         let mut actions = Vec::new();
         for (model, spec) in &self.specs {
             let live = frame.replicas_of(*model).count();
-            let sample = frame.model(*model);
-            let outstanding = sample.map(|s| s.outstanding()).unwrap_or(0);
-            let miss_rate = sample.map(|s| s.deadline.miss_rate()).unwrap_or(0.0);
+            let outstanding = frame.outstanding(*model);
+            let miss_rate = frame.deadline(*model).miss_rate();
             let state = self.state.entry(*model).or_default();
 
             // The floor is unconditional: a model below its minimum replica
@@ -364,26 +364,15 @@ impl Autoscaler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cluster::{ModelSample, NodeId, ReplicaSample};
+    use cluster::{NodeId, ReplicaSample};
     use neu10::VnpuId;
     use npu_sim::Cycles;
 
     fn frame(at: u64, replicas: Vec<ReplicaSample>) -> TelemetryFrame {
-        let mut models: BTreeMap<ModelId, ModelSample> = BTreeMap::new();
-        for r in &replicas {
-            let entry = models
-                .entry(r.model)
-                .or_insert_with(|| ModelSample::empty(r.model));
-            if !r.draining {
-                entry.replicas += 1;
-            }
-            entry.queued += r.queue_len;
-            entry.in_flight += r.in_flight;
-        }
         TelemetryFrame {
             at: Cycles(at),
             replicas,
-            models,
+            deadlines: BTreeMap::new(),
         }
     }
 
@@ -463,10 +452,10 @@ mod tests {
         let mut scaler = tracking_scaler(8.0, 1_000);
         let mut f = frame(10_000, vec![replica(0, ModelId::Mnist, 2, 1)]);
         // Backlog target met, but the window missed a third of its deadlines.
-        let sample = f.models.get_mut(&ModelId::Mnist).unwrap();
-        sample.deadline.record_completion(false);
-        sample.deadline.record_completion(true);
-        sample.deadline.record_completion(true);
+        let tally = f.deadlines.entry(ModelId::Mnist).or_default();
+        tally.record_completion(false);
+        tally.record_completion(true);
+        tally.record_completion(true);
         let actions = scaler.decide(&f);
         assert_eq!(actions.len(), 1);
         assert!(matches!(actions[0], ControlAction::ScaleUp { .. }));

@@ -241,7 +241,7 @@ impl Defragmenter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cluster::{ModelSample, PlacementPolicy, ReplicaSample};
+    use cluster::{PlacementPolicy, ReplicaSample};
     use npu_sim::{Cycles, NpuConfig};
     use std::collections::BTreeMap;
     use workloads::ModelId;
@@ -273,7 +273,7 @@ mod tests {
                     draining: false,
                 })
                 .collect(),
-            models: BTreeMap::<ModelId, ModelSample>::new(),
+            deadlines: BTreeMap::new(),
         }
     }
 

@@ -284,10 +284,10 @@ impl ControlPlane for Autopilot {
 mod tests {
     use super::*;
     use cluster::{
-        AlertSeverity, DeploySpec, Metric, MigrationMode, ModelSample, NodeId, PlacementPolicy,
-        ReplicaSample, TelemetryFrame, TraceConfig, TraceRecorder, VnpuHandle,
+        AlertSeverity, DeploySpec, Metric, MigrationMode, NodeId, PlacementPolicy, ReplicaSample,
+        TelemetryFrame, TraceConfig, TraceRecorder, VnpuHandle,
     };
-    use neu10::{DeadlineStats, VnpuId};
+    use neu10::VnpuId;
     use npu_sim::NpuConfig;
     use workloads::{ModelId, PriorityClass};
 
@@ -341,21 +341,10 @@ mod tests {
             in_flight: 0,
             draining: false,
         };
-        let mut models = std::collections::BTreeMap::new();
-        models.insert(
-            model,
-            ModelSample {
-                model,
-                replicas: 1,
-                queued: 0,
-                in_flight: 0,
-                deadline: DeadlineStats::default(),
-            },
-        );
         TelemetryFrame {
             at: Cycles(at),
             replicas: vec![replica],
-            models,
+            deadlines: std::collections::BTreeMap::new(),
         }
     }
 

@@ -28,15 +28,16 @@
 //!   tenant latency;
 //! * [`telemetry`] — the **telemetry bus and control-plane hook**: with
 //!   [`ServingOptions::with_telemetry`] the serving simulator emits periodic
-//!   per-replica/per-model samples, and a [`ControlPlane`] (such as the
-//!   `autopilot` crate's autoscaler + defragmenter) answers with scale-up /
-//!   drain-then-release / migrate actions applied inside the same
-//!   deterministic event loop;
+//!   per-replica samples and per-model deadline tallies, and a
+//!   [`ControlPlane`] (such as the `autopilot` crate's autoscaler +
+//!   defragmenter) answers with scale-up / drain-then-release / migrate
+//!   actions applied at the same deterministic barrier tick;
 //! * [`ShardOptions`] — the **sharded parallel event loop**:
 //!   [`ClusterServingSim::run_sharded`] partitions the fleet into disjoint
 //!   board groups advancing in bounded-lookahead rounds on a std-only worker
 //!   pool, exchanging only migration envelopes and control-plane actions at
-//!   barriers.
+//!   barriers. Every run goes through this coordinator: a sequential run is
+//!   its one-partition case.
 //!
 //! # Invariants
 //!
@@ -47,7 +48,7 @@
 //!    same inputs ⇒ bit-identical [`ServingReport`];
 //! 2. attaching any [`ObsSink`] never changes the report;
 //! 3. for the sharded loop, the thread count never changes the merged
-//!    report, and `partitions = 1` reproduces the sequential loop exactly;
+//!    report, and `partitions = 1` is the sequential run;
 //! 4. no admitted request vanishes: `admitted = completed + dropped + lost`
 //!    holds through crashes, failover and cross-partition migration.
 //!
@@ -114,8 +115,7 @@ pub use serving::{
 };
 pub use sharded::ShardOptions;
 pub use telemetry::{
-    ControlAction, ControlPlane, ControlStats, ModelSample, NoopControl, ReplicaSample,
-    TelemetryFrame,
+    ControlAction, ControlPlane, ControlStats, NoopControl, ReplicaSample, TelemetryFrame,
 };
 
 /// Identifies one node (board + host) of the cluster.

@@ -39,11 +39,6 @@ impl<T> ModelTable<T> {
         self.slots[model as usize].get_or_insert_with(T::default)
     }
 
-    /// Whether the model's slot was ever touched.
-    pub(crate) fn contains(&self, model: ModelId) -> bool {
-        self.slots[model as usize].is_some()
-    }
-
     /// The touched slots, in `ModelId` order.
     pub(crate) fn iter(&self) -> impl Iterator<Item = (ModelId, &T)> {
         ModelId::all()
@@ -90,9 +85,6 @@ mod tests {
             *table.entry(model) += step as u64;
             *map.entry(model).or_default() += step as u64;
         }
-        for model in ModelId::all() {
-            assert_eq!(table.contains(model), map.contains_key(&model), "{model}");
-        }
         let visited: Vec<(ModelId, u64)> = table.iter_mut().map(|(m, v)| (m, *v)).collect();
         let expected: Vec<(ModelId, u64)> = map.iter().map(|(m, v)| (*m, *v)).collect();
         assert_eq!(visited, expected);
@@ -111,9 +103,6 @@ mod tests {
     fn an_untouched_table_folds_to_an_empty_map() {
         let mut table: ModelTable<u64> = ModelTable::default();
         assert_eq!(table.iter_mut().count(), 0);
-        assert!(ModelId::all()
-            .into_iter()
-            .all(|model| !table.contains(model)));
         assert_eq!(table.into_entries().count(), 0);
     }
 }

@@ -1,5 +1,6 @@
 //! SLO burn-rate alerting: declarative latency objectives evaluated by a
-//! multi-window, multi-burn-rate alert engine inside the serving event loop.
+//! multi-window, multi-burn-rate alert engine at the serving run's alert
+//! ticks.
 //!
 //! A [`SloSpec`] states the contract of one model (optionally narrowed to one
 //! [`PriorityClass`]): requests should complete within `latency_target`
@@ -22,9 +23,10 @@
 //!
 //! The [`SloEngine`] buckets good/bad counts into fixed-width cycle-aligned
 //! ticks held in a bounded ring (memory is O(specs × ring), independent of
-//! arrival count) and is evaluated at tick boundaries by the serving loop's
-//! `EV_ALERT` events. Every fire/resolve transition is recorded into the
-//! run's [`AlertLog`] and delivered through
+//! arrival count). Each partition of a run feeds its own engine, and every
+//! alert tick sums the partitions' buckets into one engine and evaluates it
+//! once, at any partition count. Every fire/resolve transition is recorded
+//! into the run's [`AlertLog`] and delivered through
 //! [`ObsSink::on_alert`](crate::obs::ObsSink::on_alert) and
 //! [`ControlPlane::on_alert`](crate::telemetry::ControlPlane::on_alert) —
 //! the hook the autopilot uses for alert-driven scaling. Everything is
@@ -480,6 +482,31 @@ impl SloEngine {
         }
     }
 
+    /// Moves `other`'s bucket counts into this engine, leaving `other`'s
+    /// rings empty: the alert tick sums every partition's buckets into the
+    /// engine it evaluates. Both engines come from one [`SloConfig`]. Counts
+    /// of the same bucket add up; a newer bucket replaces an older one in
+    /// its ring cell, as [`observe_latency`](Self::observe_latency) would.
+    /// A replaced bucket is at least a ring older than the newest, so it
+    /// lies outside every window still to be evaluated, and the sum over
+    /// each evaluated window is exact.
+    pub(crate) fn absorb(&mut self, other: &mut SloEngine) {
+        for (ring, theirs) in self.rings.iter_mut().zip(&mut other.rings) {
+            for (cell, their) in ring.iter_mut().zip(theirs.iter_mut()) {
+                let their = std::mem::replace(their, EMPTY_BUCKET);
+                if their.index == EMPTY_BUCKET.index {
+                    continue;
+                }
+                if cell.index == their.index {
+                    cell.good += their.good;
+                    cell.bad += their.bad;
+                } else if cell.index == EMPTY_BUCKET.index || cell.index < their.index {
+                    *cell = their;
+                }
+            }
+        }
+    }
+
     /// Evaluates every (spec, policy) pair at tick boundary `now`, appending
     /// fire/resolve edges to `out` in (spec, policy) declaration order.
     pub fn evaluate(&mut self, now: u64, out: &mut Vec<AlertTransition>) {
@@ -746,6 +773,48 @@ mod tests {
         assert_eq!(log.resolved(), 1);
         assert!(log.first_fire_after(Cycles(0)).is_some());
         assert!(log.first_fire_after(Cycles(30_000)).is_none());
+    }
+
+    /// Splitting the observations between engines and absorbing them before
+    /// each evaluation reproduces the single engine's edges and burns
+    /// exactly, also when one engine's cells go a ring and more without
+    /// traffic.
+    #[test]
+    fn absorbed_buckets_evaluate_like_one_engine() {
+        let config = config(5.0);
+        let mut single = SloEngine::new(&config);
+        let mut first = SloEngine::new(&config);
+        let mut second = SloEngine::new(&config);
+        let (mut expected, mut got) = (Vec::new(), Vec::new());
+        for tick_index in 0..40u64 {
+            let at = tick_index * TICK + TICK / 2;
+            // The engines split the traffic, except for 9 ticks (longer
+            // than the 7-cell ring) in which only the second sees any, so
+            // its buckets replace the first's stale cells.
+            let (good, bad) = if (10..25).contains(&tick_index) {
+                (1, 9)
+            } else {
+                (9, 1)
+            };
+            for n in 0..good + bad {
+                let latency = if n < good { 100 } else { 10_000 };
+                single.observe_latency(at, ModelId::Mnist, PriorityClass::Standard, latency);
+                let target = if n % 3 == 0 || (20..29).contains(&tick_index) {
+                    &mut second
+                } else {
+                    &mut first
+                };
+                target.observe_latency(at, ModelId::Mnist, PriorityClass::Standard, latency);
+            }
+            let now = (tick_index + 1) * TICK;
+            single.evaluate(now, &mut expected);
+            first.absorb(&mut second);
+            first.evaluate(now, &mut got);
+        }
+        assert!(expected.iter().any(|t| t.kind == AlertKind::Fired));
+        assert!(expected.iter().any(|t| t.kind == AlertKind::Resolved));
+        assert_eq!(got, expected);
+        assert!(second.rings[0].iter().all(|cell| cell.index == u64::MAX));
     }
 
     #[test]

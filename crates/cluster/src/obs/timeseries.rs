@@ -429,7 +429,7 @@ mod tests {
         let frame = TelemetryFrame {
             at: npu_sim::Cycles::ZERO,
             replicas: Vec::new(),
-            models: BTreeMap::new(),
+            deadlines: BTreeMap::new(),
         };
         let mut counters = FleetCounters {
             queued: 5,

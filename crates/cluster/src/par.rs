@@ -41,14 +41,7 @@ pub(crate) fn with_pool<T: Send, R>(
         // Sequential fast path: no spawn, no channels, jobs run in tag
         // order. This is also why `threads=1` is bit-identical to `threads=N`
         // by construction rather than by luck.
-        let mut execute = |mut jobs: Vec<(usize, T)>| {
-            jobs.sort_by_key(|(tag, _)| *tag);
-            for (_, job) in jobs.iter_mut() {
-                run(job);
-            }
-            jobs
-        };
-        return body(&mut execute);
+        return body(&mut |jobs| in_tag_order(run, jobs));
     }
 
     // simlint::allow(T1, reason = "cluster::par is the audited concurrency layer: jobs move by value, results re-sort by tag, scheduling cannot reach a digest")
@@ -103,6 +96,17 @@ pub(crate) fn with_pool<T: Send, R>(
         // `execute` (and with it every job sender) drops here; workers see
         // the hangup, exit their loop, and the scope joins them.
     })
+}
+
+/// Runs one round of tagged jobs on the calling thread, in tag order: the
+/// executor of a one-thread pool, and of a sequential run, whose jobs need
+/// not be `Send`.
+pub(crate) fn in_tag_order<T>(run: impl Fn(&mut T), mut jobs: Vec<(usize, T)>) -> Vec<(usize, T)> {
+    jobs.sort_by_key(|(tag, _)| *tag);
+    for (_, job) in &mut jobs {
+        run(job);
+    }
+    jobs
 }
 
 #[cfg(test)]

@@ -51,9 +51,14 @@
 //! [`ClusterServingSim::run_with_controller`] hands each frame to a
 //! [`ControlPlane`] whose [`ControlAction`]s — scale-up through the
 //! placement engine, drain-then-release scale-down, cold migration — are
-//! applied inside the same deterministic event loop. Replica-time actually
+//! applied at the same deterministic tick. Replica-time actually
 //! provisioned is accounted in [`ServingReport::replica_cycles`], so
 //! autoscaling experiments can trade replica-hours against tail latency.
+//!
+//! This module holds one partition's event loop (`PartitionSim`); the
+//! coordinator in `sharded.rs` drives every run, a sequential one as its
+//! one-partition case. Telemetry and SLO alert ticks are its barriers, not
+//! events of the loop (`tick_bound`).
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap, VecDeque};
@@ -72,18 +77,15 @@ use crate::fault::{
 };
 use crate::migration::{MigrationCostModel, MigrationMode, MigrationRecord, MigrationStats};
 use crate::model_table::ModelTable;
-use crate::obs::{
-    AlertLog, AlertTransition, FleetCounters, NoopSink, ObsSink, RejectReason, SloConfig, SloEngine,
-};
+use crate::obs::{AlertLog, FleetCounters, NoopSink, ObsSink, RejectReason, SloConfig, SloEngine};
 use crate::router::{
     AdmissionControl, DispatchDecision, DispatchPolicy, ReplicaIndex, ReplicaView, Router,
     RouterStats, SlotLoad,
 };
 use crate::sampler::{Lognormal, ServiceStream};
-use crate::sharded::ShardPlan;
+use crate::sharded::{drive_sequential, ShardPlan};
 use crate::telemetry::{
-    ControlAction, ControlPlane, ControlStats, ModelSample, NoopControl, ReplicaSample,
-    TelemetryFrame,
+    ControlAction, ControlPlane, ControlStats, NoopControl, ReplicaSample, TelemetryFrame,
 };
 use crate::NodeId;
 
@@ -163,7 +165,7 @@ pub struct ServingOptions {
     /// Telemetry sampling interval in cycles; `None` disables the telemetry
     /// bus (and with it any control plane).
     pub telemetry_interval: Option<u64>,
-    /// SLO specs and burn-rate policies evaluated inside the event loop;
+    /// SLO specs and burn-rate policies evaluated at the run's alert ticks;
     /// `None` (the default) schedules no alert ticks and leaves the report's
     /// [`AlertLog`] empty.
     pub slo: Option<SloConfig>,
@@ -262,9 +264,10 @@ impl ServingOptions {
         self
     }
 
-    /// Evaluates `slo` inside the event loop: completions, expiries and
-    /// losses feed the burn-rate engine, alert edges land in the report's
-    /// [`AlertLog`] (and reach the sink / control plane as they happen).
+    /// Evaluates `slo` at every alert tick: completions, expiries and losses
+    /// feed the burn-rate buckets, alert edges land in the report's
+    /// [`AlertLog`] (and reach the sink / control plane as they happen), at
+    /// any partition count.
     pub fn with_slo(mut self, slo: SloConfig) -> Self {
         self.slo = Some(slo);
         self
@@ -297,7 +300,8 @@ impl ServingOptions {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PerfStats {
     /// Discrete events processed (completions, resumes, batch timeouts,
-    /// migrations, telemetry samples).
+    /// copy rounds, migrations, faults), plus one per telemetry or SLO alert
+    /// tick at every partition count.
     pub events: u64,
     /// Trace arrivals consumed.
     pub arrivals: u64,
@@ -690,8 +694,6 @@ struct ServeState {
     /// The SLO burn-rate engine, fed by completions, expiries and losses;
     /// `None` unless [`ServingOptions::with_slo`] configured one.
     slo: Option<SloEngine>,
-    /// Alert edges emitted so far (lands in the report).
-    alerts: AlertLog,
     /// Chaos bookkeeping; `None` unless [`ServingOptions::with_faults`]
     /// scheduled faults. The fault-free hot path pays one discriminant check.
     chaos: Option<ChaosState>,
@@ -761,38 +763,57 @@ impl ServeState {
 
 // Event kinds, ordered so that at equal timestamps completions free capacity
 // before resumes re-open replicas, batch-formation timeouts fire on settled
-// queues, pre-copy rounds see the dirt of same-cycle completions, migrations
-// trigger next, telemetry samples observe the fully settled state, and SLO
-// alert ticks evaluate after the tick's data has landed.
+// queues, pre-copy rounds see the dirt of same-cycle completions, and
+// migrations trigger next. The coordinator's telemetry and alert ticks come
+// after all of these (see `tick_bound`), and faults after the ticks.
 const EV_COMPLETION: u8 = 0;
 const EV_RESUME: u8 = 1;
 const EV_BATCH_TIMEOUT: u8 = 2;
 const EV_COPY_ROUND: u8 = 3;
 const EV_MIGRATION: u8 = 4;
-const EV_SAMPLE: u8 = 5;
-const EV_ALERT: u8 = 6;
-/// Fault injections sort after the observers at equal timestamps (the tick
-/// sees the pre-fault fleet; the fault lands next) and — like samples and
-/// alerts — never count as pending *work*: a schedule whose tail outlives
-/// the traffic must not keep the run alive on its own.
-const EV_FAULT: u8 = 7;
+/// Fault injections sort after the ticks at equal timestamps (the tick sees
+/// the pre-fault fleet; the fault lands next) and never count as pending
+/// *work*: a schedule whose tail outlives the traffic must not keep the run
+/// ticking on its own.
+const EV_FAULT: u8 = 5;
 
 /// Bits of a packed event key that hold the event's index.
 const EVENT_INDEX_BITS: u32 = 56;
 
-/// The serving event heap, with a running count of non-sample events so the
-/// telemetry tick's "is there still work in flight?" question is O(1) instead
-/// of a whole-heap scan per sample. Sample and alert ticks are the periodic
-/// observers — they must never count as work, or they would keep a finished
-/// run (and each other) alive forever.
-///
-/// Each key packs `(at, kind, index)` into one `u128` — `at` in the high 64
-/// bits, `kind` in the next 8, `index` in the low 56 — so one integer
-/// comparison orders events exactly as the tuple does.
+/// Packs `(at, kind, index)` into one `u128` — `at` in the high 64 bits,
+/// `kind` in the next 8, `index` in the low 56 — so one integer comparison
+/// orders events exactly as the tuple does.
+fn event_key(at: u64, kind: u8, index: usize) -> u128 {
+    (u128::from(at) << 64) | (u128::from(kind) << EVENT_INDEX_BITS) | index as u128
+}
+
+/// The key of a trace arrival: after every event of its cycle.
+pub(crate) fn arrival_key(at: u64) -> u128 {
+    event_key(at, EV_FAULT + 1, 0)
+}
+
+/// A round bound below every event and arrival of `cycle`.
+pub(crate) fn cycle_bound(cycle: u64) -> u128 {
+    u128::from(cycle) << 64
+}
+
+/// The round bound of a telemetry or alert tick at `cycle`: after the
+/// cycle's completions, resumes, batch timeouts, copy rounds and scheduled
+/// migrations, before its faults and arrivals.
+pub(crate) fn tick_bound(cycle: u64) -> u128 {
+    event_key(cycle, EV_FAULT, 0)
+}
+
+/// The bound of the final round, which drains every event and arrival.
+pub(crate) const UNBOUNDED: u128 = u128::MAX;
+
+/// The serving event heap of packed keys ([`event_key`]), with a running
+/// count of work events (every kind but faults), so "is there still work in
+/// flight?" is O(1) instead of a whole-heap scan per tick.
 #[derive(Debug, Default)]
 struct EventQueue {
     heap: BinaryHeap<Reverse<u128>>,
-    non_sample: usize,
+    work: usize,
 }
 
 impl EventQueue {
@@ -801,32 +822,31 @@ impl EventQueue {
             (index as u64) < 1 << EVENT_INDEX_BITS,
             "event index {index} does not fit the packed key"
         );
-        if kind < EV_SAMPLE {
-            self.non_sample += 1;
+        if kind < EV_FAULT {
+            self.work += 1;
         }
-        let key = (u128::from(at) << 64) | (u128::from(kind) << EVENT_INDEX_BITS) | index as u128;
-        self.heap.push(Reverse(key));
+        self.heap.push(Reverse(event_key(at, kind, index)));
     }
 
     fn pop(&mut self) -> Option<(u64, u8, usize)> {
         let Reverse(key) = self.heap.pop()?;
         let kind = (key >> EVENT_INDEX_BITS) as u8;
-        if kind < EV_SAMPLE {
-            self.non_sample -= 1;
+        if kind < EV_FAULT {
+            self.work -= 1;
         }
         let index = key as u64 & ((1 << EVENT_INDEX_BITS) - 1);
         Some(((key >> 64) as u64, kind, index as usize))
     }
 
-    fn next_time(&self) -> Option<u64> {
-        self.heap.peek().map(|Reverse(key)| (key >> 64) as u64)
+    /// The key of the next event.
+    fn peek(&self) -> Option<u128> {
+        self.heap.peek().map(|Reverse(key)| *key)
     }
 
-    /// Whether any completion / resume / timeout / migration event is still
-    /// queued (stale batch timeouts included, exactly like the scan this
-    /// counter replaced).
-    fn has_non_sample(&self) -> bool {
-        self.non_sample > 0
+    /// Whether any completion / resume / timeout / copy-round / migration
+    /// event is still queued (stale batch timeouts included).
+    fn has_work(&self) -> bool {
+        self.work > 0
     }
 }
 
@@ -996,7 +1016,7 @@ impl ClusterServingSim {
     /// # Ok::<(), cluster::ClusterError>(())
     /// ```
     pub fn run(&self, cluster: &mut NpuCluster, trace: &ClusterTrace) -> ServingReport {
-        self.run_loop(cluster, trace, &mut NoopControl, &mut NoopSink)
+        drive_sequential(self, cluster, trace, &mut NoopControl, &mut NoopSink)
     }
 
     /// [`ClusterServingSim::run`] with the event loop instrumented through
@@ -1011,7 +1031,7 @@ impl ClusterServingSim {
         trace: &ClusterTrace,
         sink: &mut dyn ObsSink,
     ) -> ServingReport {
-        self.run_loop(cluster, trace, &mut NoopControl, sink)
+        drive_sequential(self, cluster, trace, &mut NoopControl, sink)
     }
 
     /// [`ClusterServingSim::run_with_controller`] with the event loop
@@ -1033,18 +1053,18 @@ impl ClusterServingSim {
             "run_observed_with_controller requires ServingOptions::with_telemetry: \
              without a sampling interval the controller is never invoked"
         );
-        self.run_loop(cluster, trace, controller, sink)
+        drive_sequential(self, cluster, trace, controller, sink)
     }
 
     /// Replays `trace` against `cluster` under a closed-loop `controller`.
     ///
     /// Every sampling interval the simulator emits a [`TelemetryFrame`], the
     /// controller answers with [`ControlAction`]s, and the actions are
-    /// applied inside the event loop — scale-ups deploy through the
-    /// placement engine and start serving at the tick, scale-downs drain
-    /// then release, migrations follow the cold migration path. The cluster
-    /// is mutated accordingly. Deterministic controllers yield reproducible
-    /// reports.
+    /// applied at the tick, in the controller's order — scale-ups deploy
+    /// through the placement engine and start serving at the tick,
+    /// scale-downs drain then release, migrations follow the cold migration
+    /// path. The cluster is mutated accordingly. Deterministic controllers
+    /// yield reproducible reports.
     ///
     /// # Panics
     ///
@@ -1062,29 +1082,7 @@ impl ClusterServingSim {
             "run_with_controller requires ServingOptions::with_telemetry: \
              without a sampling interval the controller is never invoked"
         );
-        self.run_loop(cluster, trace, controller, &mut NoopSink)
-    }
-
-    /// The shared event loop behind every `run*` entry point.
-    ///
-    /// Generic over the [`ObsSink`] so the disabled path ([`NoopSink`], whose
-    /// hooks are all empty defaults) monomorphizes to exactly the
-    /// uninstrumented loop — no branches, no allocations, no digest drift.
-    ///
-    /// The loop itself lives in [`PartitionSim`]: the sequential path is the
-    /// degenerate single-partition case — one partition owning every board,
-    /// stepped in a single unbounded round.
-    pub(crate) fn run_loop<S: ObsSink + ?Sized>(
-        &self,
-        cluster: &mut NpuCluster,
-        trace: &ClusterTrace,
-        controller: &mut dyn ControlPlane,
-        sink: &mut S,
-    ) -> ServingReport {
-        let mut partition =
-            PartitionSim::new(self.options.clone(), cluster, trace.arrivals(), None);
-        partition.step_until(u64::MAX, cluster, controller, sink);
-        partition.finish(sink).into_report()
+        drive_sequential(self, cluster, trace, controller, &mut NoopSink)
     }
 
     /// The options this simulator was built with (the sharded runner derives
@@ -1096,11 +1094,11 @@ impl ClusterServingSim {
 
 /// The accumulated results of one partition's run.
 ///
-/// The sequential path produces exactly one outcome and converts it straight
-/// into a [`ServingReport`]; the sharded runner merges the per-partition
-/// outcomes in partition-index order first ([`PartitionOutcome::merge`]), so
-/// the merged report is a pure fold over per-partition state — bit-identical
-/// for a fixed partitioning regardless of how many worker threads ran it.
+/// The coordinator merges the per-partition outcomes in partition-index
+/// order ([`PartitionOutcome::merge`]) before the report, so the merged
+/// report is a pure fold over per-partition state — bit-identical for a
+/// fixed partitioning regardless of how many worker threads ran it. A
+/// sequential run's one outcome merges nothing.
 pub(crate) struct PartitionOutcome {
     pub(crate) dispatch: DispatchPolicy,
     pub(crate) router_stats: RouterStats,
@@ -1115,7 +1113,6 @@ pub(crate) struct PartitionOutcome {
     pub(crate) replica_cycles: u64,
     pub(crate) makespan: u64,
     pub(crate) perf: PerfStats,
-    pub(crate) alerts: AlertLog,
     pub(crate) availability: AvailabilityStats,
 }
 
@@ -1154,13 +1151,11 @@ impl PartitionOutcome {
         // this is the provisioning upper bound, exact when partitions are
         // statically sized (the sequential path never merges).
         self.perf.peak_replicas += other.perf.peak_replicas;
-        for transition in other.alerts.transitions() {
-            self.alerts.push(*transition);
-        }
         self.availability.merge(&other.availability);
     }
 
-    /// Converts the (merged) outcome into the public report.
+    /// Converts the (merged) outcome and the run's alert log into the public
+    /// report.
     ///
     /// The fleet summary merges the per-model sketches in `ModelId` order.
     /// Below the sketch cap the merged buffer holds every latency, and
@@ -1168,7 +1163,7 @@ impl PartitionOutcome {
     /// summary bit-for-bit; above it every path buckets each sample alike.
     /// `summary` reproduces the insertion-order `from_samples` per-model
     /// fold.
-    pub(crate) fn into_report(self) -> ServingReport {
+    pub(crate) fn into_report(self, alerts: AlertLog) -> ServingReport {
         let mut fleet = QuantileSketch::default();
         let per_model = self
             .per_model
@@ -1202,7 +1197,7 @@ impl PartitionOutcome {
             replica_cycles: self.replica_cycles,
             makespan: Cycles(self.makespan),
             perf: self.perf,
-            alerts: self.alerts,
+            alerts,
             availability: self.availability,
         }
     }
@@ -1237,11 +1232,10 @@ pub(crate) struct MigrationEnvelope {
     draining: bool,
 }
 
-/// Per-partition view of the sharded world: which partition this is, who owns
-/// each board, how arrivals are routed, and the replicas exported since the
-/// last barrier. `None` on the sequential path — every shard-aware branch in
-/// the step function keys off that, so `partitions = 1` is the sequential
-/// code path by construction.
+/// A partition's view of the partitioned fleet: which partition this is, who
+/// owns each board, how arrivals are routed, and the replicas exported since
+/// the last barrier. A sequential run's one partition owns every board, so
+/// no board is remote and nothing is ever exported.
 pub(crate) struct ShardContext {
     pub(crate) index: usize,
     pub(crate) owners: BTreeMap<NodeId, usize>,
@@ -1250,12 +1244,12 @@ pub(crate) struct ShardContext {
 }
 
 impl ShardContext {
-    fn owner_of(&self, node: NodeId) -> usize {
-        self.owners.get(&node).copied().unwrap_or(0)
-    }
-
-    fn owns(&self, node: NodeId) -> bool {
-        self.owner_of(node) == self.index
+    /// Whether another partition owns `node`. A node of no partition is not
+    /// remote: moving there fails like any move to an unknown board.
+    fn remote(&self, node: NodeId) -> bool {
+        self.owners
+            .get(&node)
+            .is_some_and(|&owner| owner != self.index)
     }
 }
 
@@ -1264,12 +1258,12 @@ impl ShardContext {
 /// come from each replica's own stream, so they do not depend on the
 /// partition.
 ///
-/// The sequential `run*` entry points drive a single partition owning the
-/// whole cluster to completion in one unbounded round; the sharded runner
-/// drives one partition per board-group in bounded-window rounds, merging
-/// cross-partition traffic at each barrier. All mutable simulation state
-/// lives here so a partition can be stepped to a bound, reconciled, and
-/// resumed without losing determinism.
+/// The coordinator in `sharded.rs` drives every run: one partition owning
+/// the whole cluster for the sequential `run*` entry points, one per
+/// board-group for the sharded ones, in rounds that end at barriers (ticks,
+/// cross-partition deliveries). All mutable simulation state lives here so a
+/// partition can be stepped to a bound, reconciled, and resumed without
+/// losing determinism.
 pub(crate) struct PartitionSim<'a> {
     /// The run's settings, read in place: `max_batch` is normalized to at
     /// least 1 once, at construction.
@@ -1280,9 +1274,6 @@ pub(crate) struct PartitionSim<'a> {
     state: ServeState,
     events: EventQueue,
     links: LinkSchedule,
-    alert_scratch: Vec<AlertTransition>,
-    frame: TelemetryFrame,
-    stale_models: Vec<ModelId>,
     arrivals: &'a [RequestArrival],
     next_arrival: usize,
     makespan: u64,
@@ -1291,22 +1282,19 @@ pub(crate) struct PartitionSim<'a> {
     per_node_completed: Vec<usize>,
     migration_records: Vec<MigrationRecord>,
     views: Vec<ReplicaView>,
-    /// `Some` only under the sharded runner; `None` keeps every shard-aware
-    /// branch dead on the sequential path.
-    shard: Option<ShardContext>,
+    shard: ShardContext,
 }
 
 impl<'a> PartitionSim<'a> {
     /// Builds a partition over `cluster`'s current deployments, arming the
-    /// scheduled migration, fault, telemetry and alert events. A partition
-    /// of a sharded run (`shard` is `Some`) never arms telemetry or alert
-    /// events: the coordinator drives sampling at the barrier so the control
-    /// plane sees the whole fleet, not one shard.
+    /// scheduled migration and fault events. Telemetry and alert ticks are
+    /// the coordinator's barriers, so the control plane sees the whole
+    /// fleet, not one shard.
     pub(crate) fn new(
         mut options: ServingOptions,
         cluster: &mut NpuCluster,
         arrivals: &'a [RequestArrival],
-        shard: Option<ShardContext>,
+        shard: ShardContext,
     ) -> Self {
         options.max_batch = options.max_batch.max(1);
         let replicas: Vec<ReplicaSim> = cluster
@@ -1335,7 +1323,6 @@ impl<'a> PartitionSim<'a> {
             live_replicas: replicas.len(),
             peak_replicas: replicas.len(),
             slo: options.slo.as_ref().map(SloEngine::new),
-            alerts: AlertLog::default(),
             chaos: options.faults.as_ref().map(|_| ChaosState::default()),
             ledger: ModelTable::default(),
         };
@@ -1348,14 +1335,6 @@ impl<'a> PartitionSim<'a> {
                 events.push(fault.at, EV_FAULT, index);
             }
         }
-        if shard.is_none() {
-            if let Some(interval) = options.telemetry_interval {
-                events.push(interval, EV_SAMPLE, 0);
-            }
-            if let Some(engine) = &state.slo {
-                events.push(engine.tick(), EV_ALERT, 0);
-            }
-        }
         PartitionSim {
             options,
             replicas,
@@ -1364,16 +1343,6 @@ impl<'a> PartitionSim<'a> {
             state,
             events,
             links: LinkSchedule::default(),
-            // Alert-edge scratch, reused across alert ticks.
-            alert_scratch: Vec::new(),
-            // Telemetry scratch, reused across ticks: the frame's vectors and
-            // model map persist, so steady-state sampling allocates nothing.
-            frame: TelemetryFrame {
-                at: Cycles::ZERO,
-                replicas: Vec::new(),
-                models: BTreeMap::new(),
-            },
-            stale_models: Vec::new(),
             arrivals,
             next_arrival: 0,
             makespan: 0,
@@ -1391,38 +1360,33 @@ impl<'a> PartitionSim<'a> {
     }
 
     /// Advances the partition until no work remains or the next event or
-    /// arrival is at or past `bound` — events exactly at `bound` run in the
-    /// next round, after the barrier reconciliation, which is what makes
-    /// barrier-injected events (always stamped ≥ the barrier time) safe. The
-    /// sequential path passes `u64::MAX`: one unbounded round to completion.
+    /// arrival is keyed at or past `bound`, a packed `(cycle, position)` key
+    /// ([`cycle_bound`], [`tick_bound`]): what is keyed at or past it runs
+    /// in the next round, after the barrier reconciliation, which is what
+    /// makes barrier-injected events (always stamped ≥ the barrier time)
+    /// safe. The final round passes [`UNBOUNDED`] and drains every event.
     pub(crate) fn step_until<S: ObsSink + ?Sized>(
         &mut self,
-        bound: u64,
+        bound: u128,
         cluster: &mut NpuCluster,
-        controller: &mut dyn ControlPlane,
         sink: &mut S,
     ) {
-        // Sharded runs share the trace slice. Each partition's arrival
-        // cursor steps over the arrivals other partitions own — here under
-        // the plan rebuilt at the last barrier, and again after every owned
-        // arrival — so the loop below only ever sees its own.
+        // Partitions share the trace slice. Each partition's arrival cursor
+        // steps over the arrivals other partitions own — here under the plan
+        // rebuilt at the last barrier, and again after every owned arrival —
+        // so the loop below only ever sees its own.
         self.skip_unowned(bound);
 
         loop {
-            let event_time = self.events.next_time();
-            let arrival_time = self.arrivals.get(self.next_arrival).map(|a| a.at.get());
-            let take_event = match (event_time, arrival_time) {
-                (None, None) => break,
-                (Some(t), Some(at)) => t <= at,
-                (Some(_), None) => true,
-                (None, Some(_)) => false,
-            };
-            let due = if take_event { event_time } else { arrival_time };
-            match due {
-                Some(t) if t < bound => {}
-                _ => break,
+            let event = self.events.peek().unwrap_or(UNBOUNDED);
+            let arrival = self
+                .arrivals
+                .get(self.next_arrival)
+                .map_or(UNBOUNDED, |a| arrival_key(a.at.get()));
+            if event.min(arrival) >= bound {
+                break;
             }
-            if !take_event {
+            if arrival < event {
                 self.arrive(bound, sink);
                 continue;
             }
@@ -1468,38 +1432,6 @@ impl<'a> PartitionSim<'a> {
                     self.start_migration(cluster, target, scheduled.to, scheduled.mode, now, sink);
                 }
                 EV_FAULT => self.inject_fault(cluster, index, now, sink),
-                EV_SAMPLE => {
-                    let interval = self.options.telemetry_interval.expect("sampling scheduled"); // simlint::allow(P1, reason = "EV_SAMPLE is only scheduled when sampling is configured")
-                    self.telemetry_tick(cluster, now, sink);
-                    self.state.control.samples += 1;
-                    for action in controller.control(&self.frame, cluster) {
-                        self.apply_action(cluster, action, now, sink);
-                    }
-                    // Keep ticking only while there is (or can be) work: the
-                    // bus must not keep an otherwise-finished run alive
-                    // forever.
-                    if self.work_left() {
-                        self.events.push(now + interval, EV_SAMPLE, 0);
-                    }
-                }
-                EV_ALERT => {
-                    self.alert_scratch.clear();
-                    if let Some(engine) = &mut self.state.slo {
-                        engine.evaluate(now, &mut self.alert_scratch);
-                    }
-                    for alert in &self.alert_scratch {
-                        self.state.alerts.push(*alert);
-                        sink.on_alert(now, alert);
-                        controller.on_alert(Cycles(now), alert);
-                    }
-                    // Same liveness rule as the telemetry bus: alert ticks
-                    // observe work, they must not sustain it.
-                    if let Some(tick) = self.state.slo.as_ref().map(SloEngine::tick) {
-                        if self.work_left() {
-                            self.events.push(now + tick, EV_ALERT, 0);
-                        }
-                    }
-                }
                 _ => unreachable!("unknown event kind"),
             }
             // Re-key the touched leaves at the edge itself, so the next pick
@@ -1508,14 +1440,12 @@ impl<'a> PartitionSim<'a> {
         }
     }
 
-    /// Steps the arrival cursor over the arrivals other partitions own
-    /// (a no-op on the sequential path).
-    fn skip_unowned(&mut self, bound: u64) {
-        if let Some(context) = &self.shard {
-            context
-                .plan
-                .skip_unowned(context.index, self.arrivals, &mut self.next_arrival, bound);
-        }
+    /// Steps the arrival cursor over the arrivals other partitions own.
+    fn skip_unowned(&mut self, bound: u128) {
+        let shard = &self.shard;
+        shard
+            .plan
+            .skip_unowned(shard.index, self.arrivals, &mut self.next_arrival, bound);
     }
 
     /// Re-keys every slot touched since the last refresh at its load now.
@@ -1526,18 +1456,16 @@ impl<'a> PartitionSim<'a> {
     }
 
     /// Admits or rejects the trace arrival under the cursor.
-    fn arrive<S: ObsSink + ?Sized>(&mut self, bound: u64, sink: &mut S) {
+    fn arrive<S: ObsSink + ?Sized>(&mut self, bound: u128, sink: &mut S) {
         let arrival = self.arrivals[self.next_arrival];
         self.next_arrival += 1;
         // The cursor stopped here, below the bound, so this partition owns
         // the arrival: arrival counters sum to the trace length across
         // partitions.
-        if let Some(context) = &self.shard {
-            debug_assert_eq!(
-                context.plan.owner(arrival.model, arrival.sequence),
-                context.index
-            );
-        }
+        debug_assert_eq!(
+            self.shard.plan.owner(arrival.model, arrival.sequence),
+            self.shard.index
+        );
         self.skip_unowned(bound);
         self.perf.arrivals += 1;
         let now = arrival.at.get();
@@ -1766,17 +1694,17 @@ impl<'a> PartitionSim<'a> {
             replica_cycles: self.state.replica_cycles,
             makespan,
             perf: self.perf,
-            alerts: self.state.alerts,
             availability,
         }
     }
 
-    /// Whether the run can still produce completions: arrivals left, a live
-    /// replica with queued/in-service work or a pending drain-then-move, or
-    /// any real (non-observer) event queued. Shared by the telemetry and
-    /// alert ticks so neither periodic observer keeps a finished run alive.
-    fn work_left(&self) -> bool {
+    /// Whether the partition can still produce completions: arrivals left,
+    /// an export awaiting delivery, a live replica with queued/in-service
+    /// work or a pending drain-then-move, or a work event (not a fault)
+    /// queued. Ticks re-arm only while some partition has work left.
+    pub(crate) fn work_left(&self) -> bool {
         self.next_arrival < self.arrivals.len()
+            || !self.shard.exports.is_empty()
             || self.replicas.iter().any(|r| {
                 // Work marooned on a fenced board counts only while recovery
                 // will eventually drain it (detection needs the telemetry
@@ -1789,7 +1717,7 @@ impl<'a> PartitionSim<'a> {
                         || !r.queue.is_empty()
                         || r.pending_migration.is_some())
             })
-            || self.events.has_non_sample()
+            || self.events.has_work()
     }
 
     /// Applies fault `index` of the schedule at `now`.
@@ -1876,25 +1804,49 @@ impl<'a> PartitionSim<'a> {
         debug_assert!(released, "a retiring replica's deployment must exist");
     }
 
-    /// One telemetry tick on this partition: failure detection and failover,
-    /// the frame, and the fleet-counter scan for an active sink. `EV_SAMPLE`
-    /// and the sharded coordinator's barrier both run it. The control plane
-    /// and the `samples` counter stay with the caller: a sharded run answers
-    /// one merged frame per tick, not one per partition.
+    /// This partition's share of a telemetry tick: failure detection and
+    /// failover, then one sample per live replica appended to the
+    /// coordinator's merged `frame` and the window's deadline tallies moved
+    /// into it, which closes the window. The frame is reused across ticks
+    /// and a model's tally entry is inserted once, at its first deadline
+    /// outcome, so a steady-state tick over a stable fleet allocates nothing.
     pub(crate) fn telemetry_tick<S: ObsSink + ?Sized>(
         &mut self,
         cluster: &mut NpuCluster,
         now: u64,
+        frame: &mut TelemetryFrame,
         sink: &mut S,
     ) {
         self.chaos_tick(cluster, now, sink);
-        self.sample_into(now);
-        // The frame holds one sample per live replica.
+        let sampled = frame.replicas.len();
+        let live = self.replicas.iter().filter(|r| r.live());
+        frame.replicas.extend(live.map(|replica| ReplicaSample {
+            handle: replica.handle,
+            model: replica.model,
+            queue_len: replica.queue.len(),
+            in_flight: replica.in_flight(),
+            draining: replica.draining,
+        }));
         debug_assert_eq!(
             self.state.live_replicas,
-            self.frame.replicas.len(),
+            frame.replicas.len() - sampled,
             "the live-replica count must match the replica table at cycle {now}"
         );
+        for (model, window) in self.state.windows.iter_mut().flat_map(ModelTable::iter_mut) {
+            let tally = frame.deadlines.entry(model).or_default();
+            tally.merge(&std::mem::take(window));
+        }
+    }
+
+    /// Hands a tick's merged `frame` to `sink` with this partition's fleet
+    /// counters; only an active sink pays for the counter scan.
+    pub(crate) fn report_tick<S: ObsSink + ?Sized>(
+        &self,
+        cluster: &NpuCluster,
+        now: u64,
+        frame: &TelemetryFrame,
+        sink: &mut S,
+    ) {
         if !sink.active() {
             return;
         }
@@ -1908,7 +1860,7 @@ impl<'a> PartitionSim<'a> {
             }
             counters.resident_bytes += cluster.resident_state_bytes(replica.handle).unwrap_or(0);
         }
-        sink.on_tick(now, &self.frame, &counters);
+        sink.on_tick(now, frame, &counters);
     }
 
     /// The failure-detection and failover pass, run at every telemetry tick
@@ -2104,67 +2056,11 @@ impl<'a> PartitionSim<'a> {
         }
     }
 
-    /// Rebuilds the frame in place for the control plane and closes the
-    /// window's deadline tallies.
-    ///
-    /// The frame's replica vector and model map are per-run scratch: the
-    /// vector is cleared and refilled (its capacity persists) and the map's
-    /// entries are reset in place, with new models inserted and vanished
-    /// models swept via the reused stale-model buffer — so a steady-state
-    /// tick over a stable fleet allocates nothing. The frame contents are
-    /// bit-identical to a from-scratch build.
-    fn sample_into(&mut self, now: u64) {
-        let (frame, state) = (&mut self.frame, &mut self.state);
-        frame.at = Cycles(now);
-        frame.replicas.clear();
-        for replica in self.replicas.iter().filter(|r| r.live()) {
-            frame.replicas.push(ReplicaSample {
-                handle: replica.handle,
-                model: replica.model,
-                queue_len: replica.queue.len(),
-                in_flight: replica.in_flight(),
-                draining: replica.draining,
-            });
-        }
-
-        for (model, entry) in frame.models.iter_mut() {
-            *entry = ModelSample::empty(*model);
-        }
-        for sample in &frame.replicas {
-            let entry = frame
-                .models
-                .entry(sample.model)
-                .or_insert_with(|| ModelSample::empty(sample.model));
-            if !sample.draining {
-                entry.replicas += 1;
-            }
-            entry.queued += sample.queue_len;
-            entry.in_flight += sample.in_flight;
-        }
-        for (model, window) in state.windows.iter_mut().flat_map(ModelTable::iter_mut) {
-            frame
-                .models
-                .entry(model)
-                .or_insert_with(|| ModelSample::empty(model))
-                .deadline = std::mem::take(window);
-        }
-        // Sweep models that vanished since the last tick (no live replica,
-        // never a deadline outcome) so the frame matches a fresh build.
-        let stale = &mut self.stale_models;
-        stale.clear();
-        stale.extend(frame.models.keys().copied().filter(|model| {
-            !state.windows.as_ref().is_some_and(|w| w.contains(*model))
-                && !frame.replicas.iter().any(|sample| sample.model == *model)
-        }));
-        for model in stale.drain(..) {
-            frame.models.remove(&model);
-        }
-    }
-
-    /// Applies one control-plane action inside the event loop. The sharded
-    /// coordinator routes scale-downs and migrations to the owning
-    /// partition's call; it places scale-ups fleet-wide itself and hands the
-    /// outcome to [`scale_up`](Self::scale_up).
+    /// Applies a scale-down or a migration of one of this partition's
+    /// replicas: the coordinator routes each to the partition owning the
+    /// replica's board, in the controller's order. It places scale-ups on
+    /// the whole fleet itself and hands the outcome to
+    /// [`scale_up`](Self::scale_up).
     pub(crate) fn apply_action<S: ObsSink + ?Sized>(
         &mut self,
         cluster: &mut NpuCluster,
@@ -2174,9 +2070,8 @@ impl<'a> PartitionSim<'a> {
     ) {
         sink.on_control(now, &action);
         match action {
-            ControlAction::ScaleUp { spec, placement } => {
-                let deployed = cluster.deploy(spec, placement).ok();
-                self.scale_up(cluster, deployed, now);
+            ControlAction::ScaleUp { .. } => {
+                unreachable!("the coordinator places scale-ups on the whole fleet")
             }
             ControlAction::ScaleDown { handle } => {
                 let Some(index) = self.dispatch_index.slot_of(handle) else {
@@ -2236,10 +2131,9 @@ impl<'a> PartitionSim<'a> {
     /// Starts moving `replicas[index]` to `to`, for a scheduled migration and
     /// a control-plane one alike. A pre-copy streams the state while the
     /// replica keeps serving. A cold move drains a busy replica's in-flight
-    /// batch first; an idle one migrates immediately. Under the sharded
-    /// runner a destination owned by another partition demotes a pre-copy to
-    /// a cold drain-and-move: the copy loop needs destination state the
-    /// source partition cannot see.
+    /// batch first; an idle one migrates immediately. A destination another
+    /// partition owns demotes a pre-copy to a cold drain-and-move: the copy
+    /// loop needs destination state the source partition cannot see.
     fn start_migration<S: ObsSink + ?Sized>(
         &mut self,
         cluster: &mut NpuCluster,
@@ -2260,8 +2154,9 @@ impl<'a> PartitionSim<'a> {
         {
             return;
         }
-        let export = self.shard.is_some() && cluster.node(to).is_none();
-        if mode == MigrationMode::PreCopy && !export {
+        // Ask the owner map, not the cluster: at a tick the coordinator
+        // applies actions on the whole fleet, where every board is present.
+        if mode == MigrationMode::PreCopy && !self.shard.remote(to) {
             self.begin_precopy(cluster, index, to, now, sink);
         } else if replica.in_service.is_some() {
             // Drain first; the completion event finishes the job.
@@ -2497,9 +2392,9 @@ impl<'a> PartitionSim<'a> {
     /// moves only the residual dirty delta plus the architectural context,
     /// queueing behind any transfer already on the link.
     ///
-    /// Under the sharded runner, a destination owned by another partition is
-    /// intercepted before the local `migrate` call: the replica is exported
-    /// into a [`MigrationEnvelope`] for barrier delivery instead.
+    /// A destination another partition owns is intercepted before the local
+    /// `migrate` call: the replica is exported into a [`MigrationEnvelope`]
+    /// for barrier delivery instead.
     fn execute_migration<S: ObsSink + ?Sized>(
         &mut self,
         cluster: &mut NpuCluster,
@@ -2509,12 +2404,7 @@ impl<'a> PartitionSim<'a> {
         now: u64,
         sink: &mut S,
     ) {
-        let remote = cluster.node(to).is_none()
-            && self
-                .shard
-                .as_ref()
-                .is_some_and(|shard| shard.owners.contains_key(&to));
-        if remote {
+        if self.shard.remote(to) {
             self.export_replica(cluster, index, to, drain_cycles, now);
             return;
         }
@@ -2585,7 +2475,7 @@ impl<'a> PartitionSim<'a> {
     /// the transfer is priced source-side (chaos windows and link contention
     /// included), the queue drained in pop order, the slot retired — and the
     /// envelope waits in the shard's exports for barrier delivery to the
-    /// owning partition. Called only under the sharded runner.
+    /// owning partition.
     fn export_replica(
         &mut self,
         cluster: &mut NpuCluster,
@@ -2649,18 +2539,12 @@ impl<'a> PartitionSim<'a> {
             draining: replica.draining,
         };
         self.retire(cluster, index, now);
-        if let Some(shard) = &mut self.shard {
-            shard.exports.push(envelope);
-        }
+        self.shard.exports.push(envelope);
     }
 
-    /// Drains the envelopes exported since the last barrier (empty on the
-    /// sequential path).
+    /// Drains the envelopes exported since the last barrier.
     pub(crate) fn take_exports(&mut self) -> Vec<MigrationEnvelope> {
-        match &mut self.shard {
-            Some(shard) => std::mem::take(&mut shard.exports),
-            None => Vec::new(),
-        }
+        std::mem::take(&mut self.shard.exports)
     }
 
     /// Imports a replica another partition exported, deploying it on the
@@ -2739,43 +2623,26 @@ impl<'a> PartitionSim<'a> {
         sink.on_migration_rejected(now, slot);
     }
 
-    /// The frame produced by the last [`telemetry_tick`](Self::telemetry_tick).
-    pub(crate) fn frame(&self) -> &TelemetryFrame {
-        &self.frame
-    }
-
-    /// Bumps the merged sample counter; called by the coordinator once per
-    /// barrier tick on the lowest-indexed partition so the merged report
-    /// counts ticks, not ticks × partitions.
-    pub(crate) fn count_sample(&mut self) {
-        self.state.control.samples += 1;
-    }
-
-    /// Whether this partition can still make progress: pending arrivals or
-    /// events, live queued/in-service work, or an export awaiting barrier
-    /// delivery.
-    pub(crate) fn busy(&self) -> bool {
-        self.work_left()
-            || self
-                .shard
-                .as_ref()
-                .is_some_and(|shard| !shard.exports.is_empty())
+    /// The partition's SLO engine, fed by its completions, expiries and
+    /// losses. At each alert tick the coordinator sums every partition's
+    /// buckets into partition 0's engine and evaluates that one.
+    pub(crate) fn slo(&mut self) -> Option<&mut SloEngine> {
+        self.state.slo.as_mut()
     }
 
     /// Whether a cross-partition transfer is pending or imminent: an export
     /// awaiting delivery, or a busy replica draining toward a board another
     /// partition owns. The coordinator keeps barrier windows at the
-    /// interconnect lookahead while this holds.
+    /// interconnect lookahead while this holds. A fenced replica's batch
+    /// never completes, so its drain-then-move never exports.
     pub(crate) fn pending_remote(&self) -> bool {
-        let Some(shard) = &self.shard else {
-            return false;
-        };
-        !shard.exports.is_empty()
+        !self.shard.exports.is_empty()
             || self.replicas.iter().any(|replica| {
                 replica.live()
+                    && !replica.fenced
                     && replica
                         .pending_migration
-                        .is_some_and(|(to, _)| !shard.owns(to))
+                        .is_some_and(|(to, _)| self.shard.remote(to))
             })
     }
 
@@ -2788,21 +2655,16 @@ impl<'a> PartitionSim<'a> {
         weights: &mut BTreeMap<ModelId, Vec<u64>>,
         partitions: usize,
     ) {
-        let Some(shard) = &self.shard else {
-            return;
-        };
         for replica in self.replicas.iter().filter(|r| r.live() && !r.draining) {
             weights
                 .entry(replica.model)
-                .or_insert_with(|| vec![0; partitions])[shard.index] += 1;
+                .or_insert_with(|| vec![0; partitions])[self.shard.index] += 1;
         }
     }
 
     /// Installs the plan rebuilt at a barrier.
     pub(crate) fn set_plan(&mut self, plan: ShardPlan) {
-        if let Some(shard) = &mut self.shard {
-            shard.plan = plan;
-        }
+        self.shard.plan = plan;
     }
 }
 
@@ -2811,7 +2673,9 @@ mod tests {
     use super::*;
     use crate::cluster::DeploySpec;
     use crate::migration::{DirtyRateModel, PreCopyConfig};
+    use crate::par::in_tag_order;
     use crate::placement::PlacementPolicy;
+    use crate::sharded::{Coordinator, ShardJob};
     use workloads::{QosSpec, RequestArrival};
 
     fn fleet_with_replicas(nodes: usize, replicas: usize) -> (NpuCluster, Vec<VnpuHandle>) {
@@ -3519,19 +3383,16 @@ mod tests {
         assert!(probe.frames.len() > 1);
         let mid = &probe.frames[probe.frames.len() / 2];
         assert_eq!(mid.replicas.len(), 1);
-        let sample = mid.model(ModelId::Mnist).expect("model is served");
-        assert_eq!(sample.replicas, 1);
+        assert_eq!(mid.replicas_of(ModelId::Mnist).count(), 1);
         assert!(
-            sample.outstanding() > 0,
+            mid.outstanding(ModelId::Mnist) > 0,
             "overload must show up as backlog in the frame"
         );
         // The window deadline tallies across all frames cover most of the
         // run (the final partial window is not flushed).
         let mut windowed = DeadlineStats::default();
         for frame in &probe.frames {
-            if let Some(sample) = frame.model(ModelId::Mnist) {
-                windowed.merge(&sample.deadline);
-            }
+            windowed.merge(&frame.deadline(ModelId::Mnist));
         }
         assert!(windowed.with_deadline >= report.deadline.with_deadline - 1);
         assert!(windowed.missed > 0, "the tight deadline is missed");
@@ -3738,8 +3599,11 @@ mod tests {
             .with_telemetry(service * 2)
             .with_stochastic(StochasticService::seeded(9).with_cv(0.3));
         let trace = burst_trace(40, service);
-        let mut partition = PartitionSim::new(options, &mut fleet, trace.arrivals(), None);
-        partition.step_until(u64::MAX, &mut fleet, &mut script, &mut NoopSink);
+        let mut sink = NoopSink;
+        let mut coordinator =
+            Coordinator::new(&options, &mut fleet, trace.arrivals(), vec![&mut sink]);
+        coordinator.run(&mut script, &mut |jobs| in_tag_order(ShardJob::step, jobs));
+        let partition = &coordinator.partitions()[0];
         let replicas = &partition.replicas;
         assert_eq!(replicas.len(), 4, "two initial replicas and two scale-ups");
         assert_eq!(partition.state.control.released, 2);

@@ -5,17 +5,19 @@
 //! exposes — it needs *periodic* samples of the live fleet. When a run is
 //! configured with [`crate::ServingOptions::with_telemetry`], the serving
 //! simulator emits a [`TelemetryFrame`] every sampling interval: one
-//! [`ReplicaSample`] per live replica (queue depth, batch occupancy) and one
-//! [`ModelSample`] per model with a live replica or a deadline outcome
-//! (backlog, and the deadline tally of the window since the previous tick).
-//! The frame carries what controllers read and nothing else: a new field
-//! enters it together with its first reader. Tail latency reaches
-//! controllers through the SLO burn-rate engine instead
+//! [`ReplicaSample`] per live replica (queue depth, batch occupancy) and the
+//! per-model deadline tallies of the window since the previous tick. A
+//! model's backlog is the sum of its replica samples
+//! ([`TelemetryFrame::outstanding`]), so the frame carries no per-model
+//! count of its own. The frame carries what controllers read and nothing
+//! else: a new field enters it together with its first reader. Tail latency
+//! reaches controllers through the SLO burn-rate engine instead
 //! ([`ControlPlane::on_alert`]).
 //!
-//! A [`ControlPlane`] implementation observes each frame and answers with
-//! [`ControlAction`]s, which the simulator applies *inside* the same
-//! event loop, keeping runs deterministic:
+//! Ticks are barriers of the run's coordinator, not events of the loop. A
+//! [`ControlPlane`] implementation observes each frame and answers with
+//! [`ControlAction`]s, which the coordinator applies at the tick in the
+//! controller's order, keeping runs deterministic:
 //!
 //! * [`ControlAction::ScaleUp`] places a new replica through the cluster's
 //!   placement engine and it starts serving immediately;
@@ -62,63 +64,35 @@ impl ReplicaSample {
     }
 }
 
-/// One model's backlog at a tick and its deadline outcomes over the window.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ModelSample {
-    /// The model described.
-    pub model: ModelId,
-    /// Live (non-draining) replicas of the model.
-    pub replicas: usize,
-    /// Requests queued across the model's replicas at the tick.
-    pub queued: usize,
-    /// Requests in service across the model's replicas at the tick.
-    pub in_flight: usize,
-    /// Deadline bookkeeping over the window's completions and drops.
-    pub deadline: DeadlineStats,
-}
-
-impl ModelSample {
-    /// An all-zero sample of `model` — the state a tick starts from before
-    /// replicas and the window's deadline tally are folded in.
-    pub fn empty(model: ModelId) -> Self {
-        ModelSample {
-            model,
-            replicas: 0,
-            queued: 0,
-            in_flight: 0,
-            deadline: DeadlineStats::default(),
-        }
-    }
-
-    /// Outstanding work across the model's replicas.
-    pub fn outstanding(&self) -> usize {
-        self.queued + self.in_flight
-    }
-
-    /// Outstanding work per live replica (the classic autoscaling signal);
-    /// a model with zero live replicas reports its raw backlog.
-    pub fn outstanding_per_replica(&self) -> f64 {
-        self.outstanding() as f64 / self.replicas.max(1) as f64
-    }
-}
-
 /// Everything the control plane sees at one sampling tick.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TelemetryFrame {
     /// The tick's timestamp.
     pub at: Cycles,
-    /// One sample per live (not yet released) replica, in table order.
+    /// One sample per live (not yet released) replica, in partition then
+    /// table order.
     pub replicas: Vec<ReplicaSample>,
-    /// Per-model aggregates, keyed by model.
-    pub models: BTreeMap<ModelId, ModelSample>,
+    /// Per-model deadline tallies over the window's completions and drops,
+    /// keyed by model. A model's entry exists once it has had a deadline
+    /// outcome; an absent entry reads as an all-zero tally.
+    pub deadlines: BTreeMap<ModelId, DeadlineStats>,
 }
 
 impl TelemetryFrame {
-    /// The sample of one model: present while the model has a live replica
-    /// or once it has had a deadline outcome. An absent sample reads as no
-    /// backlog and no deadline miss.
-    pub fn model(&self, model: ModelId) -> Option<&ModelSample> {
-        self.models.get(&model)
+    /// Outstanding work (queued plus in service) across every replica of
+    /// `model`, draining ones included.
+    pub fn outstanding(&self, model: ModelId) -> usize {
+        self.replicas
+            .iter()
+            .filter(|r| r.model == model)
+            .map(ReplicaSample::outstanding)
+            .sum()
+    }
+
+    /// The window's deadline tally of `model`: all zero before its first
+    /// deadline outcome.
+    pub fn deadline(&self, model: ModelId) -> DeadlineStats {
+        self.deadlines.get(&model).copied().unwrap_or_default()
     }
 
     /// The live (non-draining) replicas of one model.
@@ -163,15 +137,15 @@ pub enum ControlAction {
 /// A closed-loop cluster controller driven by the serving simulator.
 ///
 /// Called once per telemetry tick with the frame and a read-only view of the
-/// cluster; the returned actions are applied immediately, in order. The
-/// controller must be deterministic for reproducible runs — same frames in,
-/// same actions out.
+/// whole fleet; the returned actions are applied immediately, in order, at
+/// every partition count. The controller must be deterministic for
+/// reproducible runs — same frames in, same actions out.
 pub trait ControlPlane {
     /// Observes one telemetry frame and returns the actions to apply.
     fn control(&mut self, frame: &TelemetryFrame, cluster: &NpuCluster) -> Vec<ControlAction>;
 
-    /// Notifies the controller of an SLO alert edge (fire or resolve), as it
-    /// is emitted inside the event loop. A notification, not a decision
+    /// Notifies the controller of an SLO alert edge (fire or resolve), as the
+    /// coordinator's alert tick emits it. A notification, not a decision
     /// point: actions still flow through [`control`](ControlPlane::control)
     /// at the next telemetry tick, keeping the apply path single. The
     /// default ignores alerts.
@@ -227,15 +201,20 @@ mod tests {
     #[test]
     fn outstanding_counts_queue_and_batch() {
         assert_eq!(sample(ModelId::Mnist, 3, 4).outstanding(), 7);
-        let model = ModelSample {
-            model: ModelId::Mnist,
-            replicas: 2,
-            queued: 6,
-            in_flight: 2,
-            deadline: DeadlineStats::default(),
+        let mut draining = sample(ModelId::Mnist, 2, 0);
+        draining.draining = true;
+        let frame = TelemetryFrame {
+            at: Cycles(100),
+            replicas: vec![
+                sample(ModelId::Mnist, 3, 4),
+                draining,
+                sample(ModelId::Bert, 5, 1),
+            ],
+            deadlines: BTreeMap::new(),
         };
-        assert_eq!(model.outstanding(), 8);
-        assert!((model.outstanding_per_replica() - 4.0).abs() < 1e-12);
+        assert_eq!(frame.outstanding(ModelId::Mnist), 9, "draining included");
+        assert_eq!(frame.outstanding(ModelId::Bert), 6);
+        assert_eq!(frame.outstanding(ModelId::Ncf), 0);
     }
 
     #[test]
@@ -249,10 +228,19 @@ mod tests {
                 draining,
                 sample(ModelId::Bert, 0, 1),
             ],
-            models: BTreeMap::new(),
+            deadlines: BTreeMap::from([(
+                ModelId::Bert,
+                DeadlineStats {
+                    with_deadline: 2,
+                    met: 1,
+                    missed: 1,
+                    dropped: 0,
+                },
+            )]),
         };
         assert_eq!(frame.replicas_of(ModelId::Mnist).count(), 1);
         assert_eq!(frame.replicas_of(ModelId::Bert).count(), 1);
-        assert!(frame.model(ModelId::Mnist).is_none());
+        assert_eq!(frame.deadline(ModelId::Mnist), DeadlineStats::default());
+        assert_eq!(frame.deadline(ModelId::Bert).missed, 1);
     }
 }

@@ -275,9 +275,10 @@ fn autopilot_scenario() -> (ServingOptions, NpuCluster, ClusterTrace, Autopilot)
 }
 
 /// A controller wrapper that folds what controllers read of every telemetry
-/// frame into an FNV digest: the tick time, each replica sample, and each
-/// model's backlog counts and window deadline tally. At every tick it also
-/// checks that each model sample sums its model's replica samples.
+/// frame into an FNV digest: the tick time, each replica sample, and for
+/// each model of the replica samples and of the deadline tallies, in id
+/// order, its live-replica count, queue and in-flight sums and window
+/// deadline tally.
 struct FrameRecorder<C> {
     inner: C,
     fnv: Fnv,
@@ -301,27 +302,18 @@ impl<C: cluster::ControlPlane> cluster::ControlPlane for FrameRecorder<C> {
             self.fnv.fold(replica.queue_len as u64);
             self.fnv.fold(replica.in_flight as u64);
             self.fnv.fold(u64::from(replica.draining));
-            assert!(
-                frame.model(replica.model).is_some(),
-                "a served model has a sample"
-            );
         }
-        for (model, sample) in &frame.models {
-            let of_model = || frame.replicas.iter().filter(|r| r.model == *model);
-            assert_eq!(
-                sample.replicas,
-                of_model().filter(|r| !r.draining).count(),
-                "{model:?} at {:?}: live replicas",
-                frame.at
-            );
-            assert_eq!(sample.queued, of_model().map(|r| r.queue_len).sum());
-            assert_eq!(sample.in_flight, of_model().map(|r| r.in_flight).sum());
-            let deadline = sample.deadline;
+        let mut models: std::collections::BTreeSet<ModelId> =
+            frame.replicas.iter().map(|r| r.model).collect();
+        models.extend(frame.deadlines.keys().copied());
+        for model in models {
+            let of_model = || frame.replicas.iter().filter(|r| r.model == model);
+            let deadline = frame.deadline(model);
             for word in [
-                *model as usize,
-                sample.replicas,
-                sample.queued,
-                sample.in_flight,
+                model as usize,
+                of_model().filter(|r| !r.draining).count(),
+                of_model().map(|r| r.queue_len).sum(),
+                of_model().map(|r| r.in_flight).sum(),
                 deadline.with_deadline,
                 deadline.met,
                 deadline.missed,
@@ -583,7 +575,9 @@ const GOLDEN_PERF: &[(&str, u64, u64, usize)] = &[
     ("precopy-mixed", 91, 320, 6),
     ("slo-alertlog", 2176, 320, 6),
     ("chaos-failover", 206243, 320, 6),
-    ("fleet-parallel", 65, 320, 7),
+    // Each telemetry tick counts as one processed event at every partition
+    // count.
+    ("fleet-parallel", 22978, 320, 7),
 ];
 
 fn check_perf(name: &str, report: &ServingReport) {

@@ -2,8 +2,8 @@
 //!
 //! The contract under test, from `cluster::sharded`:
 //!
-//! * `partitions = 1` is **bit-identical** to the sequential event loop —
-//!   same `ServingReport`, field for field;
+//! * `partitions = 1` is **bit-identical** to the sequential run — same
+//!   `ServingReport`, field for field;
 //! * for a fixed partition count, the **thread count never changes the
 //!   report** — `threads = 1` and `threads = N` produce identical results on
 //!   randomized traces, fault schedules and scheduled cross-partition
@@ -14,13 +14,14 @@
 //! * no admitted request vanishes across partition boundaries
 //!   (admitted = completed + dropped + lost), and every trace arrival is
 //!   offered exactly once fleet-wide, by the one partition that owns it —
-//!   also when control actions change the ownership plan at barriers.
+//!   also when control actions change the ownership plan at barriers;
+//! * SLO alerting and controller moves work at every partition count.
 
 use cluster::{
     AdmissionControl, ClusterServingSim, ControlAction, ControlPlane, DeploySpec, DispatchPolicy,
-    FaultKind, FaultSchedule, Metric, MetricsRegistry, MigrationMode, NodeId, NpuCluster,
-    PlacementPolicy, RecoveryPolicy, ServingOptions, ServingReport, ShardOptions,
-    StochasticService, TelemetryFrame, TraceConfig, TraceRecorder,
+    FaultKind, FaultSchedule, Metric, MetricsRegistry, MigrationMode, NodeId, NpuCluster, ObsSink,
+    PlacementPolicy, RecoveryPolicy, ServingOptions, ServingReport, ShardOptions, SloConfig,
+    SloSpec, StochasticService, TelemetryFrame, TraceConfig, TraceRecorder,
 };
 use npu_sim::{Cycles, NpuConfig};
 use workloads::{ClusterTrace, ModelId, PriorityClass, QosSpec};
@@ -130,8 +131,8 @@ fn run_sequential(seed: u64, faults: bool) -> ServingReport {
     ClusterServingSim::new(options).run(&mut fleet, &trace)
 }
 
-/// `partitions = 1` must delegate to the sequential loop: full report
-/// equality, perf counters included, at any thread count.
+/// `partitions = 1` is the sequential run: full report equality, perf
+/// counters included, at any thread count.
 #[test]
 fn single_partition_is_bit_identical_to_sequential() {
     for seed in [11, 4242] {
@@ -579,5 +580,223 @@ fn an_abandoned_migration_counts_its_queue_lost_without_faults() {
         merged.counter(Metric::RecoveryLostRequests),
         report.availability.lost,
         "every abandoned request reaches a sink"
+    );
+}
+
+/// A cross-partition move of a replica fenced on a crashed board, with no
+/// recovery armed, never exports: the fenced batch never completes, so the
+/// drain-then-move never fires. The run still ends, and the requests
+/// marooned on the crashed board count as lost.
+#[test]
+fn a_fenced_replica_moving_across_partitions_does_not_hold_the_run_open() {
+    let service = cluster::estimated_service_cycles(ModelId::Mnist, 2, 2, &config());
+    let fleet = || {
+        let mut fleet = NpuCluster::homogeneous(2, &config());
+        let busy = fleet
+            .deploy_pinned(DeploySpec::replica(ModelId::Mnist, 2, 2), NodeId(0))
+            .expect("capacity for the board-0 replica");
+        fleet
+            .deploy_pinned(DeploySpec::replica(ModelId::Mnist, 2, 2), NodeId(1))
+            .expect("capacity for the board-1 replica");
+        (fleet, busy)
+    };
+    // Arrivals three times faster than two replicas serve keep board 0 busy
+    // when it crashes, so the move after the crash waits on a drain.
+    let trace = ClusterTrace::poisson(&[(ModelId::Mnist, service / 3)], 60, 4);
+    let options = ServingOptions::new(DispatchPolicy::LeastLoaded)
+        .with_telemetry(service * 2)
+        .with_faults(
+            FaultSchedule::new().with_fault(service * 5, FaultKind::BoardCrash { node: NodeId(0) }),
+        )
+        .with_migration(Cycles(service * 6), fleet().1, NodeId(1));
+    let (done, finished) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let run = |threads: usize| {
+            ClusterServingSim::new(options.clone()).run_sharded(
+                &mut fleet().0,
+                &trace,
+                ShardOptions::new(2).with_threads(threads),
+            )
+        };
+        done.send((run(1), run(2))).unwrap();
+    });
+    let (report, threaded) = finished
+        .recv_timeout(std::time::Duration::from_secs(60))
+        .expect("the run must end once only fenced work is left");
+    assert_eq!(report, threaded, "threads 1 and 2");
+    assert_eq!(report.stats.offered, 60);
+    assert!(report.migrations.is_empty(), "{:?}", report.migrations);
+    assert!(
+        report.availability.lost > 0,
+        "the batch on the crashed board is marooned"
+    );
+    assert_eq!(
+        report.stats.admitted,
+        report.stats.completed + report.deadline.dropped + report.availability.lost as usize,
+        "admitted = completed + dropped + lost"
+    );
+}
+
+/// A guaranteed SLO breach (a latency target of half a service time) over
+/// the wide fleet, through per-partition trace recorders.
+fn run_slo_breach(shard: ShardOptions) -> (ServingReport, Vec<TraceRecorder>) {
+    let service = cluster::estimated_service_cycles(ModelId::Mnist, 2, 2, &config());
+    let slo = SloConfig::new(service * 4)
+        .with_spec(SloSpec::new(ModelId::Mnist, Cycles(service / 2), 0.95))
+        .with_default_policies();
+    let options = ServingOptions::new(DispatchPolicy::LeastLoaded)
+        .with_batching(4)
+        .with_batch_wait(service / 2)
+        .with_stochastic(StochasticService::seeded(5).with_cv(0.25))
+        .with_slo(slo);
+    let mut fleet = wide_fleet(8);
+    let mut recorders: Vec<TraceRecorder> = Vec::new();
+    let report = ClusterServingSim::new(options).run_sharded_observed(
+        &mut fleet,
+        &wide_trace(5, 240),
+        shard,
+        &mut recorders,
+    );
+    (report, recorders)
+}
+
+/// SLO alerting runs at every partition count: each partition buckets its
+/// own burn-rate counts, and the alert tick sums them and evaluates once.
+/// The run is not forced onto one partition, the thread count changes
+/// neither the report nor the merged exports, and a guaranteed breach fires
+/// within one fast window.
+#[test]
+fn slo_alerts_fire_at_every_partition_count() {
+    let service = cluster::estimated_service_cycles(ModelId::Mnist, 2, 2, &config());
+    let fast_window = service * 4 * 4; // page policy: 4 ticks of 4x service
+    let (sequential, _) = run_slo_breach(ShardOptions::new(1));
+    let sequential_first = sequential.alerts.first_fire_after(Cycles(0)).map(|t| t.at);
+    for partitions in [2, 4] {
+        let runs: Vec<(ServingReport, String, String)> = [1, partitions]
+            .into_iter()
+            .map(|threads| {
+                let shard = ShardOptions::new(partitions).with_threads(threads);
+                let (report, recorders) = run_slo_breach(shard);
+                assert_eq!(
+                    recorders.len(),
+                    partitions,
+                    "an SLO run keeps its {partitions} partitions"
+                );
+                let mut merged_trace = TraceRecorder::new(TraceConfig::default());
+                let mut merged_metrics = MetricsRegistry::new();
+                for (index, recorder) in recorders.iter().enumerate() {
+                    assert!(
+                        recorder.metrics().counter(Metric::ServingArrivals) > 0,
+                        "partition {index} of {partitions} serves arrivals"
+                    );
+                    merged_trace.merge(recorder);
+                    merged_metrics.merge(recorder.metrics());
+                }
+                assert_eq!(
+                    merged_metrics.counter(Metric::SloAlertsFired),
+                    report.alerts.fired() as u64,
+                    "every fire edge reaches a sink"
+                );
+                let trace = merged_trace.export_chrome_trace();
+                (report, trace, cluster::export_openmetrics(&merged_metrics))
+            })
+            .collect();
+        let (report, ..) = &runs[0];
+        assert_eq!(runs[0], runs[1], "partitions {partitions}: threads 1 and N");
+        let first = report
+            .alerts
+            .first_fire_after(Cycles(0))
+            .expect("a guaranteed breach fires");
+        assert!(
+            first.at.get() <= fast_window,
+            "partitions {partitions}: fired at {}, beyond one fast window ({fast_window})",
+            first.at.get()
+        );
+        assert_eq!(
+            Some(first.at),
+            sequential_first,
+            "partitions {partitions}: the breach is detected at the sequential run's tick"
+        );
+    }
+}
+
+/// A controller that, at the first tick where the board-0 replica is idle,
+/// moves it cold to board 1.
+struct MigrateWhenIdle {
+    moved: bool,
+}
+
+impl ControlPlane for MigrateWhenIdle {
+    fn control(&mut self, frame: &TelemetryFrame, _cluster: &NpuCluster) -> Vec<ControlAction> {
+        let idle = frame
+            .replicas
+            .iter()
+            .find(|sample| sample.handle.node == NodeId(0) && sample.outstanding() == 0);
+        match idle {
+            Some(mover) if !self.moved => {
+                self.moved = true;
+                vec![ControlAction::Migrate {
+                    handle: mover.handle,
+                    to: NodeId(1),
+                    mode: MigrationMode::Cold,
+                }]
+            }
+            _ => Vec::new(),
+        }
+    }
+}
+
+/// The boards each partition dispatched to.
+#[derive(Default)]
+struct DispatchBoards(Vec<NodeId>);
+
+impl ObsSink for DispatchBoards {
+    fn on_dispatch(&mut self, _: u64, _: u64, _: ModelId, node: NodeId, _: usize) {
+        self.0.push(node);
+    }
+}
+
+/// A controller move across the partition boundary at a tick travels as an
+/// envelope: the controller's actions apply on the whole fleet, but the
+/// source partition must export the replica rather than keep serving it on
+/// a board it does not own.
+#[test]
+fn a_controller_move_across_partitions_leaves_the_source_partition() {
+    let service = cluster::estimated_service_cycles(ModelId::Mnist, 2, 2, &config());
+    let options = ServingOptions::new(DispatchPolicy::LeastLoaded).with_telemetry(service * 50);
+    let trace = ClusterTrace::poisson(&[(ModelId::Mnist, service * 3)], 40, 9);
+    let run = |threads: usize| {
+        let mut fleet = NpuCluster::homogeneous(2, &config());
+        for node in 0..2 {
+            fleet
+                .deploy_pinned(DeploySpec::replica(ModelId::Mnist, 2, 2), NodeId(node))
+                .expect("capacity for the replica");
+        }
+        let mut sinks: Vec<DispatchBoards> = Vec::new();
+        let report = ClusterServingSim::new(options.clone()).run_sharded_observed_with_controller(
+            &mut fleet,
+            &trace,
+            ShardOptions::new(2).with_threads(threads),
+            &mut MigrateWhenIdle { moved: false },
+            &mut sinks,
+        );
+        (report, sinks)
+    };
+    let (report, sinks) = run(1);
+    assert_eq!(report.control.migrations_requested, 1);
+    assert_eq!(report.migrations.len(), 1, "{:?}", report.migrations);
+    let moved = &report.migrations[0];
+    assert_eq!((moved.from, moved.to), (NodeId(0), NodeId(1)));
+    assert_eq!(report.stats.completed, 40, "no request is lost");
+    assert_eq!(report, run(2).0, "threads 1 and 2");
+    assert_eq!(sinks.len(), 2);
+    assert!(
+        sinks[0].0.iter().all(|&node| node == NodeId(0)),
+        "partition 0 dispatched to a board it does not own: {:?}",
+        sinks[0].0
+    );
+    assert!(
+        !sinks[1].0.is_empty(),
+        "partition 1 serves the moved replica"
     );
 }
