@@ -313,25 +313,7 @@ impl NpuCluster {
         spec: DeploySpec,
         policy: PlacementPolicy,
     ) -> Result<VnpuHandle, ClusterError> {
-        // Score every node against its *own* demand (boards may be
-        // heterogeneous, so segment rounding differs per node).
-        let candidates: Vec<(PlacementCandidate, ResourceDemand)> = self
-            .nodes
-            .iter()
-            .filter(|node| !self.offline.contains(&node.id()))
-            .map(|node| {
-                let npu = node.npu_config();
-                (
-                    PlacementCandidate {
-                        inventory: node.inventory(),
-                        model_replicas: self.replicas_on(node.id(), spec.model),
-                    },
-                    ResourceDemand::of(&spec.vnpu_config(npu), npu),
-                )
-            })
-            .collect();
-
-        for node_id in rank_nodes(policy, &candidates) {
+        for node_id in rank_nodes(policy, &self.candidates(&spec)) {
             let node = self.node_mut(node_id).expect("ranked node exists"); // simlint::allow(P1, reason = "rank_nodes returns only ids from the candidate scan above")
             let config = spec.vnpu_config(node.npu_config());
             let vnpu = match node
@@ -366,6 +348,41 @@ impl NpuCluster {
             "no node can host {} MEs / {} VEs for {:?}",
             spec.mes, spec.ves, spec.model
         )))
+    }
+
+    /// Every online node as a placement candidate for `spec`, in id order,
+    /// each scored against its *own* demand (boards may be heterogeneous, so
+    /// segment rounding differs per node). Deployments are keyed by handle,
+    /// node first, so one pass over them, merged with the id-ordered nodes,
+    /// counts each board's replicas of the model.
+    fn candidates(&self, spec: &DeploySpec) -> Vec<(PlacementCandidate, ResourceDemand)> {
+        debug_assert!(
+            self.nodes
+                .windows(2)
+                .all(|pair| pair[0].id() < pair[1].id()),
+            "the replica count merge needs the nodes in id order"
+        );
+        let mut deployments = self.deployments.values().peekable();
+        let mut candidates = Vec::with_capacity(self.nodes.len());
+        for node in &self.nodes {
+            let mut model_replicas = 0;
+            while let Some(deployed) = deployments.next_if(|d| d.handle.node <= node.id()) {
+                model_replicas +=
+                    usize::from(deployed.handle.node == node.id() && deployed.model == spec.model);
+            }
+            if self.offline.contains(&node.id()) {
+                continue;
+            }
+            let npu = node.npu_config();
+            candidates.push((
+                PlacementCandidate {
+                    inventory: node.inventory(),
+                    model_replicas,
+                },
+                ResourceDemand::of(&spec.vnpu_config(npu), npu),
+            ));
+        }
+        candidates
     }
 
     /// Places and starts a new vNPU replica on one specific node, bypassing
@@ -625,9 +642,128 @@ impl MigrationOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn small_fleet(nodes: usize) -> NpuCluster {
         NpuCluster::homogeneous(nodes, &NpuConfig::single_core())
+    }
+
+    /// The placement candidates built node by node: `replicas_on` for the
+    /// model count and the manager's per-field `free_*` sums for the
+    /// inventory. The reference for [`NpuCluster::candidates`]' merged pass.
+    fn reference_candidates(
+        fleet: &NpuCluster,
+        spec: &DeploySpec,
+    ) -> Vec<(PlacementCandidate, ResourceDemand)> {
+        let online = fleet
+            .nodes
+            .iter()
+            .filter(|node| !fleet.offline.contains(&node.id()));
+        online
+            .map(|node| {
+                let (npu, manager) = (node.npu_config(), node.manager());
+                let cores = npu.total_cores();
+                let inventory = NodeInventory {
+                    node: node.id(),
+                    total_mes: npu.mes_per_core * cores,
+                    free_mes: manager.free_mes(),
+                    total_ves: npu.ves_per_core * cores,
+                    free_ves: manager.free_ves(),
+                    total_sram_segments: npu.sram_segments_per_core() * cores as u32,
+                    free_sram_segments: manager.free_sram_segments(),
+                    total_hbm_segments: npu.hbm_segments_per_core() * cores as u32,
+                    free_hbm_segments: manager.free_hbm_segments(),
+                    resident_vnpus: manager.vnpu_count(),
+                };
+                let candidate = PlacementCandidate {
+                    inventory,
+                    model_replicas: fleet.replicas_on(node.id(), spec.model),
+                };
+                (candidate, ResourceDemand::of(&spec.vnpu_config(npu), npu))
+            })
+            .collect()
+    }
+
+    /// Random heterogeneous fleets under deploys by every policy, undeploys,
+    /// migrations, offline boards and `split`/`absorb` round trips: before
+    /// every deploy, the candidates `deploy` ranks equal the per-node
+    /// reference, on the whole fleet and on every part of a split, and so
+    /// does their topology-aware ranking, the one policy that reads the
+    /// replica counts.
+    #[test]
+    fn placement_candidates_match_the_per_node_reference() {
+        let mut rng = StdRng::seed_from_u64(29);
+        let models = [ModelId::Mnist, ModelId::Bert, ModelId::Ncf];
+        let (mut deployed, mut migrated, mut local) = (0, 0, 0);
+        for _ in 0..40 {
+            let boards = rng.gen_range(1..=7usize);
+            let configs = (0..boards)
+                .map(|_| {
+                    if rng.gen_bool(0.7) {
+                        NpuConfig::single_core()
+                    } else {
+                        NpuConfig::tpu_v4_like()
+                    }
+                })
+                .collect();
+            let mut fleet = NpuCluster::new(configs);
+            let mut handles: Vec<VnpuHandle> = Vec::new();
+            let check = |fleet: &NpuCluster, spec: &DeploySpec| {
+                let (got, want) = (fleet.candidates(spec), reference_candidates(fleet, spec));
+                assert_eq!(got, want);
+                let topology = PlacementPolicy::TopologyAware;
+                assert_eq!(rank_nodes(topology, &got), rank_nodes(topology, &want));
+                got.iter().filter(|(c, _)| c.model_replicas > 0).count()
+            };
+            for _ in 0..rng.gen_range(10..60) {
+                let model = models[rng.gen_range(0..models.len())];
+                let spec = DeploySpec::replica(model, rng.gen_range(1..=2), rng.gen_range(1..=2));
+                local += check(&fleet, &spec);
+                match rng.gen_range(0..10u32) {
+                    0..=4 => {
+                        let policy = PlacementPolicy::all()[rng.gen_range(0..3usize)];
+                        if let Ok(handle) = fleet.deploy(spec, policy) {
+                            handles.push(handle);
+                            deployed += 1;
+                        }
+                    }
+                    5 if !handles.is_empty() => {
+                        let handle = handles.swap_remove(rng.gen_range(0..handles.len()));
+                        fleet.undeploy(handle).unwrap();
+                    }
+                    6 if !handles.is_empty() => {
+                        let index = rng.gen_range(0..handles.len());
+                        let to = NodeId(rng.gen_range(0..boards as u32));
+                        let cost = MigrationCostModel::default();
+                        if let Ok(outcome) = fleet.migrate(handles[index], to, &cost, None) {
+                            handles[index] = outcome.new_handle();
+                            migrated += 1;
+                        }
+                    }
+                    7 => {
+                        let node = NodeId(rng.gen_range(0..boards as u32));
+                        fleet.set_offline(node, !fleet.offline.contains(&node));
+                    }
+                    8 => {
+                        let partitions = rng.gen_range(1..=3usize);
+                        let owners = (0..boards as u32)
+                            .map(|id| (NodeId(id), rng.gen_range(0..partitions)))
+                            .collect();
+                        let parts = fleet.split(&owners, partitions);
+                        for part in &parts {
+                            check(part, &spec);
+                        }
+                        fleet = NpuCluster::absorb(parts);
+                    }
+                    _ => {}
+                }
+            }
+        }
+        assert!(
+            deployed > 300 && migrated > 20 && local > 300,
+            "{deployed} deploys, {migrated} migrations, {local} boards with local replicas"
+        );
     }
 
     #[test]

@@ -520,6 +520,9 @@ pub(crate) struct ChaosState {
     pub(crate) fault_since: BTreeMap<NodeId, u64>,
     /// The fault and failover counters; `lost` and `per_model` stay empty.
     pub(crate) stats: AvailabilityStats,
+    /// Failure-detector scratch, refilled at every telemetry tick: the boards
+    /// hosting a live replica, ascending and deduplicated.
+    pub(crate) monitored: Vec<NodeId>,
 }
 
 impl ChaosState {

@@ -43,20 +43,26 @@ impl ClusterNode {
         self.manager.npu_config()
     }
 
-    /// A snapshot of the node's free and total capacity.
+    /// A snapshot of the node's free and total capacity. The four free
+    /// totals come from one pass over the board's cores
+    /// ([`PnpuMapper::free_totals`](neu10::PnpuMapper::free_totals)), so
+    /// every placement scan, failover re-placement and fragmentation check
+    /// reads a board once.
     pub fn inventory(&self) -> NodeInventory {
         let npu = self.manager.npu_config();
         let cores = npu.total_cores();
+        let (free_mes, free_ves, free_sram_segments, free_hbm_segments) =
+            self.manager.mapper().free_totals();
         NodeInventory {
             node: self.id,
             total_mes: npu.mes_per_core * cores,
-            free_mes: self.manager.free_mes(),
+            free_mes,
             total_ves: npu.ves_per_core * cores,
-            free_ves: self.manager.free_ves(),
+            free_ves,
             total_sram_segments: npu.sram_segments_per_core() * cores as u32,
-            free_sram_segments: self.manager.free_sram_segments(),
+            free_sram_segments,
             total_hbm_segments: npu.hbm_segments_per_core() * cores as u32,
-            free_hbm_segments: self.manager.free_hbm_segments(),
+            free_hbm_segments,
             resident_vnpus: self.manager.vnpu_count(),
         }
     }

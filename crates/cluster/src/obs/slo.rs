@@ -395,6 +395,12 @@ pub struct SloEngine {
     /// One bucket ring per spec, each `ring_len` cells.
     rings: Vec<Vec<Bucket>>,
     ring_len: u64,
+    /// The longest window of any policy, in ticks: how far back an
+    /// evaluation walks each ring.
+    deepest: u64,
+    /// Evaluation scratch: `sums[k]` holds one spec's good and bad counts
+    /// over its `k` newest complete buckets.
+    sums: Vec<(u64, u64)>,
     /// Active flags, indexed `spec * policies.len() + policy`.
     active: Vec<bool>,
     /// Whether resolve edges require the fast window to have seen traffic.
@@ -424,6 +430,11 @@ impl SloEngine {
             .max()
             .unwrap_or(1)
             + 1;
+        let deepest = window_ticks
+            .iter()
+            .map(|&(fast, slow)| fast.max(slow))
+            .max()
+            .unwrap_or(0);
         SloEngine {
             tick,
             specs: config.specs.clone(),
@@ -431,6 +442,8 @@ impl SloEngine {
             window_ticks,
             rings: vec![vec![EMPTY_BUCKET; ring_len as usize]; config.specs.len()],
             ring_len,
+            deepest,
+            sums: Vec::with_capacity(deepest as usize + 1),
             active: vec![false; config.specs.len() * config.policies.len()],
             resolve_requires_evidence: config.resolve_requires_evidence,
             evaluations: 0,
@@ -509,18 +522,25 @@ impl SloEngine {
 
     /// Evaluates every (spec, policy) pair at tick boundary `now`, appending
     /// fire/resolve edges to `out` in (spec, policy) declaration order.
+    ///
+    /// One pass per spec: the walk starts at the newest complete bucket and
+    /// runs back to the deepest window, keeping running good and bad sums,
+    /// and each policy reads its fast and slow windows off those sums. The
+    /// sums are the integers a separate walk per window would add up, so
+    /// every burn rate is exactly that walk's.
     pub fn evaluate(&mut self, now: u64, out: &mut Vec<AlertTransition>) {
         self.evaluations += 1;
         // The evaluated history ends at the last *complete* bucket: the
-        // bucket containing `now` is still filling.
+        // bucket containing `now` is still filling. No window reaches back
+        // past bucket 0.
         let next_bucket = now / self.tick;
+        let depth = next_bucket.min(self.deepest);
         for (spec_index, spec) in self.specs.iter().enumerate() {
-            let ring = &self.rings[spec_index];
+            running_sums(&self.rings[spec_index], next_bucket, depth, &mut self.sums);
             for (policy_index, policy) in self.policies.iter().enumerate() {
                 let (fast_ticks, slow_ticks) = self.window_ticks[policy_index];
-                let (burn_fast, fast_total) =
-                    burn_over(ring, self.ring_len, next_bucket, fast_ticks, spec);
-                let (burn_slow, _) = burn_over(ring, self.ring_len, next_bucket, slow_ticks, spec);
+                let (burn_fast, fast_total) = burn(self.sums[fast_ticks.min(depth) as usize], spec);
+                let (burn_slow, _) = burn(self.sums[slow_ticks.min(depth) as usize], spec);
                 let flag = &mut self.active[spec_index * self.policies.len() + policy_index];
                 let breached = burn_fast > policy.threshold && burn_slow > policy.threshold;
                 // With `resolve_requires_evidence`, resolving demands proof
@@ -571,28 +591,32 @@ fn bump(ring: &mut [Bucket], ring_len: u64, index: u64, good: bool) {
     }
 }
 
-/// The burn rate of the `window_ticks` complete buckets ending just before
-/// `next_bucket`, plus the observation count it was computed over:
-/// `(bad_fraction / error_budget, total)`, `(0.0, 0)` when the window saw no
-/// traffic — the caller must treat an empty window as *absence of evidence*,
-/// not as a zero burn rate.
-fn burn_over(
-    ring: &[Bucket],
-    ring_len: u64,
-    next_bucket: u64,
-    window_ticks: u64,
-    spec: &SloSpec,
-) -> (f64, u64) {
-    let first = next_bucket.saturating_sub(window_ticks);
-    let mut good = 0u64;
-    let mut bad = 0u64;
-    for index in first..next_bucket {
-        let cell = &ring[(index % ring_len) as usize];
-        if cell.index == index {
-            good += cell.good;
-            bad += cell.bad;
+/// Fills `sums` so that `sums[k]` holds the good and bad counts of the `k`
+/// complete buckets just before `next_bucket`, for every `k` up to `depth`.
+/// The cell steps back one place per bucket, wrapping at the ring's start,
+/// and a cell counts only while it still holds the bucket the step expects,
+/// so a never-written or overwritten cell adds nothing.
+fn running_sums(ring: &[Bucket], next_bucket: u64, depth: u64, sums: &mut Vec<(u64, u64)>) {
+    sums.clear();
+    sums.push((0, 0));
+    let (mut good, mut bad) = (0, 0);
+    let mut cell = (next_bucket.saturating_sub(1) % ring.len() as u64) as usize;
+    for index in (next_bucket - depth..next_bucket).rev() {
+        let bucket = &ring[cell];
+        if bucket.index == index {
+            good += bucket.good;
+            bad += bucket.bad;
         }
+        sums.push((good, bad));
+        cell = cell.checked_sub(1).unwrap_or(ring.len() - 1);
     }
+}
+
+/// The burn rate of a window's `(good, bad)` counts, plus the observation
+/// count it was computed over: `(bad_fraction / error_budget, total)`,
+/// `(0.0, 0)` when the window saw no traffic — the caller must treat an
+/// empty window as *absence of evidence*, not as a zero burn rate.
+fn burn((good, bad): (u64, u64), spec: &SloSpec) -> (f64, u64) {
     let total = good + bad;
     if total == 0 {
         return (0.0, 0);
@@ -603,6 +627,8 @@ fn burn_over(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     const TICK: u64 = 1_000;
 
@@ -815,6 +841,194 @@ mod tests {
         assert!(expected.iter().any(|t| t.kind == AlertKind::Resolved));
         assert_eq!(got, expected);
         assert!(second.rings[0].iter().all(|cell| cell.index == u64::MAX));
+    }
+
+    /// The burn rate of one window, walked on its own: the reference for
+    /// the running sums `evaluate` reads every window off. The window is the
+    /// `window_ticks` complete buckets just before `next_bucket`.
+    fn burn_over(
+        ring: &[Bucket],
+        ring_len: u64,
+        next_bucket: u64,
+        window_ticks: u64,
+        spec: &SloSpec,
+    ) -> (f64, u64) {
+        let first = next_bucket.saturating_sub(window_ticks);
+        let (mut good, mut bad) = (0, 0);
+        for index in first..next_bucket {
+            let cell = &ring[(index % ring_len) as usize];
+            if cell.index == index {
+                good += cell.good;
+                bad += cell.bad;
+            }
+        }
+        burn((good, bad), spec)
+    }
+
+    /// The reference evaluation: two `burn_over` walks per (spec, policy),
+    /// then `evaluate`'s own fire/resolve rule.
+    fn evaluate_reference(engine: &mut SloEngine, now: u64, out: &mut Vec<AlertTransition>) {
+        engine.evaluations += 1;
+        let next_bucket = now / engine.tick;
+        for (spec_index, spec) in engine.specs.iter().enumerate() {
+            let ring = &engine.rings[spec_index];
+            for (policy_index, policy) in engine.policies.iter().enumerate() {
+                let (fast_ticks, slow_ticks) = engine.window_ticks[policy_index];
+                let (burn_fast, fast_total) =
+                    burn_over(ring, engine.ring_len, next_bucket, fast_ticks, spec);
+                let (burn_slow, _) =
+                    burn_over(ring, engine.ring_len, next_bucket, slow_ticks, spec);
+                let flag = &mut engine.active[spec_index * engine.policies.len() + policy_index];
+                let breached = burn_fast > policy.threshold && burn_slow > policy.threshold;
+                let resolvable = fast_total > 0 || !engine.resolve_requires_evidence;
+                let kind = if !*flag && breached {
+                    *flag = true;
+                    AlertKind::Fired
+                } else if *flag && resolvable && burn_fast <= policy.threshold {
+                    *flag = false;
+                    AlertKind::Resolved
+                } else {
+                    continue;
+                };
+                out.push(AlertTransition {
+                    at: Cycles(now),
+                    model: spec.model,
+                    priority: spec.priority,
+                    severity: policy.severity,
+                    policy: policy.name,
+                    kind,
+                    burn_fast,
+                    burn_slow,
+                });
+            }
+        }
+    }
+
+    /// A random configuration: up to four specs over two models, with and
+    /// without a priority narrowing, and `policies` rules whose windows need not be
+    /// whole ticks; some are built field by field with a fast window longer
+    /// than the slow one, which `BurnRatePolicy::new` would clamp.
+    fn random_config(rng: &mut StdRng, policies: usize) -> SloConfig {
+        let tick = rng.gen_range(1..=40u64);
+        let mut config = SloConfig::new(tick);
+        if rng.gen_bool(0.5) {
+            config = config.with_resolve_requires_evidence();
+        }
+        for _ in 0..rng.gen_range(1..=4) {
+            let model = [ModelId::Mnist, ModelId::Bert][rng.gen_range(0..2usize)];
+            let mut spec = SloSpec::new(model, Cycles(100), rng.gen_range(0.5..0.99));
+            if rng.gen_bool(0.5) {
+                spec = spec.with_priority(PriorityClass::Interactive);
+            }
+            config = config.with_spec(spec);
+        }
+        for _ in 0..policies {
+            let fast = rng.gen_range(1..=6 * tick);
+            let slow = rng.gen_range(1..=20 * tick);
+            let threshold = rng.gen_range(0.0..4.0);
+            config = config.with_policy(if rng.gen_bool(0.8) {
+                BurnRatePolicy::page(fast, slow, threshold)
+            } else {
+                BurnRatePolicy {
+                    name: "raw",
+                    severity: AlertSeverity::Ticket,
+                    fast_window: fast,
+                    slow_window: slow,
+                    threshold,
+                }
+            });
+        }
+        config
+    }
+
+    /// Random bucket histories, split over one to three engines merged by
+    /// `absorb` before each evaluation: every window's running sum gives the
+    /// per-window walk's burn rate bit for bit, and `evaluate` gives the
+    /// reference evaluation's edges, burns and active flags. Histories skip
+    /// buckets (never-written and overwritten cells), run many rings long,
+    /// evaluate before the longest window has elapsed and between tick
+    /// boundaries, and feed the still-filling bucket.
+    #[test]
+    fn one_pass_windows_match_the_per_window_walk() {
+        let mut rng = StdRng::seed_from_u64(29);
+        let (mut edges, mut early, mut wrapped, mut filling) = (0, 0, 0, 0);
+        for case in 0..80 {
+            // The first case has no policies at all.
+            let policies = if case == 0 { 0 } else { rng.gen_range(1..=3) };
+            let config = random_config(&mut rng, policies);
+            let tick = config.tick;
+            let mut engines = vec![SloEngine::new(&config); rng.gen_range(1..=3)];
+            let ring_len = engines[0].ring_len;
+            let mut now = 0;
+            for _ in 0..rng.gen_range(10..90) {
+                let mut next = now + rng.gen_range(0..=3 * tick);
+                if rng.gen_bool(0.08) {
+                    next += ring_len * tick * rng.gen_range(1..=2u64);
+                }
+                for _ in 0..rng.gen_range(0..16) {
+                    let at = if rng.gen_bool(0.2) {
+                        next
+                    } else {
+                        rng.gen_range(now..=next)
+                    };
+                    let engine = rng.gen_range(0..engines.len());
+                    let engine = &mut engines[engine];
+                    let model = [ModelId::Mnist, ModelId::Bert][rng.gen_range(0..2usize)];
+                    let priority = [PriorityClass::Interactive, PriorityClass::Batch]
+                        [rng.gen_range(0..2usize)];
+                    if rng.gen_bool(0.1) {
+                        engine.observe_expired(at, model, priority);
+                    } else {
+                        engine.observe_latency(at, model, priority, rng.gen_range(0..=200));
+                    }
+                }
+                now = next;
+                let (engine, rest) = engines.split_first_mut().expect("at least one engine");
+                for other in rest {
+                    engine.absorb(other);
+                }
+
+                let next_bucket = now / tick;
+                let depth = next_bucket.min(ring_len + 2);
+                for (spec, ring) in engine.specs.iter().zip(&engine.rings) {
+                    let mut sums = Vec::new();
+                    running_sums(ring, next_bucket, depth, &mut sums);
+                    for window in 0..=ring_len + 2 {
+                        let (got, got_total) = burn(sums[window.min(depth) as usize], spec);
+                        let (want, want_total) =
+                            burn_over(ring, ring_len, next_bucket, window, spec);
+                        assert_eq!(
+                            (got.to_bits(), got_total),
+                            (want.to_bits(), want_total),
+                            "case {case}: window {window} at bucket {next_bucket}"
+                        );
+                    }
+                    filling += usize::from(ring.iter().any(|cell| cell.index == next_bucket));
+                }
+                early += usize::from(next_bucket < engine.deepest);
+                wrapped += usize::from(next_bucket > 2 * ring_len);
+
+                let mut reference = engine.clone();
+                let (mut got, mut expected) = (Vec::new(), Vec::new());
+                engine.evaluate(now, &mut got);
+                evaluate_reference(&mut reference, now, &mut expected);
+                let bits = |edges: &[AlertTransition]| -> Vec<(u64, u64)> {
+                    let burns = edges
+                        .iter()
+                        .map(|t| (t.burn_fast.to_bits(), t.burn_slow.to_bits()));
+                    burns.collect()
+                };
+                assert_eq!(got, expected, "case {case} at cycle {now}");
+                assert_eq!(bits(&got), bits(&expected));
+                assert_eq!(engine.active, reference.active);
+                edges += got.len();
+            }
+        }
+        assert!(
+            edges > 100 && early > 100 && wrapped > 100 && filling > 100,
+            "every history shape is exercised: {edges} edges, {early} early, \
+             {wrapped} wrapped, {filling} with a filling bucket"
+        );
     }
 
     #[test]

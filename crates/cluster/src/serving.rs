@@ -687,9 +687,7 @@ struct ServeState {
     /// and batch formation reuses one, so steady-state serving allocates no
     /// batch storage.
     batch_pool: Vec<Vec<QueuedRequest>>,
-    /// Live (non-retired) replicas right now.
-    live_replicas: usize,
-    /// Largest `live_replicas` seen over the run.
+    /// Largest live-replica count seen over the run.
     peak_replicas: usize,
     /// The SLO burn-rate engine, fed by completions, expiries and losses;
     /// `None` unless [`ServingOptions::with_slo`] configured one.
@@ -1264,11 +1262,23 @@ impl ShardContext {
 /// cross-partition deliveries). All mutable simulation state lives here so a
 /// partition can be stepped to a bound, reconciled, and resumed without
 /// losing determinism.
+///
+/// The replica table is indexed by slot and keeps every slot the run ever
+/// created, retired ones included, so a slot number (in events, the dispatch
+/// index and traces) names one replica for the whole run. Beside it, the
+/// live list holds the non-retired slots in ascending order: every per-tick
+/// pass (sampling, fleet counters, failure detection, fault fencing, the
+/// work-left and export checks, the plan weights, the end-of-run sweep)
+/// walks that list, so a tick costs the live fleet, not the run's history.
 pub(crate) struct PartitionSim<'a> {
     /// The run's settings, read in place: `max_batch` is normalized to at
     /// least 1 once, at construction.
     options: ServingOptions,
     replicas: Vec<ReplicaSim>,
+    /// The non-retired slots, ascending. [`add_replica`](Self::add_replica)
+    /// pushes (a new slot is always the largest) and
+    /// [`retire`](Self::retire) removes; nothing else changes it.
+    live: Vec<usize>,
     dispatch_index: ReplicaIndex,
     router: Router,
     state: ServeState,
@@ -1320,7 +1330,6 @@ impl<'a> PartitionSim<'a> {
             control: ControlStats::default(),
             replica_cycles: 0,
             batch_pool: Vec::new(),
-            live_replicas: replicas.len(),
             peak_replicas: replicas.len(),
             slo: options.slo.as_ref().map(SloEngine::new),
             chaos: options.faults.as_ref().map(|_| ChaosState::default()),
@@ -1337,6 +1346,7 @@ impl<'a> PartitionSim<'a> {
         }
         PartitionSim {
             options,
+            live: (0..replicas.len()).collect(),
             replicas,
             dispatch_index,
             router,
@@ -1621,18 +1631,31 @@ impl<'a> PartitionSim<'a> {
         decision
     }
 
-    /// Adds a freshly deployed replica to the table and the dispatch index
-    /// and counts it live, returning its slot. Every mid-run deployment
-    /// enters here: scale-ups, failover re-placements and cross-partition
-    /// imports.
+    /// Adds a freshly deployed replica to the table, the live list and the
+    /// dispatch index, returning its slot. Every mid-run deployment enters
+    /// here: scale-ups, failover re-placements and cross-partition imports.
     fn add_replica(&mut self, replica: ReplicaSim) -> usize {
         let slot = self.replicas.len();
         self.dispatch_index
             .insert(slot, replica.model, replica.handle.node, replica.handle);
         self.replicas.push(replica);
-        self.state.live_replicas += 1;
-        self.state.peak_replicas = self.state.peak_replicas.max(self.state.live_replicas);
+        self.live.push(slot);
+        self.state.peak_replicas = self.state.peak_replicas.max(self.live.len());
         slot
+    }
+
+    /// Debug builds check that the live list is exactly the table's
+    /// non-retired slots, in ascending order.
+    fn check_live(&self, now: u64) {
+        debug_assert!(
+            self.live.iter().copied().eq(self
+                .replicas
+                .iter()
+                .enumerate()
+                .filter(|(_, replica)| replica.live())
+                .map(|(slot, _)| slot)),
+            "the live list must match the replica table at cycle {now}"
+        );
     }
 
     /// Ends the run: sweeps requests still marooned on fenced boards, banks
@@ -1640,11 +1663,16 @@ impl<'a> PartitionSim<'a> {
     /// partition's accumulators into a mergeable [`PartitionOutcome`].
     pub(crate) fn finish<S: ObsSink + ?Sized>(mut self, sink: &mut S) -> PartitionOutcome {
         let makespan = self.makespan;
+        self.check_live(makespan);
         // Requests still marooned on fenced boards at run end were never
         // failed over (no recovery armed, or the run drained first): count
         // every one lost with a fault attribution. Nothing is silent.
         let mut marooned: Vec<QueuedRequest> = Vec::new();
-        for replica in self.replicas.iter_mut().filter(|r| r.fenced && !r.retired) {
+        for &slot in &self.live {
+            let replica = &mut self.replicas[slot];
+            if !replica.fenced {
+                continue;
+            }
             if let Some((batch, _)) = replica.in_service.take() {
                 marooned.extend(batch);
             }
@@ -1657,15 +1685,9 @@ impl<'a> PartitionSim<'a> {
         }
 
         // Bank the replica-time of everything still provisioned at the end.
-        let mut live = 0;
-        for replica in self.replicas.iter().filter(|r| r.live()) {
-            self.state.replica_cycles += makespan.saturating_sub(replica.activated_at);
-            live += 1;
+        for &slot in &self.live {
+            self.state.replica_cycles += makespan.saturating_sub(self.replicas[slot].activated_at);
         }
-        debug_assert_eq!(
-            self.state.live_replicas, live,
-            "the live-replica count must match the replica table at run end"
-        );
         self.perf.peak_replicas = self.state.peak_replicas;
 
         let mut availability = self
@@ -1705,14 +1727,14 @@ impl<'a> PartitionSim<'a> {
     pub(crate) fn work_left(&self) -> bool {
         self.next_arrival < self.arrivals.len()
             || !self.shard.exports.is_empty()
-            || self.replicas.iter().any(|r| {
+            || self.live.iter().any(|&slot| {
+                let r = &self.replicas[slot];
                 // Work marooned on a fenced board counts only while recovery
                 // will eventually drain it (detection needs the telemetry
                 // ticks this keeps alive); without recovery it would sustain
                 // the bus forever, so the run ends and the sweep counts the
                 // marooned requests as lost.
-                r.live()
-                    && (!r.fenced || self.options.recovery.is_some())
+                (!r.fenced || self.options.recovery.is_some())
                     && (r.in_service.is_some()
                         || !r.queue.is_empty()
                         || r.pending_migration.is_some())
@@ -1743,8 +1765,9 @@ impl<'a> PartitionSim<'a> {
                 // exactly the availability cost of detection latency.
                 cluster.set_offline(node, true);
                 chaos.cordoned.insert(node);
-                for slot in 0..self.replicas.len() {
-                    if self.replicas[slot].live() && self.replicas[slot].handle.node == node {
+                for index in 0..self.live.len() {
+                    let slot = self.live[index];
+                    if self.replicas[slot].handle.node == node {
                         self.fence(slot);
                     }
                 }
@@ -1758,8 +1781,9 @@ impl<'a> PartitionSim<'a> {
                 cluster.set_offline(node, true);
                 chaos.cordoned.insert(node);
                 let resume_at = now.saturating_add(for_cycles);
-                for (slot, replica) in self.replicas.iter_mut().enumerate() {
-                    if replica.live() && !replica.fenced && replica.handle.node == node {
+                for &slot in &self.live {
+                    let replica = &mut self.replicas[slot];
+                    if !replica.fenced && replica.handle.node == node {
                         replica.available_at = replica.available_at.max(resume_at);
                         self.events.push(resume_at, EV_RESUME, slot);
                         self.dispatch_index.touch(slot);
@@ -1799,7 +1823,9 @@ impl<'a> PartitionSim<'a> {
         replica.batch_timeout_at = None;
         replica.pending_migration = None;
         self.state.replica_cycles += now.saturating_sub(replica.activated_at);
-        self.state.live_replicas -= 1;
+        if let Ok(position) = self.live.binary_search(&index) {
+            self.live.remove(position);
+        }
         let released = cluster.undeploy(handle).is_ok();
         debug_assert!(released, "a retiring replica's deployment must exist");
     }
@@ -1818,20 +1844,17 @@ impl<'a> PartitionSim<'a> {
         sink: &mut S,
     ) {
         self.chaos_tick(cluster, now, sink);
-        let sampled = frame.replicas.len();
-        let live = self.replicas.iter().filter(|r| r.live());
-        frame.replicas.extend(live.map(|replica| ReplicaSample {
-            handle: replica.handle,
-            model: replica.model,
-            queue_len: replica.queue.len(),
-            in_flight: replica.in_flight(),
-            draining: replica.draining,
+        self.check_live(now);
+        frame.replicas.extend(self.live.iter().map(|&slot| {
+            let replica = &self.replicas[slot];
+            ReplicaSample {
+                handle: replica.handle,
+                model: replica.model,
+                queue_len: replica.queue.len(),
+                in_flight: replica.in_flight(),
+                draining: replica.draining,
+            }
         }));
-        debug_assert_eq!(
-            self.state.live_replicas,
-            frame.replicas.len() - sampled,
-            "the live-replica count must match the replica table at cycle {now}"
-        );
         for (model, window) in self.state.windows.iter_mut().flat_map(ModelTable::iter_mut) {
             let tally = frame.deadlines.entry(model).or_default();
             tally.merge(&std::mem::take(window));
@@ -1851,7 +1874,8 @@ impl<'a> PartitionSim<'a> {
             return;
         }
         let mut counters = FleetCounters::default();
-        for replica in self.replicas.iter().filter(|r| r.live()) {
+        for &slot in &self.live {
+            let replica = &self.replicas[slot];
             counters.queued += replica.queue.len() as u64;
             counters.in_flight += replica.in_flight() as u64;
             counters.live_replicas += 1;
@@ -1889,14 +1913,19 @@ impl<'a> PartitionSim<'a> {
             return;
         };
 
-        // Heartbeat accounting over the monitored boards. BTreeSet: the
-        // declaration scan below must walk nodes in a deterministic order.
-        let mut monitored: BTreeSet<NodeId> = BTreeSet::new();
-        for replica in self.replicas.iter().filter(|r| r.live()) {
-            monitored.insert(replica.handle.node);
-        }
+        // Heartbeat accounting over the monitored boards, in ascending node
+        // order: the declaration scan below must walk them deterministically.
+        let monitored = &mut chaos.monitored;
+        monitored.clear();
+        monitored.extend(
+            self.live
+                .iter()
+                .map(|&slot| self.replicas[slot].handle.node),
+        );
+        monitored.sort_unstable();
+        monitored.dedup();
         let mut dead: Vec<NodeId> = Vec::new();
-        for &node in &monitored {
+        for &node in &chaos.monitored {
             if chaos.declared.contains(&node) {
                 continue;
             }
@@ -1930,11 +1959,10 @@ impl<'a> PartitionSim<'a> {
             // capturing its orphans and (for non-draining replicas) the
             // deployment shape to restore elsewhere.
             let slots: Vec<usize> = self
-                .replicas
+                .live
                 .iter()
-                .enumerate()
-                .filter(|(_, r)| r.live() && r.handle.node == node)
-                .map(|(slot, _)| slot)
+                .copied()
+                .filter(|&slot| self.replicas[slot].handle.node == node)
                 .collect();
             let mut orphans: Vec<(usize, QueuedRequest)> = Vec::new();
             let mut failed_here = 0u64;
@@ -2637,9 +2665,9 @@ impl<'a> PartitionSim<'a> {
     /// never completes, so its drain-then-move never exports.
     pub(crate) fn pending_remote(&self) -> bool {
         !self.shard.exports.is_empty()
-            || self.replicas.iter().any(|replica| {
-                replica.live()
-                    && !replica.fenced
+            || self.live.iter().any(|&slot| {
+                let replica = &self.replicas[slot];
+                !replica.fenced
                     && replica
                         .pending_migration
                         .is_some_and(|(to, _)| self.shard.remote(to))
@@ -2655,10 +2683,12 @@ impl<'a> PartitionSim<'a> {
         weights: &mut BTreeMap<ModelId, Vec<u64>>,
         partitions: usize,
     ) {
-        for replica in self.replicas.iter().filter(|r| r.live() && !r.draining) {
-            weights
-                .entry(replica.model)
-                .or_insert_with(|| vec![0; partitions])[self.shard.index] += 1;
+        for replica in self.live.iter().map(|&slot| &self.replicas[slot]) {
+            if !replica.draining {
+                weights
+                    .entry(replica.model)
+                    .or_insert_with(|| vec![0; partitions])[self.shard.index] += 1;
+            }
         }
     }
 
@@ -3619,6 +3649,79 @@ mod tests {
             replicas.iter().all(|r| r.stream.drawn() > 0),
             "every replica served"
         );
+    }
+
+    /// The live list through a churning run at 1 and 2 partitions: two
+    /// scale-ups, a drained release, a cold move from board 0 to board 3 (a
+    /// cross-partition export and import at 2 partitions) and a crash of
+    /// board 2 that failover retires. At run end every partition's list is
+    /// its table's non-retired slots in ascending order, and retired slots
+    /// remain in the tables.
+    #[test]
+    fn the_live_list_tracks_the_table_through_churn() {
+        let service = estimated_service_cycles(ModelId::Mnist, 2, 2, &NpuConfig::single_core());
+        for partitions in [1, 2] {
+            let (mut fleet, handles) = fleet_with_replicas(4, 2);
+            let scale_up = || ControlAction::ScaleUp {
+                spec: DeploySpec::replica(ModelId::Mnist, 2, 2),
+                placement: PlacementPolicy::WorstFit,
+            };
+            let mut script = Script {
+                at: vec![
+                    (1, vec![scale_up(), scale_up()]),
+                    (2, vec![ControlAction::ScaleDown { handle: handles[1] }]),
+                    (
+                        3,
+                        vec![ControlAction::Migrate {
+                            handle: handles[0],
+                            to: NodeId(3),
+                            mode: MigrationMode::Cold,
+                        }],
+                    ),
+                ],
+                tick: 0,
+            };
+            let crash = FaultKind::BoardCrash { node: NodeId(2) };
+            let options = ServingOptions::new(DispatchPolicy::LeastLoaded)
+                .with_telemetry(service * 2)
+                .with_faults(FaultSchedule::new().with_fault(service * 7, crash))
+                .with_recovery(RecoveryPolicy::new(1));
+            let trace = burst_trace(80, service / 2);
+            let mut sinks: Vec<NoopSink> = (0..partitions).map(|_| NoopSink).collect();
+            let mut coordinator = Coordinator::new(
+                &options,
+                &mut fleet,
+                trace.arrivals(),
+                sinks.iter_mut().collect(),
+            );
+            coordinator.run(&mut script, &mut |jobs| in_tag_order(ShardJob::step, jobs));
+
+            let parts = coordinator.partitions();
+            for (index, partition) in parts.iter().enumerate() {
+                let unretired: Vec<usize> = (0..partition.replicas.len())
+                    .filter(|&slot| !partition.replicas[slot].retired)
+                    .collect();
+                assert_eq!(
+                    partition.live, unretired,
+                    "partition {index} of {partitions}"
+                );
+            }
+            let sum = |count: fn(&PartitionSim) -> usize| parts.iter().map(count).sum::<usize>();
+            assert_eq!(sum(|p| p.state.control.scale_ups), 2);
+            assert_eq!(sum(|p| p.state.control.released), 1);
+            assert_eq!(sum(|p| p.migration_records.len()), 1);
+            let failovers = |p: &PartitionSim| p.state.chaos.as_ref().unwrap().stats.failovers;
+            assert_eq!(parts.iter().map(failovers).sum::<u64>(), 1);
+            // The release and the failover each retired a slot; at 2
+            // partitions the move crossed the boundary, so the export
+            // retired a third and partition 1 imported it.
+            let retired = sum(|p| p.replicas.len() - p.live.len());
+            assert_eq!(retired, partitions + 1);
+            if partitions == 2 {
+                assert_eq!(parts[1].migration_records.len(), 1);
+                assert!(parts[0].replicas[0].retired);
+            }
+        }
     }
 
     /// Records each batch's service span for the stream-continuity test.

@@ -227,6 +227,24 @@ impl PnpuMapper {
         best.map(|(core, _)| core)
     }
 
+    /// The board's four free totals — MEs, VEs, SRAM segments and HBM
+    /// segments, each as its `free_*` method sums it — from one pass over
+    /// the cores: what a placement scan reads of every board.
+    pub fn free_totals(&self) -> (usize, usize, u32, u32) {
+        let npu = &self.npu;
+        let (max_sram, max_hbm) = (npu.sram_segments_per_core(), npu.hbm_segments_per_core());
+        self.cores
+            .values()
+            .fold((0, 0, 0, 0), |(mes, ves, sram, hbm), l| {
+                (
+                    mes + npu.mes_per_core.saturating_sub(l.mes),
+                    ves + npu.ves_per_core.saturating_sub(l.ves),
+                    sram + max_sram.saturating_sub(l.sram_segments),
+                    hbm + max_hbm.saturating_sub(l.hbm_segments),
+                )
+            })
+    }
+
     /// Total free MEs across the board under hardware isolation.
     pub fn free_mes(&self) -> usize {
         self.cores
