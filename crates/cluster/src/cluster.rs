@@ -766,6 +766,33 @@ mod tests {
         );
     }
 
+    /// Every part of a split fleet finds each board it holds by id, and no
+    /// other, though its ids are not dense; the reassembled fleet finds
+    /// every board.
+    #[test]
+    fn split_parts_find_exactly_their_own_boards() {
+        let mut rng = StdRng::seed_from_u64(30);
+        for _ in 0..40 {
+            let boards = rng.gen_range(1..=9u32);
+            let partitions = rng.gen_range(1..=4usize);
+            let owners = (0..boards)
+                .map(|id| (NodeId(id), rng.gen_range(0..partitions)))
+                .collect();
+            let mut parts = small_fleet(boards as usize).split(&owners, partitions);
+            for (index, part) in parts.iter_mut().enumerate() {
+                for id in (0..boards + 2).map(NodeId) {
+                    let want = (owners.get(&id) == Some(&index)).then_some(id);
+                    assert_eq!(part.node(id).map(ClusterNode::id), want);
+                    assert_eq!(part.node_mut(id).map(|node| node.id()), want);
+                }
+            }
+            let fleet = NpuCluster::absorb(parts);
+            for id in (0..boards + 2).map(NodeId) {
+                assert_eq!(fleet.node(id).is_some(), id.0 < boards);
+            }
+        }
+    }
+
     #[test]
     fn deploy_places_starts_and_accounts() {
         let mut fleet = small_fleet(2);

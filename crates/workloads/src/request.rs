@@ -5,6 +5,9 @@
 //! requests. Open-loop Poisson arrivals are also provided for experiments
 //! that need bursty, cloud-like traffic.
 
+use std::cmp::Reverse;
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
+
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -76,20 +79,25 @@ impl RequestStream {
             ArrivalProcess::Poisson {
                 mean_interarrival,
                 seed,
-            } => {
-                let mut rng = StdRng::seed_from_u64(seed);
-                let mean = mean_interarrival.get().max(1) as f64;
-                let mut now = 0.0f64;
-                (0..count)
-                    .map(|_| {
-                        let u: f64 = rng.gen_range(f64::EPSILON..1.0);
-                        now += -mean * u.ln(); // simlint::allow(D4, reason = "one exponential gap per generated arrival")
-                        Cycles(now as u64)
-                    })
-                    .collect()
-            }
+            } => poisson_times(mean_interarrival, seed, count).collect(),
         }
     }
+}
+
+/// The first `count` arrival times of a seeded Poisson stream.
+fn poisson_times(
+    mean_interarrival: Cycles,
+    seed: u64,
+    count: usize,
+) -> impl Iterator<Item = Cycles> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mean = mean_interarrival.get().max(1) as f64;
+    let mut now = 0.0f64;
+    (0..count).map(move |_| {
+        let u: f64 = rng.gen_range(f64::EPSILON..1.0);
+        now += -mean * u.ln(); // simlint::allow(D4, reason = "one exponential gap per generated arrival")
+        Cycles(now as u64)
+    })
 }
 
 impl Default for RequestStream {
@@ -107,6 +115,61 @@ pub(crate) fn stream_seed(seed: u64, index: u64) -> u64 {
     stream_seed = (stream_seed ^ (stream_seed >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     stream_seed = (stream_seed ^ (stream_seed >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     stream_seed ^ (stream_seed >> 31)
+}
+
+/// The arrival times of a trace's streams, drawn one stream after another
+/// into one buffer; each stream's times are non-decreasing and end where
+/// its entry in `streams` says.
+///
+/// One buffer rather than one per stream is a workaround, not a format the
+/// merge needs: the cluster crate's serving calls free their working memory
+/// at every call's end, and glibc's malloc keeps freed memory only below
+/// thresholds it raises to the largest mapped block a process frees. With
+/// only stream-sized blocks freed in set-up, every later serving call
+/// faulted its working memory in again.
+#[derive(Debug, Default)]
+pub(crate) struct StreamTimes {
+    /// Each stream's model and the end of its times in `times`.
+    pub(crate) streams: Vec<(ModelId, usize)>,
+    /// Every stream's arrival times, in stream order.
+    pub(crate) times: Vec<Cycles>,
+}
+
+impl StreamTimes {
+    /// Ends the stream whose times were pushed since the last one ended.
+    pub(crate) fn end_stream(&mut self, model: ModelId) {
+        self.streams.push((model, self.times.len()));
+    }
+
+    /// Each stream's model and arrival times, in stream order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (ModelId, &[Cycles])> {
+        let mut start = 0;
+        self.streams.iter().map(move |&(model, end)| {
+            let times = &self.times[start..end];
+            start = end;
+            (model, times)
+        })
+    }
+}
+
+/// The arrival times of [`ClusterTrace::poisson`]'s streams.
+pub(crate) fn poisson_streams(
+    streams: &[(ModelId, u64)],
+    per_model: usize,
+    seed: u64,
+) -> StreamTimes {
+    let mut drawn = StreamTimes {
+        streams: Vec::with_capacity(streams.len()),
+        times: Vec::with_capacity(streams.len() * per_model),
+    };
+    for (index, &(model, mean)) in streams.iter().enumerate() {
+        let seed = stream_seed(seed, index as u64);
+        drawn
+            .times
+            .extend(poisson_times(Cycles(mean.max(1)), seed, per_model));
+        drawn.end_stream(model);
+    }
+    drawn
 }
 
 /// The scheduling class of a request: lower variants are more urgent.
@@ -224,7 +287,8 @@ pub struct ClusterTrace {
 impl ClusterTrace {
     /// Builds a trace by superposing one Poisson stream per `(model,
     /// mean_interarrival_cycles)` entry, each contributing `per_model`
-    /// requests. Deterministic for a fixed `seed`.
+    /// requests. Deterministic for a fixed `seed`. Arrivals are ordered by
+    /// time, then by stream index, then by position in the stream.
     ///
     /// # Example
     ///
@@ -240,17 +304,7 @@ impl ClusterTrace {
     /// assert_eq!(trace, ClusterTrace::poisson(&streams, 100, 42));
     /// ```
     pub fn poisson(streams: &[(ModelId, u64)], per_model: usize, seed: u64) -> Self {
-        let mut arrivals = Vec::with_capacity(streams.len() * per_model);
-        for (index, (model, mean)) in streams.iter().enumerate() {
-            let stream = RequestStream::new(ArrivalProcess::Poisson {
-                mean_interarrival: Cycles((*mean).max(1)),
-                seed: stream_seed(seed, index as u64),
-            });
-            for at in stream.arrival_times(per_model) {
-                arrivals.push(RequestArrival::new(at, *model));
-            }
-        }
-        ClusterTrace::from_arrivals(arrivals)
+        ClusterTrace::merge(poisson_streams(streams, per_model, seed))
     }
 
     /// Builds a trace from explicit arrivals (sorted by time; sequence
@@ -259,6 +313,37 @@ impl ClusterTrace {
         arrivals.sort_by_key(|a| a.at);
         for (sequence, arrival) in arrivals.iter_mut().enumerate() {
             arrival.sequence = sequence as u64;
+        }
+        ClusterTrace { arrivals }
+    }
+
+    /// Merges per-stream arrival times into a trace allocated once at its
+    /// exact length. The least `(time, stream index)` head goes next, so
+    /// arrivals are ordered by time, then stream index, then position in
+    /// the stream: the order [`ClusterTrace::from_arrivals`] gives the
+    /// streams' concatenation. Sequence numbers are assigned as arrivals are
+    /// written.
+    pub(crate) fn merge(drawn: StreamTimes) -> Self {
+        let mut arrivals = Vec::with_capacity(drawn.times.len());
+        let mut streams: Vec<(ModelId, &[Cycles])> = drawn.iter().collect();
+        let mut heads: BinaryHeap<Reverse<(Cycles, usize)>> = streams
+            .iter()
+            .enumerate()
+            .filter_map(|(index, (_, times))| Some(Reverse((*times.first()?, index))))
+            .collect();
+        while let Some(mut head) = heads.peek_mut() {
+            let Reverse((at, index)) = *head;
+            let (model, rest) = &mut streams[index];
+            let mut arrival = RequestArrival::new(at, *model);
+            arrival.sequence = arrivals.len() as u64;
+            arrivals.push(arrival);
+            *rest = &rest[1..];
+            match rest.first() {
+                Some(&at) => *head = Reverse((at, index)),
+                None => {
+                    PeekMut::pop(head);
+                }
+            }
         }
         ClusterTrace { arrivals }
     }

@@ -24,33 +24,33 @@ use npu_sim::Cycles;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::request::{stream_seed, ClusterTrace, RequestArrival};
+use crate::request::{stream_seed, ClusterTrace, StreamTimes};
 use crate::suite::ModelId;
 
-/// Generates one model's arrivals over `[0, horizon)` by thinning: candidate
-/// arrivals are drawn at the peak rate (`peak_mean` mean inter-arrival
-/// cycles) and accepted with probability `multiplier(t)` ∈ [0, 1].
+/// Appends one stream's arrival times over `[0, horizon)` to `times` by
+/// thinning: candidate arrivals are drawn at the peak rate (`peak_mean` mean
+/// inter-arrival cycles) and accepted with probability `multiplier(t)` ∈
+/// [0, 1].
 fn thinned_arrivals(
-    model: ModelId,
+    times: &mut Vec<Cycles>,
     peak_mean: u64,
     horizon: u64,
     seed: u64,
     mut multiplier: impl FnMut(u64) -> f64,
-) -> Vec<RequestArrival> {
+) {
     let mut rng = StdRng::seed_from_u64(seed);
     let mean = peak_mean.max(1) as f64;
     let mut now = 0.0f64;
-    let mut arrivals = Vec::new();
     loop {
         let u: f64 = rng.gen_range(f64::EPSILON..1.0);
         now += -mean * u.ln(); // simlint::allow(D4, reason = "one exponential gap per generated arrival")
         if now >= horizon as f64 {
-            return arrivals;
+            return;
         }
         let at = now as u64;
         let keep: f64 = rng.gen_range(0.0..1.0);
         if keep < multiplier(at).clamp(0.0, 1.0) {
-            arrivals.push(RequestArrival::new(Cycles(at), model));
+            times.push(Cycles(at));
         }
     }
 }
@@ -129,19 +129,23 @@ impl DiurnalTrace {
         trough + (1.0 - trough) * (1.0 - (std::f64::consts::TAU * phase).cos()) / 2.0
     }
 
-    /// Generates the merged, time-ordered trace. Deterministic per seed.
+    /// Generates the merged trace, ordered by time, then by stream index,
+    /// then by position in the stream. Deterministic per seed.
     pub fn generate(&self, seed: u64) -> ClusterTrace {
-        let mut arrivals = Vec::new();
-        for (index, (model, peak_mean)) in self.streams.iter().enumerate() {
-            arrivals.extend(thinned_arrivals(
-                *model,
-                *peak_mean,
-                self.horizon,
-                stream_seed(seed, index as u64),
-                |t| self.rate_multiplier(t),
-            ));
+        ClusterTrace::merge(self.stream_times(seed))
+    }
+
+    /// Every stream's arrival times, in stream order.
+    fn stream_times(&self, seed: u64) -> StreamTimes {
+        let mut drawn = StreamTimes::default();
+        for (index, &(model, peak_mean)) in self.streams.iter().enumerate() {
+            let seed = stream_seed(seed, index as u64);
+            thinned_arrivals(&mut drawn.times, peak_mean, self.horizon, seed, |t| {
+                self.rate_multiplier(t)
+            });
+            drawn.end_stream(model);
         }
-        ClusterTrace::from_arrivals(arrivals)
+        drawn
     }
 }
 
@@ -216,36 +220,38 @@ impl BurstyTrace {
         }
     }
 
-    /// Generates the merged, time-ordered trace. Deterministic per seed.
+    /// Generates the merged trace, ordered by time, then by stream index,
+    /// then by position in the stream. Deterministic per seed.
     pub fn generate(&self, seed: u64) -> ClusterTrace {
-        let mut arrivals = Vec::new();
-        for (index, (model, base_mean)) in self.streams.iter().enumerate() {
+        ClusterTrace::merge(self.stream_times(seed))
+    }
+
+    /// Every stream's arrival times, in stream order.
+    fn stream_times(&self, seed: u64) -> StreamTimes {
+        let mut drawn = StreamTimes::default();
+        for (index, &(model, base_mean)) in self.streams.iter().enumerate() {
             let windows = self.on_windows(seed, index);
             // Thin against the on-state (peak) rate: candidates arrive at
             // burst_multiplier × baseline and off-state candidates survive
             // with probability 1 / burst_multiplier.
-            let peak_mean = (((*base_mean).max(1)) as f64 / self.burst_multiplier).max(1.0) as u64;
+            let peak_mean = (base_mean.max(1) as f64 / self.burst_multiplier).max(1.0) as u64;
             let off_keep = 1.0 / self.burst_multiplier;
             let mut cursor = 0usize;
-            arrivals.extend(thinned_arrivals(
-                *model,
-                peak_mean,
-                self.horizon,
-                stream_seed(seed, index as u64),
-                |t| {
-                    while cursor < windows.len() && windows[cursor].1 <= t {
-                        cursor += 1;
-                    }
-                    let on = cursor < windows.len() && windows[cursor].0 <= t;
-                    if on {
-                        1.0
-                    } else {
-                        off_keep
-                    }
-                },
-            ));
+            let seed = stream_seed(seed, index as u64);
+            thinned_arrivals(&mut drawn.times, peak_mean, self.horizon, seed, |t| {
+                while cursor < windows.len() && windows[cursor].1 <= t {
+                    cursor += 1;
+                }
+                let on = cursor < windows.len() && windows[cursor].0 <= t;
+                if on {
+                    1.0
+                } else {
+                    off_keep
+                }
+            });
+            drawn.end_stream(model);
         }
-        ClusterTrace::from_arrivals(arrivals)
+        drawn
     }
 }
 
@@ -287,33 +293,36 @@ impl FlashCrowdTrace {
         }
     }
 
-    /// Generates the merged, time-ordered trace. Deterministic per seed.
+    /// Generates the merged trace, ordered by time, then by stream index,
+    /// then by position in the stream. Deterministic per seed.
     pub fn generate(&self, seed: u64) -> ClusterTrace {
+        ClusterTrace::merge(self.stream_times(seed))
+    }
+
+    /// Every stream's arrival times, in stream order.
+    fn stream_times(&self, seed: u64) -> StreamTimes {
         let off_keep = 1.0 / self.multiplier;
-        let mut arrivals = Vec::new();
-        for (index, (model, base_mean)) in self.streams.iter().enumerate() {
-            let peak_mean = (((*base_mean).max(1)) as f64 / self.multiplier).max(1.0) as u64;
-            arrivals.extend(thinned_arrivals(
-                *model,
-                peak_mean,
-                self.horizon,
-                stream_seed(seed, index as u64),
-                |t| {
-                    if (self.start..self.end).contains(&t) {
-                        1.0
-                    } else {
-                        off_keep
-                    }
-                },
-            ));
+        let mut drawn = StreamTimes::default();
+        for (index, &(model, base_mean)) in self.streams.iter().enumerate() {
+            let peak_mean = (base_mean.max(1) as f64 / self.multiplier).max(1.0) as u64;
+            let seed = stream_seed(seed, index as u64);
+            thinned_arrivals(&mut drawn.times, peak_mean, self.horizon, seed, |t| {
+                if (self.start..self.end).contains(&t) {
+                    1.0
+                } else {
+                    off_keep
+                }
+            });
+            drawn.end_stream(model);
         }
-        ClusterTrace::from_arrivals(arrivals)
+        drawn
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::request::{poisson_streams, RequestArrival};
 
     fn count_in(trace: &ClusterTrace, from: u64, to: u64) -> usize {
         trace
@@ -397,6 +406,84 @@ mod tests {
         );
         assert_eq!(trace.models().len(), 2);
         assert_eq!(trace, scenario.generate(9));
+    }
+
+    /// Random stream sets — up to nine streams, models in no particular
+    /// order, mean gaps of 1–3 cycles so arrivals tie across and within
+    /// streams, and horizons short enough to leave some streams empty —
+    /// merge in every generator exactly as `ClusterTrace::from_arrivals`
+    /// orders the concatenation of the same per-stream arrivals, sequence
+    /// numbers included.
+    #[test]
+    fn every_generator_merges_like_a_stable_sort_of_its_streams() {
+        let models = ModelId::all();
+        let mut rng = StdRng::seed_from_u64(30);
+        let (mut reordering_ties, mut stream_ties, mut empty_streams) = (0, 0, 0);
+        for case in 0..300 {
+            let streams: Vec<(ModelId, u64)> = (0..rng.gen_range(0..10usize))
+                .map(|_| {
+                    let model = models[rng.gen_range(0..models.len())];
+                    (model, rng.gen_range(1..=3u64))
+                })
+                .collect();
+            let horizon = if rng.gen_bool(0.3) {
+                rng.gen_range(1..=4u64)
+            } else {
+                rng.gen_range(20..=200u64)
+            };
+            let seed = rng.gen_range(0..u64::MAX);
+            let per_model = rng.gen_range(0..=40usize);
+            let diurnal = DiurnalTrace::new(streams.clone(), rng.gen_range(1..=400u64))
+                .with_horizon(horizon)
+                .with_trough_to_peak(rng.gen_range(0.0..=1.0));
+            let bursty = BurstyTrace::new(
+                streams.clone(),
+                rng.gen_range(1..=50u64),
+                rng.gen_range(1..=50u64),
+                horizon,
+            )
+            .with_burst_multiplier(rng.gen_range(1.0..=6.0));
+            let start = rng.gen_range(0..=horizon);
+            let flash = FlashCrowdTrace::new(
+                streams.clone(),
+                rng.gen_range(1.0..=6.0),
+                start,
+                rng.gen_range(start..=horizon),
+                horizon,
+            );
+            let generated = [
+                (
+                    ClusterTrace::poisson(&streams, per_model, seed),
+                    poisson_streams(&streams, per_model, seed),
+                ),
+                (diurnal.generate(seed), diurnal.stream_times(seed)),
+                (bursty.generate(seed), bursty.stream_times(seed)),
+                (flash.generate(seed), flash.stream_times(seed)),
+            ];
+            for (kind, (trace, drawn)) in generated.into_iter().enumerate() {
+                assert_eq!(drawn.streams.len(), streams.len());
+                for (_, times) in drawn.iter() {
+                    empty_streams += usize::from(times.is_empty());
+                    stream_ties += times.windows(2).filter(|w| w[0] == w[1]).count();
+                }
+                let concatenation = drawn
+                    .iter()
+                    .flat_map(|(model, times)| {
+                        times.iter().map(move |&at| RequestArrival::new(at, model))
+                    })
+                    .collect();
+                let reference = ClusterTrace::from_arrivals(concatenation);
+                reordering_ties += reference
+                    .arrivals()
+                    .windows(2)
+                    .filter(|w| w[0].at == w[1].at && w[0].model > w[1].model)
+                    .count();
+                assert_eq!(trace, reference, "case {case}, generator {kind}");
+            }
+        }
+        // The sets must tie a later stream's lower model with an earlier
+        // stream's arrival, or ordering ties by model would pass too.
+        assert!(reordering_ties > 0 && stream_ties > 0 && empty_streams > 0);
     }
 
     #[test]

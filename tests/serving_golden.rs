@@ -19,7 +19,9 @@ use cluster::{
     StochasticService, TimeSeriesConfig, TimeSeriesRecorder,
 };
 use npu_sim::{Cycles, NpuConfig};
-use workloads::{ClusterTrace, DiurnalTrace, ModelId, PriorityClass, QosSpec};
+use workloads::{
+    BurstyTrace, ClusterTrace, DiurnalTrace, FlashCrowdTrace, ModelId, PriorityClass, QosSpec,
+};
 
 /// FNV-1a over a canonical rendering of the report's observable fields.
 ///
@@ -537,6 +539,13 @@ const GOLDEN: &[(&str, u64)] = &[
     // the frame lost the fields no controller read.
     ("autopilot-frames", 0x95853b27acd5f63c),
     ("autopilot-frames-p2", 0x511867d3c28c81d9),
+    // FNV-1a over every arrival of one generated trace per generator, each
+    // merging three streams — locked before the generators merged
+    // per-stream arrival times instead of sorting a concatenation.
+    ("trace-poisson-ties", 0x8a3fbcb36218a380),
+    ("trace-diurnal", 0x564ac9d05a747bd4),
+    ("trace-bursty", 0xa60239fa2fb67e29),
+    ("trace-flash-crowd", 0x2d4f6ea64ad37ff9),
 ];
 
 fn expected(name: &str) -> u64 {
@@ -1276,4 +1285,89 @@ fn registry_openmetrics_export_matches_golden() {
         expected("obs-registry-openmetrics"),
         "the registry exposition drifted from its golden digest (got 0x{got:016x})"
     );
+}
+
+/// One trace per generator, each merging at least three streams listed out
+/// of `ModelId` order, with QoS on one model so deadlines and priorities are
+/// digested too. The Poisson streams' mean gaps of 1–3 cycles make arrivals
+/// tie across and within streams.
+fn generated_traces() -> [(&'static str, ClusterTrace); 4] {
+    let streams = vec![
+        (ModelId::Ncf, 40),
+        (ModelId::Bert, 25),
+        (ModelId::Mnist, 60),
+    ];
+    let qos = QosSpec::new(Some(Cycles(500)), PriorityClass::Interactive);
+    let ties = [(ModelId::Ncf, 2), (ModelId::Mnist, 1), (ModelId::Bert, 3)];
+    [
+        (
+            "trace-poisson-ties",
+            ClusterTrace::poisson(&ties, 300, SEED).with_model_qos(ModelId::Mnist, qos),
+        ),
+        (
+            "trace-diurnal",
+            DiurnalTrace::new(streams.clone(), 40_000)
+                .with_trough_to_peak(0.2)
+                .generate(SEED)
+                .with_model_qos(ModelId::Bert, qos),
+        ),
+        (
+            "trace-bursty",
+            BurstyTrace::new(streams.clone(), 2_000, 6_000, 40_000)
+                .generate(SEED)
+                .with_model_qos(ModelId::Ncf, qos),
+        ),
+        (
+            "trace-flash-crowd",
+            FlashCrowdTrace::new(streams, 5.0, 10_000, 20_000, 40_000)
+                .generate(SEED)
+                .with_model_qos(ModelId::Mnist, qos),
+        ),
+    ]
+}
+
+/// FNV-1a over every arrival of a trace: time, model, sequence number,
+/// deadline and priority class.
+fn arrival_digest(trace: &ClusterTrace) -> u64 {
+    let mut fnv = Fnv::new();
+    for arrival in trace.arrivals() {
+        fnv.fold(arrival.at.get());
+        fnv.fold(arrival.model as u64);
+        fnv.fold(arrival.sequence);
+        fnv.fold(arrival.deadline.map_or(u64::MAX, Cycles::get));
+        fnv.fold(arrival.priority as u64);
+    }
+    fnv.fold(trace.len() as u64);
+    fnv.0
+}
+
+/// Every generator's merged trace, arrival for arrival, matches its golden
+/// digest.
+#[test]
+fn generated_traces_match_golden_digests() {
+    for (name, trace) in generated_traces() {
+        assert!(
+            trace.models().len() >= 3,
+            "{name}: fewer than three streams"
+        );
+        if name == "trace-poisson-ties" {
+            assert!(
+                trace.arrivals().windows(2).any(|w| w[0].at == w[1].at),
+                "{name}: no arrivals tie"
+            );
+        }
+        let got = arrival_digest(&trace);
+        if std::env::var("NEU10_PRINT_GOLDEN").is_ok() {
+            println!(
+                "GOLDEN (\"{name}\", 0x{got:016x}), arrivals {}",
+                trace.len()
+            );
+            continue;
+        }
+        assert_eq!(
+            got,
+            expected(name),
+            "{name}: the generated trace drifted from its golden digest (got 0x{got:016x})"
+        );
+    }
 }
